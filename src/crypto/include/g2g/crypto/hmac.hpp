@@ -73,18 +73,26 @@ struct HeavyHmacJob {
 /// (the G2G audit loops queue every storage proof in a contact, then compute
 /// them all in parallel lanes). add() copies its inputs into a batch-owned
 /// arena whose chunks are recycled across run() cycles, so a warmed-up batch
-/// performs no per-challenge heap allocation; run() returns digests in add()
-/// order, then clears the queue and resets the arena.
+/// performs no per-challenge heap allocation.
+///
+/// add() returns the index of the job's digest in run()'s output. Inputs that
+/// are byte-identical to a queued job (message, seed and iteration count) share
+/// that job's chain, so add() may return an index it already handed out: an
+/// honest relay's storage proof and the source's recompute cost one chain.
+/// size() counts unique chains; run() clears the queue and resets the arena.
 class HeavyHmacBatch {
  public:
   std::size_t add(BytesView message, BytesView seed, std::uint32_t iterations);
   [[nodiscard]] std::vector<Digest> run();
   [[nodiscard]] std::size_t size() const { return jobs_.size(); }
   [[nodiscard]] bool empty() const { return jobs_.empty(); }
+  /// add() calls answered by an already queued job, over the batch's lifetime.
+  [[nodiscard]] std::size_t deduped() const { return deduped_; }
 
  private:
   Arena arena_;  ///< owns every queued message/seed until the next run()
   std::vector<HeavyHmacJob> jobs_;
+  std::size_t deduped_ = 0;
 };
 
 /// Constant-time digest comparison.

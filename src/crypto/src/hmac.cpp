@@ -204,6 +204,16 @@ std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs) {
 }
 
 std::size_t HeavyHmacBatch::add(BytesView message, BytesView seed, std::uint32_t iterations) {
+  // The key is the full input bytes, never a hash or a message ref: a relay
+  // whose stored copy differs by one byte must get a chain of its own.
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const HeavyHmacJob& job = jobs_[j];
+    if (job.iterations == iterations && std::ranges::equal(job.seed, seed) &&
+        std::ranges::equal(job.message, message)) {
+      ++deduped_;
+      return j;
+    }
+  }
   const auto own = [this](BytesView v) {
     const std::span<std::uint8_t> dst = arena_.alloc(v.size());
     std::copy(v.begin(), v.end(), dst.begin());

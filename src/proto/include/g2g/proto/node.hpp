@@ -218,6 +218,12 @@ class ProtocolNode {
     obs::Tracer& t = env_.obs().tracer;
     if (t.enabled()) t.emit({env_.now(), kind, id(), peer, ref, value});
   }
+  /// Trace reference of `h` for trace events and spans (Env::msg_ref), or 0
+  /// when tracing is off: a disabled tracer drops both, so the lookup is
+  /// skipped.
+  [[nodiscard]] std::uint64_t trace_ref(const MessageHash& h) const {
+    return env_.obs().tracer.enabled() ? env_.msg_ref(h) : 0;
+  }
   [[nodiscard]] obs::ProtocolCounters& counters() { return env_.obs().counters; }
   /// Issue a PoM: record it locally (accuser blacklists immediately), notify
   /// metrics, and leave it for gossip.

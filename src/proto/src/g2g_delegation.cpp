@@ -75,7 +75,7 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   // "When the destination of m is B, D' is chosen as a random node different
   // from B" — B must not learn it is the destination.
   const NodeId dprime = to_dst ? random_decoy(taker.id()) : real_dst;
-  const std::uint64_t ref = env_.msg_ref(h);
+  const std::uint64_t ref = trace_ref(h);
 
   // Step 8: FQ_RQST.
   counters().handshakes_started->add();
@@ -186,7 +186,7 @@ std::optional<QualityDeclaration> G2GDelegationNode::respond_fq(Session& s,
                                                                 NodeId dst) {
   if (handshake().has_handled(h)) {
     const std::size_t sig = identity().suite().signature_size();
-    trace_event(obs::EventKind::HsRelayOk, giver.id(), env_.msg_ref(h), 0);
+    trace_event(obs::EventKind::HsRelayOk, giver.id(), trace_ref(h), 0);
     const BytesView decline = arena_encode(s.arena(), relay::RelayOkFrame{h, false});
     counters().frames_encoded->add();
     s.signed_control(*this, decline.size() + sig, obs::WireKind::RelayOk);
@@ -212,7 +212,7 @@ std::optional<QualityDeclaration> G2GDelegationNode::respond_fq(Session& s,
     pw.expect_full();
     decl.signature = identity().sign(BytesView(payload.data(), payload.size()));
   }
-  trace_event(obs::EventKind::FqResp, giver.id(), env_.msg_ref(h),
+  trace_event(obs::EventKind::FqResp, giver.id(), trace_ref(h),
               static_cast<std::int64_t>(decl.value * 1e6));
   s.transfer(*this, decl.wire_size(), obs::WireKind::QualityDecl);
   return decl;
@@ -266,7 +266,7 @@ void G2GDelegationNode::check_attachments(Session& s,
 bool G2GDelegationNode::chain_check(const relay::PendingTest& t,
                                     const std::vector<ProofOfRelay>& pors, NodeId real_dst,
                                     TimePoint now) {
-  const std::uint64_t ref = env_.msg_ref(t.h);
+  const std::uint64_t ref = trace_ref(t.h);
   const auto record_cheat = [&] {
     counters().chain_cheats->add();
     trace_event(obs::EventKind::ChainCheck, t.relay, ref, 0);

@@ -10,7 +10,7 @@ namespace g2g::proto {
 std::optional<relay::HandshakeOutcome> G2GEpidemicNode::relay_attempt(
     Session& s, relay::RelayNode& taker, const MessageHash& h, relay::Hold& hold) {
   const std::size_t sig = identity().suite().signature_size();
-  const std::uint64_t ref = env_.msg_ref(h);
+  const std::uint64_t ref = trace_ref(h);
 
   // Step 1: RELAY_RQST.
   counters().handshakes_started->add();

@@ -23,7 +23,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
   crypto::HeavyHmacBatch batch;
   struct PendingStorageCheck {
     std::size_t peer_job;    // the relay's deferred proof
-    std::size_t expect_job;  // the source's recompute of the same chain
+    std::size_t expect_job;  // the source's recompute (== peer_job if inputs match)
     NodeId relay;
     std::uint64_t ref;
     ProofOfRelay por;  // evidence if the digests disagree
@@ -46,7 +46,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     NodeId real_dst = NodeId::invalid();
     if (!host_.begin_test(t, real_dst)) continue;  // policy record gone
 
-    const std::uint64_t ref = host_.env_.msg_ref(t.h);
+    const std::uint64_t ref = host_.trace_ref(t.h);
     host_.counters().tests_by_sender->add();
     // One audit_round span per test-by-sender challenge, child of the message
     // span; the close value mirrors the TestBySender event (0 fail, 1 PoRs
@@ -173,6 +173,10 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
   }
 
   if (pending.empty()) return;
+  // An honest relay's proof and the source's recompute have byte-identical
+  // inputs and share one chain (the cost model charged both at the call
+  // sites); a tampered hold gets its own job, so its digest disagrees.
+  host_.counters().hmac_dedup->add(batch.deduped());
   const std::vector<crypto::Digest> digests = batch.run();
   for (const PendingStorageCheck& c : pending) {
     if (crypto::digest_equal(digests[c.expect_job], digests[c.peer_job])) {
@@ -235,7 +239,7 @@ void AuditEngine::storage_proof(Session& s, const Hold& hold, const MessageHash&
   host_.count_heavy_hmac();
   host_.counters().storage_challenges->add();
   host_.trace_event(obs::EventKind::StorageChallenge, s.peer_of(host_).id(),
-                    host_.env_.msg_ref(h), host_.config().heavy_hmac_iterations);
+                    host_.trace_ref(h), host_.config().heavy_hmac_iterations);
   if (defer != nullptr) {
     // The batch copies both inputs into its own arena, so the encode can live
     // in the session arena's current generation.

@@ -32,7 +32,8 @@ void HandshakeEngine::purge(TimePoint now) {
     Hold& hold = it->second;
     const bool expired = now > hold.received + host_.config().delta2;
     // A source keeps its bookkeeping while tests of its relays are pending.
-    const bool testing = hold.is_source &&
+    // Only an expired hold needs the scan.
+    const bool testing = expired && hold.is_source &&
                          std::any_of(tests.begin(), tests.end(), [&](const PendingTest& t) {
                            return t.h == it->first && !t.done &&
                                   now <= t.relayed_at + host_.config().delta2;
@@ -89,7 +90,7 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
 
     // One relay_session span per handshake attempt, child of the message
     // span; closed 0 on decline/abort, 1 when the relay completes.
-    const std::uint64_t ref = host_.env_.msg_ref(h);
+    const std::uint64_t ref = host_.trace_ref(h);
     const std::uint64_t span = tracer.open_span(
         now, "relay_session", tracer.message_span(ref), host_.id(), taker.id(), ref);
 
@@ -130,7 +131,7 @@ std::optional<BytesView> HandshakeEngine::answer_relay_rqst(Session& s, RelayNod
   const RelayRqstFrame rq = RelayRqstFrame::decode(rqst_frame);
   host_.counters().frames_decoded->add();
   const std::size_t sig = host_.identity().suite().signature_size();
-  const std::uint64_t ref = host_.env_.msg_ref(rq.h);
+  const std::uint64_t ref = host_.trace_ref(rq.h);
   if (handled_.contains(rq.h)) {
     // "node B informs S that it should not be chosen as a relay" — and it
     // answers honestly, because it cannot know whether it is the destination.
@@ -167,7 +168,7 @@ BytesView HandshakeEngine::countersign(Session& s, RelayNode& giver, ProofOfRela
   pw.expect_full();
   por.taker_signature = host_.identity().sign(BytesView(payload.data(), payload.size()));
   host_.counters().pors_issued->add();
-  const std::uint64_t ref = host_.env_.msg_ref(por.h);
+  const std::uint64_t ref = host_.trace_ref(por.h);
   host_.trace_event(obs::EventKind::HsPorSigned, giver.id(), ref);
   host_.trace_event(obs::EventKind::PorIssued, giver.id(), ref);
   s.transfer(host_, por.wire_size(), obs::WireKind::Por);

@@ -1,7 +1,10 @@
 // The relay core's accusation layer: PomLedger, the batched PoM gossip
-// (dedup + one verify_batch re-verification per session), and the
-// preverified learn path it drives.
+// (dedup + one verify_batch re-verification per session), the preverified
+// learn path it drives, and the storage-proof chain sharing that must never
+// let a tampered hold pass.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "g2g/obs/context.hpp"
 #include "g2g/proto/g2g_epidemic.hpp"
@@ -126,6 +129,59 @@ TEST(ProtocolNode, PreverifiedVerdictGatesTheBlacklist) {
   // A node never learns accusations against itself.
   EXPECT_FALSE(w.node(0).learn_pom_preverified(relay_failure_pom(0, 1), true));
   EXPECT_FALSE(w.node(0).blacklisted(NodeId(0)));
+}
+
+/// Node 0 relays one message to node 1 at t=100 and tests it on re-meet
+/// after Delta1. Node 1 holds the payload with no PoRs, so it must answer
+/// with a storage proof. `tamper` flips one byte of node 1's stored copy
+/// between the two contacts.
+struct StorageProofRun {
+  obs::ObsContext obs;
+  std::unique_ptr<G2GWorld> world;
+
+  explicit StorageProofRun(bool tamper) {
+    NetworkConfig cfg = G2GWorld::default_config();
+    cfg.obs = &obs;
+    world = std::make_unique<G2GWorld>(
+        make_trace(4, {{0, 1, 100, 110}, {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}), cfg);
+    world->send(0, 3, 50);
+    if (tamper) {
+      world->network().simulator().at(TimePoint::from_seconds(100 + kD1), [this] {
+        auto& holds = world->node(1).handshake().holds();
+        ASSERT_EQ(holds.size(), 1u);
+        relay::Hold& hold = holds.begin()->second;
+        ASSERT_TRUE(hold.has_msg);
+        hold.msg.box.ciphertext[0] ^= 0x01;
+      });
+    }
+    world->run();
+  }
+};
+
+TEST(AuditEngine, HonestStorageProofSharesOneChain) {
+  StorageProofRun run(/*tamper=*/false);
+  EXPECT_EQ(run.obs.counters.storage_challenges->value(), 1u);
+  EXPECT_EQ(run.obs.counters.tests_passed->value(), 1u);
+  EXPECT_EQ(run.obs.counters.tests_failed->value(), 0u);
+  EXPECT_EQ(run.obs.counters.hmac_dedup->value(), 1u);
+  EXPECT_TRUE(run.world->collector().detections().empty());
+  // The cost model still charges the relay's proof and the source's check.
+  EXPECT_EQ(run.world->collector().costs(NodeId(0)).heavy_hmacs, 1u);
+  EXPECT_EQ(run.world->collector().costs(NodeId(1)).heavy_hmacs, 1u);
+}
+
+TEST(AuditEngine, TamperedHoldNeverSharesTheSourceChain) {
+  StorageProofRun run(/*tamper=*/true);
+  EXPECT_EQ(run.obs.counters.storage_challenges->value(), 1u);
+  EXPECT_EQ(run.obs.counters.hmac_dedup->value(), 0u);
+  EXPECT_EQ(run.obs.counters.tests_passed->value(), 0u);
+  EXPECT_EQ(run.obs.counters.tests_failed->value(), 1u);
+  ASSERT_EQ(run.world->collector().detections().size(), 1u);
+  const metrics::DetectionEvent& d = run.world->collector().detections()[0];
+  EXPECT_EQ(d.culprit, NodeId(1));
+  EXPECT_EQ(d.detector, NodeId(0));
+  EXPECT_EQ(d.method, metrics::DetectionMethod::TestBySender);
+  EXPECT_TRUE(run.world->node(0).blacklisted(NodeId(1)));
 }
 
 TEST(PomLedger, RecordAndBlacklistAreIndependent) {
