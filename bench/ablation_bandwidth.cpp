@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       cfg.scenario = scen;
       cfg.bandwidth_bytes_per_s = bw;
       cfg.seed = opt.seed;
-      cfg = bench::with_options(std::move(cfg), opt);
 
       cfg.protocol = Protocol::Epidemic;
       cells.push_back({cfg, runs});

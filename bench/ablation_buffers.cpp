@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       cfg.scenario = scen;
       cfg.max_buffer_messages = cap;
       cfg.seed = opt.seed;
-      cfg = bench::with_options(std::move(cfg), opt);
 
       cfg.protocol = Protocol::Epidemic;
       cells.push_back({cfg, runs});

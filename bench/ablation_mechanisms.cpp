@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
       cfg.deviant_count = 10;
       cfg.delta2_factor = factor;
       cfg.seed = opt.seed;
-      cfg = bench::with_options(std::move(cfg), opt);
       double mem = 0.0;
       AggregateResult agg;
       for (std::size_t i = 0; i < runs; ++i) {
@@ -62,7 +61,7 @@ int main(int argc, char** argv) {
       cfg.scenario = scen;
       cfg.relay_fanout = fanout;
       cfg.seed = opt.seed;
-      cells.push_back({bench::with_options(std::move(cfg), opt), runs});
+      cells.push_back({std::move(cfg), runs});
     }
     const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
 
@@ -90,7 +89,7 @@ int main(int argc, char** argv) {
         AggregateResult agg;
         for (std::size_t i = 0; i < runs; ++i) {
           cfg.seed = opt.seed + i;
-          ExperimentConfig run_cfg = bench::with_options(cfg, opt);
+          ExperimentConfig run_cfg = cfg;
           run_cfg.per_holder_ttl = !global;
           const ExperimentResult r = run_experiment(run_cfg);
           agg.success_rate.add(r.success_rate);
@@ -116,7 +115,7 @@ int main(int argc, char** argv) {
       cfg.deviant_count = 15;
       cfg.instant_pom_broadcast = instant;
       cfg.seed = opt.seed;
-      cells.push_back({bench::with_options(std::move(cfg), opt), runs});
+      cells.push_back({std::move(cfg), runs});
     }
     const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
 

@@ -29,7 +29,7 @@ struct Options {
   std::string trace_out;   ///< stream one representative run as JSONL
   std::string json_out;    ///< write BENCH_<name>.json telemetry here
   /// Disable the crypto fast path (SHA-NI, heavy-HMAC chain reuse, Schnorr
-  /// tables, verification cache) and measure the reference implementations.
+  /// tables, Montgomery kernels) and measure the reference implementations.
   bool no_fastpath = false;
   std::size_t threads = 0;  ///< sweep worker threads (0 = hardware)
 };
@@ -87,13 +87,6 @@ inline Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-/// Apply the fast-path option to a config (the global toggle is set at parse
-/// time; this covers the per-run verification cache).
-inline core::ExperimentConfig with_options(core::ExperimentConfig cfg, const Options& opt) {
-  cfg.crypto_fast_path = !opt.no_fastpath;
-  return cfg;
-}
-
 inline std::vector<core::Scenario> both_scenarios(std::uint64_t seed) {
   return {core::infocom05_scenario(seed), core::cambridge06_scenario(seed)};
 }
@@ -116,7 +109,6 @@ inline void emit(const core::Table& table, const Options& opt) {
 inline std::optional<core::ExperimentResult> obs_report(core::ExperimentConfig cfg,
                                                         const Options& opt) {
   if (!opt.obs && opt.trace_out.empty() && opt.json_out.empty()) return std::nullopt;
-  cfg = with_options(std::move(cfg), opt);
   std::unique_ptr<obs::JsonlSink> sink;
   if (!opt.trace_out.empty()) {
     sink = obs::JsonlSink::open(opt.trace_out);

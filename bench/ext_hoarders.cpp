@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       cfg.deviant_count = n;
       cfg.deviation = proto::Behavior::Dropper;
       cfg.seed = opt.seed;
-      dropper_cells.push_back({bench::with_options(std::move(cfg), opt), runs});
+      dropper_cells.push_back({std::move(cfg), runs});
     }
     const std::vector<AggregateResult> dropper_aggs = run_sweep(dropper_cells, opt.threads);
 
@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
       cfg.scenario = scen;
       cfg.deviant_count = n;
       cfg.seed = opt.seed;
-      cfg = bench::with_options(std::move(cfg), opt);
 
       cfg.deviation = proto::Behavior::Hoarder;
       double hoarder_hmacs = 0.0;

@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
       cfg.deviation = proto::Behavior::Dropper;
       cfg.deviant_count = n;
       cfg.seed = opt.seed;
-      cfg = bench::with_options(std::move(cfg), opt);
 
       cfg.with_outsiders = false;
       cells.push_back({cfg, opt.runs});

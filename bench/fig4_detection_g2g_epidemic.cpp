@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
       cfg.deviation = proto::Behavior::Dropper;
       cfg.deviant_count = n;
       cfg.seed = opt.seed;
-      cfg = bench::with_options(std::move(cfg), opt);
 
       const std::string stem = scen.name + "/droppers=" + std::to_string(n);
       cfg.with_outsiders = false;

@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
         cfg.deviation = behavior;
         cfg.deviant_count = n;
         cfg.seed = opt.seed;
-        cfg = bench::with_options(std::move(cfg), opt);
 
         cfg.with_outsiders = false;
         cells.push_back({cfg, opt.runs});

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
           cfg.deviant_count = n;
           cfg.with_outsiders = outsiders;
           cfg.seed = opt.seed;
-          cfg = bench::with_options(std::move(cfg), opt);
           sweep.push_back({cfg, cell_runs});
           std::string name = scen.name + "/count=" + std::to_string(n) + "/";
           name += behavior == proto::Behavior::Dropper ? "dropper"

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         cfg.scenario = scen;
         cfg.delta1_override = Duration::minutes(ttl);
         cfg.seed = opt.seed;
-        cells.push_back({bench::with_options(std::move(cfg), opt), runs});
+        cells.push_back({std::move(cfg), runs});
       }
     }
     for (const Protocol p : protocols) {
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
       cfg.protocol = p;
       cfg.scenario = scen;
       cfg.seed = opt.seed;
-      cells.push_back({bench::with_options(std::move(cfg), opt), runs});
+      cells.push_back({std::move(cfg), runs});
     }
     const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
 

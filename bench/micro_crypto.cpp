@@ -10,12 +10,12 @@
 #include "bench_json.hpp"
 #include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/hmac.hpp"
+#include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/montgomery.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sealed_box.hpp"
 #include "g2g/crypto/sha256.hpp"
 #include "g2g/crypto/suite.hpp"
-#include "g2g/crypto/verify_cache.hpp"
 
 namespace {
 
@@ -139,71 +139,28 @@ void BM_SchnorrRsVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrRsVerify);
 
-// One batch of `n` distinct (key, message, signature) triples through the
-// (R,s) suite's randomized-linear-combination verify_batch. Per-signature
-// time = total / n; compare with BM_SchnorrBatchPerSig at the same arg.
-void BM_SchnorrRsBatchVerify(benchmark::State& state) {
+// First verification under a key the suite has never seen: the signer's
+// window table is built, then used once. Cycling through twice the memo
+// bound makes every iteration a miss, so the difference to BM_SchnorrRsVerify
+// (warm table) is the per-signer build cost.
+void BM_SchnorrRsVerifyFreshKey(benchmark::State& state) {
   const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::default_group());
   Rng rng(8);
-  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = 2 * KeyMemo<FixedBaseTable>::kMaxKeys;
   std::vector<KeyPair> keys;
-  std::vector<Bytes> msgs;
   std::vector<Bytes> sigs;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(suite->keygen(rng));
-    msgs.push_back(Bytes(40, static_cast<std::uint8_t>(i)));
-    sigs.push_back(suite->sign(keys[i].secret_key, msgs[i]));
-  }
-  std::vector<VerifyRequest> requests;
-  for (std::size_t i = 0; i < n; ++i) requests.push_back({keys[i].public_key, msgs[i], sigs[i]});
-  std::vector<char> verdicts(n);
-  for (auto _ : state) {
-    suite->verify_batch(requests, reinterpret_cast<bool*>(verdicts.data()));
-    benchmark::DoNotOptimize(verdicts.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SchnorrRsBatchVerify)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-// The same batch checked one signature at a time through the classic (e,s)
-// suite: the baseline the acceptance criterion measures against.
-void BM_SchnorrBatchPerSig(benchmark::State& state) {
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::default_group());
-  Rng rng(8);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<KeyPair> keys;
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> sigs;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(suite->keygen(rng));
-    msgs.push_back(Bytes(40, static_cast<std::uint8_t>(i)));
-    sigs.push_back(suite->sign(keys[i].secret_key, msgs[i]));
-  }
-  std::vector<VerifyRequest> requests;
-  for (std::size_t i = 0; i < n; ++i) requests.push_back({keys[i].public_key, msgs[i], sigs[i]});
-  std::vector<char> verdicts(n);
-  for (auto _ : state) {
-    suite->verify_batch(requests, reinterpret_cast<bool*>(verdicts.data()));
-    benchmark::DoNotOptimize(verdicts.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SchnorrBatchPerSig)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-// Memoized repeat verification, the common case inside a simulation run
-// (the same PoR certificate is re-checked at every audit).
-void BM_CachedVerifyHit(benchmark::State& state) {
-  const auto suite = make_caching_suite(make_fast_suite());
-  Rng rng(7);
-  const KeyPair kp = suite->keygen(rng);
   const Bytes msg = to_bytes("proof of relay payload");
-  const Bytes sig = suite->sign(kp.secret_key, msg);
-  benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));  // warm the entry
-  for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(suite->keygen(rng));
+    sigs.push_back(suite->sign(keys[i].secret_key, msg));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(suite->verify(keys[i].public_key, msg, sigs[i]));
+    i = (i + 1) % n;
+  }
 }
-BENCHMARK(BM_CachedVerifyHit);
+BENCHMARK(BM_SchnorrRsVerifyFreshKey);
 
 void BM_FastSuiteSign(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       cfg.deviant_count = 10;
       cfg.with_outsiders = row.outsiders;
       cfg.seed = opt.seed;
-      sweep.push_back({bench::with_options(std::move(cfg), opt),
+      sweep.push_back({std::move(cfg),
                        opt.quick ? 1 : opt.runs + 1});
     }
   }

@@ -55,11 +55,6 @@ struct ExperimentConfig {
   bool warm_up_tables = true;
   /// nullptr => fast symmetric suite (default for sweeps).
   crypto::SuitePtr suite;
-  /// Wrap the suite in the per-run verification cache (crypto fast path).
-  /// Results are bit-identical either way — tests/crypto_fastpath_diff_test
-  /// compares the serialized ExperimentResult across both settings — so this
-  /// defaults to on; turn off to benchmark the reference path.
-  bool crypto_fast_path = true;
   /// Override Delta1 (otherwise taken from the scenario per protocol family).
   std::optional<Duration> delta1_override;
   /// Delta2 as a multiple of Delta1 (paper: 2).

@@ -22,11 +22,11 @@ namespace g2g::core {
 /// Deterministic (name-sorted maps, integer counts).
 [[nodiscard]] std::string to_json(const obs::Registry& registry);
 
-/// Registry serialization with control over the fastpath.* cache counters.
+/// Registry serialization with control over the g2g.* mechanism counters.
 /// to_json(ExperimentResult) excludes them (they describe how a run was
-/// computed, not what it computed — the cache-on/off bit-identity guard
-/// depends on that); to_json(Registry) includes them for obs reports.
-[[nodiscard]] std::string registry_json(const obs::Registry& registry, bool include_fastpath);
+/// computed, not what it computed — the bit-identity guards depend on that);
+/// to_json(Registry) includes them for obs reports.
+[[nodiscard]] std::string registry_json(const obs::Registry& registry, bool include_mechanism);
 
 /// Serialize a wall-clock stage profile: [{"name":...,"seconds":...},...].
 /// NOT deterministic across runs — it measures the host, not the simulation —

@@ -135,7 +135,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   net_config.seed = config.seed * 7919 + 1;
   net_config.message_body_size = config.message_body_size;
   net_config.instant_pom_broadcast = config.instant_pom_broadcast;
-  net_config.crypto_fast_path = config.crypto_fast_path;
   net_config.bandwidth_bytes_per_s = config.bandwidth_bytes_per_s;
   net_config.obs = &obs;
 

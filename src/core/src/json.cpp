@@ -109,27 +109,24 @@ std::string to_json(const ExperimentResult& r) {
 
   // The counter snapshot is deterministic; the wall-clock stage profile is
   // not, so it is serialized separately (to_json(obs::StageProfile)). The
-  // fastpath.* cache counters are excluded for the same reason: they reflect
-  // how the run was computed (cache on/off), not what it computed, and this
-  // serialization is the bit-identity oracle for cache-on vs cache-off runs.
-  o << ",\"obs\":" << registry_json(r.counters, /*include_fastpath=*/false);
+  // g2g.* mechanism counters are excluded too: they reflect how the run was
+  // computed, not what it computed, and this serialization is the
+  // bit-identity oracle across such rewirings.
+  o << ",\"obs\":" << registry_json(r.counters, /*include_mechanism=*/false);
 
   o << "}";
   return o.str();
 }
 
-std::string registry_json(const obs::Registry& registry, bool include_fastpath) {
+std::string registry_json(const obs::Registry& registry, bool include_mechanism) {
   std::ostringstream o;
   o << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, counter] : registry.counters()) {
-    // Mechanism counters (cache hit rates, frame codec traffic, batch sizes)
+    // Mechanism counters (frame codec traffic, batch sizes, shared chains)
     // describe how the run was computed, not what it computed; excluding them
     // keeps this serialization a bit-identity oracle across such rewirings.
-    if (!include_fastpath &&
-        (name.rfind("fastpath.", 0) == 0 || name.rfind("g2g.", 0) == 0)) {
-      continue;
-    }
+    if (!include_mechanism && name.rfind("g2g.", 0) == 0) continue;
     if (!first) o << ",";
     first = false;
     o << "\"" << json_escape(name) << "\":" << counter.value();
@@ -160,7 +157,7 @@ std::string registry_json(const obs::Registry& registry, bool include_fastpath) 
 }
 
 std::string to_json(const obs::Registry& registry) {
-  return registry_json(registry, /*include_fastpath=*/true);
+  return registry_json(registry, /*include_mechanism=*/true);
 }
 
 std::string to_json(const obs::StageProfile& stages) {

@@ -10,14 +10,17 @@
 // Covered by the switch:
 //  - SHA-256 compression: SHA-NI hardware rounds vs the scalar FIPS 180-4 loop
 //  - heavy_hmac: precomputed-pad-state chain vs heavy_hmac_reference
-//  - Schnorr: fixed-base window tables vs square-and-multiply pow_mod
+//  - Schnorr: fixed-base window tables for g and the per-public-key tables
+//    for y^e vs square-and-multiply pow_mod
 //  - U256 modular arithmetic: Montgomery-form CIOS kernels (montgomery.hpp —
-//    mont window tables, multi_exp chains, the mont_pow ladder behind
-//    pow_mod_fast) vs the schoolbook shift-subtract mod in uint256.cpp
+//    mont window tables, the mont_pow ladder behind pow_mod_fast, the
+//    mont_reduce challenge reduction) vs the schoolbook shift-subtract mod in
+//    uint256.cpp
 //
-// NOT covered: the per-run verification cache (CachingSuite), which is gated
-// per experiment via ExperimentConfig::crypto_fast_path so cache-on/off runs
-// can be compared for bit-identical results.
+// NOT covered: the suites' per-signer memos (key_memo.hpp). They store values
+// the uncached path would compute bit for bit, so there is nothing to switch:
+// with the fast path off the Schnorr engine bypasses its key tables, and the
+// FastSuite's memoised HMAC pad states are the HMAC itself, not a kernel.
 #pragma once
 
 namespace g2g::crypto {

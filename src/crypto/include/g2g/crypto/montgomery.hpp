@@ -54,6 +54,11 @@ struct MontgomeryParams {
 /// produced by mont_mul / to_mont qualifies); canonical result.
 [[nodiscard]] U256 from_mont(const U256& x, const MontgomeryParams& params);
 
+/// x mod m for ANY U256 in one mont_mul: x·(R mod m)·R⁻¹ ≡ x. Replaces the
+/// schoolbook 512-bit reduction where a hash is mapped into Z_q (the Schnorr
+/// challenge); canonical result, equal to mod(x, m).
+[[nodiscard]] U256 mont_reduce(const U256& x, const MontgomeryParams& params);
+
 /// base^exp mod m over a Montgomery-form base, via the Montgomery ladder
 /// (two mont_muls per exponent bit, no secret-dependent branch pattern).
 /// `base_mont` must already be in the domain (< m); the result is in the

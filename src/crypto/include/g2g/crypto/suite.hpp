@@ -11,6 +11,16 @@
 //    mechanisms rely on, at a tiny fraction of the CPU cost.
 //
 // Protocol code is written against this interface only.
+//
+// Contract for every implementation:
+//  * pure: each result depends only on the suite (group or seed) and the
+//    call's arguments, so verdicts, signatures and secrets are the same on
+//    every call, run and thread;
+//  * thread-safe: one suite may be shared by concurrent runs;
+//  * bounded memo: per-signer precomputation (the Schnorr key tables, the
+//    FastSuite HMAC pad states) lives in a KeyMemo (key_memo.hpp), keyed by
+//    the exact key bytes and cleared past a fixed bound, so a long-lived
+//    suite's memory stays flat.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +50,7 @@ struct VerifyRequest {
   BytesView signature;
 };
 
-/// Abstract signature + key-agreement suite (stateless, shareable).
+/// Abstract signature + key-agreement suite (pure, shareable).
 class Suite {
  public:
   virtual ~Suite() = default;
@@ -50,14 +60,10 @@ class Suite {
   [[nodiscard]] virtual bool verify(BytesView public_key, BytesView message,
                                     BytesView signature) const = 0;
   /// Verify a batch of signatures, writing one verdict per request.
-  /// `verdicts` must have room for `requests.size()` entries. The default
-  /// simply loops over verify(); overrides use the batch shape to amortize
-  /// work. The caching suite answers repeats from its memo and forwards only
-  /// the misses in one inner call; the (R, s)-form Schnorr suite folds the
-  /// whole batch into one randomized multi-exponentiation and falls back to
-  /// per-signature checks only when the combined equation rejects, so
-  /// verdicts stay exact per request. (The classic e = H(r || m) form
-  /// commits to the challenge and cannot be combined this way.)
+  /// `verdicts` must have room for `requests.size()` entries. Every built-in
+  /// suite keeps this per-signature loop: with per-signer tables a Schnorr
+  /// verification costs less than its share of a randomized batch equation
+  /// (DESIGN.md §5c).
   virtual void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       verdicts[i] = verify(requests[i].public_key, requests[i].message,
@@ -80,8 +86,7 @@ struct SchnorrGroup;  // schnorr.hpp
 [[nodiscard]] SuitePtr make_schnorr_suite();
 [[nodiscard]] SuitePtr make_schnorr_suite(const SchnorrGroup& group);
 /// (R, s)-form Schnorr/DH suite: same keys, nonces and DH as the classic
-/// suite, but signatures transmit the commitment R instead of the challenge,
-/// which unlocks true randomized batch verification in verify_batch.
+/// suite, but signatures transmit the commitment R instead of the challenge.
 [[nodiscard]] SuitePtr make_schnorr_rs_suite();
 [[nodiscard]] SuitePtr make_schnorr_rs_suite(const SchnorrGroup& group);
 /// Symmetric emulation suite; `seed` is the suite-wide MAC-key seed.

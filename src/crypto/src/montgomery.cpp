@@ -100,6 +100,11 @@ U256 from_mont(const U256& x, const MontgomeryParams& params) {
   return mont_mul(x, U256(1), params);
 }
 
+U256 mont_reduce(const U256& x, const MontgomeryParams& params) {
+  // params.one < m satisfies mont_mul's one-operand bound, so x may be any U256.
+  return mont_mul(x, params.one, params);
+}
+
 U256 mont_pow(const U256& base_mont, const U256& exp, const MontgomeryParams& params) {
   U256 r0 = params.one;
   U256 r1 = base_mont;

@@ -379,6 +379,8 @@ void Sha256::compress_many(const std::uint8_t* blocks, std::size_t count) {
 }
 
 void Sha256::update(BytesView data) {
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   length_ += data.size();
   std::size_t pos = 0;
   if (buffered_ > 0) {

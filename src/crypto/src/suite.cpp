@@ -1,10 +1,9 @@
 #include "g2g/crypto/suite.hpp"
 
 #include <algorithm>
-#include <vector>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/hmac.hpp"
+#include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sha256.hpp"
 
@@ -40,9 +39,9 @@ class SchnorrSuite final : public Suite {
   }
 
   Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {
-    const U256 s = dh_shared_secret(engine_.group(), U256::from_bytes_be(my_secret_key),
-                                    U256::from_bytes_be(peer_public_key));
-    return s.to_bytes_be();
+    return engine_
+        .shared_secret(U256::from_bytes_be(my_secret_key), U256::from_bytes_be(peer_public_key))
+        .to_bytes_be();
   }
 
   std::size_t signature_size() const override { return 64; }
@@ -77,36 +76,10 @@ class SchnorrRSSuite final : public Suite {
                              SchnorrSignatureRS::decode(signature));
   }
 
-  void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const override {
-    // The combined check only pays off past one signature, and with the fast
-    // path off every verdict must come from the per-signature reference route.
-    if (requests.size() > 1 && fast_path_enabled()) {
-      std::vector<SchnorrRSVerifyItem> items;
-      items.reserve(requests.size());
-      bool well_formed = true;
-      for (const auto& r : requests) {
-        if (r.signature.size() != 64 || r.public_key.size() != 32) {
-          well_formed = false;
-          break;
-        }
-        items.push_back(SchnorrRSVerifyItem{U256::from_bytes_be(r.public_key), r.message,
-                                            SchnorrSignatureRS::decode(r.signature)});
-      }
-      if (well_formed && engine_.verify_batch_rs(items)) {
-        std::fill_n(verdicts, requests.size(), true);
-        return;
-      }
-      // Batch reject (or malformed input): localize per signature.
-    }
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      verdicts[i] = verify(requests[i].public_key, requests[i].message, requests[i].signature);
-    }
-  }
-
   Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {
-    const U256 s = dh_shared_secret(engine_.group(), U256::from_bytes_be(my_secret_key),
-                                    U256::from_bytes_be(peer_public_key));
-    return s.to_bytes_be();
+    return engine_
+        .shared_secret(U256::from_bytes_be(my_secret_key), U256::from_bytes_be(peer_public_key))
+        .to_bytes_be();
   }
 
   std::size_t signature_size() const override { return 64; }
@@ -116,13 +89,15 @@ class SchnorrRSSuite final : public Suite {
   SchnorrEngine engine_;
 };
 
+Bytes seed_bytes(std::uint64_t seed) {
+  Writer w(8);
+  w.u64(seed);
+  return std::move(w).take();
+}
+
 class FastSuite final : public Suite {
  public:
-  explicit FastSuite(std::uint64_t seed) {
-    Writer w(8);
-    w.u64(seed);
-    seed_ = std::move(w).take();
-  }
+  explicit FastSuite(std::uint64_t seed) : seed_key_(seed_bytes(seed)) {}
 
   KeyPair keygen(Rng& rng) const override {
     // public key: 32 random bytes; secret key: pub || mac_key(pub).
@@ -140,14 +115,18 @@ class FastSuite final : public Suite {
   }
 
   Bytes sign(BytesView secret_key, BytesView message) const override {
-    const Digest d = hmac_sha256(secret_key.subspan(32), message);
-    return digest_bytes(d);
+    // Memoised by the MAC-key half itself, never by the public half: a
+    // secret key minted under another seed still MACs with its own key.
+    const BytesView mac_key = secret_key.subspan(32);
+    return digest_bytes(sign_keys_.get(mac_key, [&] { return HmacKey(mac_key); })->mac(message));
   }
 
   bool verify(BytesView public_key, BytesView message, BytesView signature) const override {
     if (signature.size() != kSha256DigestSize) return false;
-    const Digest mac_key = derive_mac_key(public_key);
-    const Digest expect = hmac_sha256(digest_view(mac_key), message);
+    const Digest expect =
+        verify_keys_
+            .get(public_key, [&] { return HmacKey(digest_view(derive_mac_key(public_key))); })
+            ->mac(message);
     Digest got{};
     std::copy(signature.begin(), signature.end(), got.begin());
     return digest_equal(expect, got);
@@ -167,16 +146,20 @@ class FastSuite final : public Suite {
       w.raw(peer_public_key);
       w.raw(my_pub);
     }
-    return digest_bytes(hmac_sha256(seed_, w.bytes()));
+    return digest_bytes(seed_key_.mac(w.bytes()));
   }
 
   std::size_t signature_size() const override { return kSha256DigestSize; }
   std::string name() const override { return "fast-hmac"; }
 
  private:
-  [[nodiscard]] Digest derive_mac_key(BytesView pub) const { return hmac_sha256(seed_, pub); }
+  [[nodiscard]] Digest derive_mac_key(BytesView pub) const { return seed_key_.mac(pub); }
 
-  Bytes seed_;
+  HmacKey seed_key_;  ///< HMAC pad states of the suite seed
+  // Per-key pad states: K_pub = HMAC(seed, pub) by public key for verify,
+  // the secret key's MAC-key half for sign.
+  mutable KeyMemo<HmacKey> verify_keys_;
+  mutable KeyMemo<HmacKey> sign_keys_;
 };
 
 }  // namespace

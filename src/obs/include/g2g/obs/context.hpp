@@ -75,7 +75,7 @@ struct ProtocolCounters {
   // Relay-core mechanism counters ("g2g.*"). They describe how the run was
   // computed (frame codec traffic, batched PoM re-verification, shared
   // heavy-HMAC chains), not what it computed, so core::to_json(ExperimentResult)
-  // excludes them alongside the fastpath.* cache counters.
+  // excludes them.
   Counter* pom_gossip_dup;      ///< gossiped PoMs deduped before re-verification
   Counter* pom_batch_verified;  ///< unique PoMs re-verified through verify_batch
   Counter* frames_encoded;      ///< handshake/audit frames encoded

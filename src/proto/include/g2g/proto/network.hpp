@@ -17,10 +17,6 @@
 #include "g2g/sim/traffic.hpp"
 #include "g2g/trace/contact.hpp"
 
-namespace g2g::crypto {
-class CachingSuite;
-}
-
 namespace g2g::proto {
 
 struct NetworkConfig {
@@ -45,11 +41,6 @@ struct NetworkConfig {
   /// must outlive the network; nullptr = the network owns a private one
   /// (counters always collected, tracing disabled).
   obs::ObsContext* obs = nullptr;
-  /// Wrap the suite in a per-run verification/shared-secret memo
-  /// (crypto::CachingSuite). Protocol outcomes and the simulated cost model
-  /// are unaffected — only wall clock and the fastpath.* cache counters
-  /// change — so this defaults to on; differential tests run both settings.
-  bool crypto_fast_path = true;
 };
 
 class NetworkBase : public sim::ContactListener, public Env {
@@ -143,9 +134,6 @@ class NetworkBase : public sim::ContactListener, public Env {
   void gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to);
 
   std::unique_ptr<crypto::Authority> authority_;
-  /// Set when config.crypto_fast_path wrapped the suite; run() flushes its
-  /// hit/miss stats into the fastpath.* registry counters.
-  std::shared_ptr<crypto::CachingSuite> suite_cache_;
   std::vector<ProtocolNode*> generic_nodes_;
   const trace::ContactTrace* trace_;
   double pom_batch_seconds_ = 0.0;

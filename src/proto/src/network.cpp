@@ -3,7 +3,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "g2g/crypto/verify_cache.hpp"
 #include "g2g/proto/relay/pom.hpp"
 #include "g2g/util/log.hpp"
 
@@ -35,13 +34,6 @@ NetworkBase::NetworkBase(const trace::ContactTrace& trace, NetworkConfig config,
   if (!trace.finalized()) throw std::invalid_argument("trace must be finalized");
   if (node_count_ < 2) throw std::invalid_argument("need at least 2 nodes");
   if (!config_.suite) config_.suite = crypto::make_fast_suite();
-  if (config_.crypto_fast_path) {
-    // Per-run memo: the same PoR / declaration / certificate is verified by
-    // many nodes; verification is pure, so repeats are answered from the
-    // cache. Invisible to results (see crypto/verify_cache.hpp).
-    suite_cache_ = crypto::make_caching_suite(config_.suite);
-    config_.suite = suite_cache_;
-  }
   if (config_.obs != nullptr) {
     obs_ = config_.obs;
   } else {
@@ -169,16 +161,6 @@ void NetworkBase::run() {
       config_.horizon == TimePoint::zero() ? trace_->end_time() : config_.horizon;
   for (ProtocolNode* n : generic_nodes_) n->finalize(end);
   obs_->tracer.close_message_spans(end);
-  if (suite_cache_) {
-    // Flushed once after the run; these counters live under the fastpath.*
-    // prefix, which core::to_json(ExperimentResult) excludes so cache-on and
-    // cache-off runs serialize identically.
-    const crypto::CachingSuite::Stats& s = suite_cache_->stats();
-    obs_->registry.counter("fastpath.verify_cache.hits").add(s.verify_hits);
-    obs_->registry.counter("fastpath.verify_cache.misses").add(s.verify_misses);
-    obs_->registry.counter("fastpath.secret_cache.hits").add(s.secret_hits);
-    obs_->registry.counter("fastpath.secret_cache.misses").add(s.secret_misses);
-  }
 }
 
 bool NetworkBase::open_session(Session& s, ProtocolNode& a, ProtocolNode& b) {

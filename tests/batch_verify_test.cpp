@@ -1,10 +1,9 @@
 // Adversarial batch-verification tests for the (R,s)-form Schnorr suite.
 //
-// The randomized-linear-combination check folds a whole batch into one
-// multi-exponentiation; these tests pin the two properties the protocol
-// layer depends on:
-//  * a batch containing any forged signature must reject, and the
-//    per-signature fallback must localize the exact bad index;
+// Suite::verify_batch checks each signature through the per-signer tables;
+// these tests pin the two properties the protocol layer depends on:
+//  * a forged signature anywhere in a batch reads false at exactly its own
+//    index, and every other index stays true;
 //  * the (R,s) suite's verdicts must agree with the classic (e,s) suite on
 //    the same corpora (same keys, same nonces, same corruption pattern).
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/suite.hpp"
-#include "g2g/crypto/verify_cache.hpp"
 
 namespace g2g::crypto {
 namespace {
@@ -69,9 +67,8 @@ TEST_F(RsBatchSuite, AllValidBatchAcceptsEveryIndex) {
 }
 
 TEST_F(RsBatchSuite, ForgedSignatureLocalizedToExactIndex) {
-  // One forged signature anywhere in the batch: the combined equation
-  // rejects, the fallback re-checks each item, and only the forged index
-  // reads false.
+  // One forged signature anywhere in the batch: only the forged index reads
+  // false.
   for (std::size_t bad = 0; bad < 8; ++bad) {
     auto corpus = make_corpus(*suite_, 8, 2);
     corpus[bad].sig[40] ^= 0x01;
@@ -132,31 +129,11 @@ TEST_F(RsBatchSuite, FastPathOffMatchesFastPathOn) {
   }
 }
 
-TEST_F(RsBatchSuite, CachingWrapperComposesWithRsBatch) {
-  // The caching suite forwards distinct misses in one inner verify_batch
-  // call, which for the RS suite is the folded equation; repeats come from
-  // the memo. Verdicts must be identical either way.
-  const CachingSuite cached(suite_);
-  auto corpus = make_corpus(*suite_, 6, 6);
-  corpus[4].sig[8] ^= 0x04;
-  auto reqs = requests_of(corpus);
-  reqs.push_back(reqs[0]);  // repeat: second round answered from the memo
-  reqs.push_back(reqs[4]);
-  bool verdicts[8];
-  const FastPathScope scope(true);
-  cached.verify_batch(reqs, verdicts);
-  cached.verify_batch(reqs, verdicts);
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    EXPECT_EQ(verdicts[i], i != 4 && i != 7) << "index " << i;
-  }
-  EXPECT_GT(cached.stats().verify_hits, 0u);
-}
-
 TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
   // The full adversarial matrix (forge at every index, replay, truncation)
   // with the Montgomery fast path forced on vs forced off: the verdict
   // vectors must be identical element for element. FastPathScope(true) takes
-  // the Montgomery multi-exp/ladder route; false takes the schoolbook oracle.
+  // the per-key window tables; false takes the schoolbook oracle.
   enum class Tamper { kForge, kReplay, kTruncate };
   for (const Tamper tamper : {Tamper::kForge, Tamper::kReplay, Tamper::kTruncate}) {
     for (std::size_t bad = 0; bad < 6; ++bad) {
@@ -191,40 +168,6 @@ TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
       }
     }
   }
-}
-
-TEST_F(RsBatchSuite, CacheCounterSemanticsIdenticalWithMontgomeryOnAndOff) {
-  // The fastpath.* obs counters are flushed from CachingSuite stats at the
-  // end of a run; identical request streams must produce identical hit/miss
-  // accounting whichever arithmetic backend answered the misses.
-  CachingSuite::Stats stats_on;
-  CachingSuite::Stats stats_off;
-  for (const bool mont : {true, false}) {
-    const FastPathScope scope(mont);
-    const CachingSuite cached(suite_);
-    auto corpus = make_corpus(*suite_, 6, 30);
-    corpus[3].sig[12] ^= 0x08;
-    auto reqs = requests_of(corpus);
-    reqs.push_back(reqs[1]);  // intra-batch repeat: dedup accounting
-    bool verdicts[7];
-    cached.verify_batch(reqs, verdicts);
-    cached.verify_batch(reqs, verdicts);  // second round answered by the memo
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      EXPECT_EQ(verdicts[i], i != 3) << "mont=" << mont << ", index " << i;
-    }
-    Rng rng(31);
-    const KeyPair kp = cached.keygen(rng);
-    const KeyPair peer = cached.keygen(rng);
-    (void)cached.shared_secret(kp.secret_key, peer.public_key);
-    (void)cached.shared_secret(kp.secret_key, peer.public_key);
-    (mont ? stats_on : stats_off) = cached.stats();
-  }
-  EXPECT_EQ(stats_on.verify_hits, stats_off.verify_hits);
-  EXPECT_EQ(stats_on.verify_misses, stats_off.verify_misses);
-  EXPECT_EQ(stats_on.secret_hits, stats_off.secret_hits);
-  EXPECT_EQ(stats_on.secret_misses, stats_off.secret_misses);
-  EXPECT_GT(stats_on.verify_hits, 0u);
-  EXPECT_GT(stats_on.secret_hits, 0u);
 }
 
 // Cross-suite differential: the (R,s) and (e,s) suites share keygen and the

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "g2g/crypto/fastpath.hpp"
+#include "g2g/crypto/hmac.hpp"
+#include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sealed_box.hpp"
 
@@ -172,6 +177,67 @@ TEST(FastSuite, DifferentSeedsCannotCrossVerify) {
   const KeyPair kp = s1->keygen(rng);
   const Bytes sig = s1->sign(kp.secret_key, to_bytes("m"));
   EXPECT_FALSE(s2->verify(kp.public_key, to_bytes("m"), sig));
+  // Signing reads only the secret key's MAC half, whichever suite signs. s2
+  // has just memoised its own K_pub for this public key; a signing memo keyed
+  // by the public half would answer with that instead.
+  EXPECT_EQ(s2->sign(kp.secret_key, to_bytes("m")), sig);
+  EXPECT_EQ(sig, digest_bytes(hmac_sha256(BytesView(kp.secret_key).subspan(32), to_bytes("m"))));
+}
+
+TEST(SharedSuite, ConcurrentSignVerifyMatchesSingleThreadedRun) {
+  // One (R,s) suite and one FastSuite, each shared by 4 threads whose key
+  // ranges overlap and together pass the memo bound, so lookups, table builds
+  // and clears interleave. Every signature and verdict must equal a
+  // single-threaded run on a fresh suite.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kKeys = KeyMemo<HmacKey>::kMaxKeys + 32;
+  constexpr std::size_t kSpan = kKeys / 2;  // each key is visited by two threads
+  const auto make = [](bool schnorr) {
+    return schnorr ? make_schnorr_rs_suite(SchnorrGroup::small_group()) : make_fast_suite(0x5eed);
+  };
+  for (const bool schnorr : {true, false}) {
+    const SuitePtr shared = make(schnorr);
+    Rng rng(12);
+    std::vector<KeyPair> keys;
+    for (std::size_t i = 0; i < kKeys; ++i) keys.push_back(shared->keygen(rng));
+    // Per thread: each signature, then its verdicts under the right key, a
+    // tampered copy, and the neighbouring key.
+    const auto work = [&](const Suite& suite, std::size_t t, std::vector<Bytes>& sigs,
+                          std::vector<char>& verdicts) {
+      for (std::size_t j = 0; j < kSpan; ++j) {
+        const std::size_t i = (t * kKeys / kThreads + j) % kKeys;
+        Writer w;
+        w.u32(static_cast<std::uint32_t>(i));
+        const Bytes msg = std::move(w).take();
+        Bytes sig = suite.sign(keys[i].secret_key, msg);
+        Bytes tampered = sig;
+        tampered[3] ^= 0x10;
+        verdicts.push_back(suite.verify(keys[i].public_key, msg, sig));
+        verdicts.push_back(suite.verify(keys[i].public_key, msg, tampered));
+        verdicts.push_back(suite.verify(keys[(i + 1) % kKeys].public_key, msg, sig));
+        sigs.push_back(std::move(sig));
+      }
+    };
+    std::vector<std::vector<Bytes>> sigs(kThreads);
+    std::vector<std::vector<char>> verdicts(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] { work(*shared, t, sigs[t], verdicts[t]); });
+    }
+    for (auto& th : threads) th.join();
+
+    const SuitePtr fresh = make(schnorr);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      std::vector<Bytes> ref_sigs;
+      std::vector<char> ref_verdicts;
+      work(*fresh, t, ref_sigs, ref_verdicts);
+      EXPECT_EQ(sigs[t], ref_sigs) << "schnorr=" << schnorr << ", thread " << t;
+      EXPECT_EQ(verdicts[t], ref_verdicts) << "schnorr=" << schnorr << ", thread " << t;
+      for (std::size_t k = 0; k < ref_verdicts.size(); ++k) {
+        EXPECT_EQ(ref_verdicts[k] != 0, k % 3 == 0) << "thread " << t << ", verdict " << k;
+      }
+    }
+  }
 }
 
 TEST(SessionKeys, DerivationBindsTranscript) {

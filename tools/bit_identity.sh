@@ -4,6 +4,9 @@
 # output (fig3, fig4, fig5, fig7, fig8, Table I) must be byte-identical before
 # and after, with the crypto fast path on (G2G_FASTPATH=1) and off (=0) — the
 # fast path is itself bit-exact, so all runs must match the base revision.
+# The paper benches all run the symmetric suite, so one g2gsim run on the real
+# Schnorr suite pins the public-key path's protocol output too (~0.3 s with
+# the fast path on, ~30 s off).
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -15,6 +18,8 @@ jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
 benches=(fig3_droppers_epidemic fig4_detection_g2g_epidemic fig5_deviations_delegation
          fig7_detection_g2g_delegation fig8_cost_tradeoff table1_delegation_detection)
+schnorr_run=(--protocol g2g-epidemic --schnorr --deviation dropper --deviants 10
+             --interarrival 40 --seed 1)
 
 base="${1:-}"
 if [[ -z "$base" ]]; then
@@ -47,13 +52,16 @@ trap cleanup EXIT
 build_and_run() {
   local src=$1 build=$2 out=$3
   cmake -B "$build" -S "$src" -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "$build" -j "$jobs" --target "${benches[@]}" >/dev/null
+  cmake --build "$build" -j "$jobs" --target "${benches[@]}" g2gsim >/dev/null
   mkdir -p "$out"
   local b fp
   for b in "${benches[@]}"; do
     for fp in 1 0; do
       G2G_FASTPATH=$fp "$build/bench/$b" --quick >"$out/$b.fp$fp.txt"
     done
+  done
+  for fp in 1 0; do
+    G2G_FASTPATH=$fp "$build/examples/g2gsim" "${schnorr_run[@]}" >"$out/g2gsim-schnorr.fp$fp.txt"
   done
 }
 
@@ -79,4 +87,4 @@ if [[ $fail -ne 0 ]]; then
   echo "bit-identity: FAILED — protocol output changed relative to $base"
   exit 1
 fi
-echo "bit-identity: ok — ${#benches[@]} benches x 2 fast-path modes identical"
+echo "bit-identity: ok — ${#benches[@]} benches + g2gsim --schnorr x 2 fast-path modes identical"
