@@ -181,22 +181,6 @@ void BM_FastSuiteVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_FastSuiteVerify);
 
-// A full audit round of storage-proof chains through the multi-lane batch;
-// per-chain time = total / jobs. Compare with BM_HeavyHmac at the same
-// iteration count for the lane-parallel win.
-void BM_HeavyHmacBatch(benchmark::State& state) {
-  const Bytes msg(512, 0x11);
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  std::vector<Bytes> seeds;
-  for (std::size_t j = 0; j < jobs; ++j) seeds.push_back(Bytes(16, static_cast<std::uint8_t>(j)));
-  std::vector<HeavyHmacJob> views;
-  for (std::size_t j = 0; j < jobs; ++j) views.push_back({msg, seeds[j], 1024});
-  for (auto _ : state) benchmark::DoNotOptimize(heavy_hmac_batch(views));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(jobs));
-}
-BENCHMARK(BM_HeavyHmacBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_SealedBoxRoundTrip(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(5);

@@ -1,8 +1,7 @@
 // Micro-benchmarks of the protocol layer: sealed-message creation/opening,
 // PoR/PoM signing and verification, and the relay core's hot paths — wire
-// frame codecs (frames/sec), one full 5-step handshake, the audit storage
-// proof (audits/sec), and the batched PoM gossip re-verification — with the
-// crypto fast path on and off.
+// frame codecs (frames/sec), one full 5-step handshake, and the batched PoM
+// gossip re-verification — with the crypto fast path on and off.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -261,9 +260,8 @@ struct RelayWorld {
   metrics::Collector collector;
   trace::ContactTrace trace;
   std::unique_ptr<Network<G2GEpidemicNode>> net;
-  MessageHash h{};
 
-  explicit RelayWorld(std::uint32_t heavy_iterations = 64) {
+  RelayWorld() {
     // One far-future contact pads the node universe; the bench never runs
     // the simulator, so it only fixes node_count.
     trace.add(NodeId(kTakers + 1), NodeId(kTakers + 2), TimePoint::from_seconds(9.0e8),
@@ -272,7 +270,6 @@ struct RelayWorld {
     NetworkConfig cfg;
     cfg.node.delta1 = Duration::minutes(30);
     cfg.node.delta2 = Duration::minutes(60);
-    cfg.node.heavy_hmac_iterations = heavy_iterations;
     cfg.horizon = TimePoint::from_seconds(4.0 * 3600.0);
     net = std::make_unique<Network<G2GEpidemicNode>>(trace, std::move(cfg),
                                                      std::vector<BehaviorConfig>{}, collector);
@@ -280,7 +277,6 @@ struct RelayWorld {
     G2GEpidemicNode& src = net->node(NodeId(0));
     const SealedMessage m = make_message(src.identity(), net->roster().get(NodeId(kTakers + 1)),
                                          MessageId(1), Bytes(64, 0x42), rng);
-    h = m.hash();
     src.generate(m);
   }
 };
@@ -310,29 +306,6 @@ void BM_HandshakeRelayPass(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HandshakeRelayPass)->ArgName("fastpath")->Arg(1)->Arg(0);
-
-/// The relay side of one POR_RQST challenge: no PoRs to present, so every
-/// audit recomputes the heavy-HMAC storage proof (paper-grade chain length).
-void BM_AuditStorageProof(benchmark::State& state) {
-  const bool prev = crypto::set_fast_path(state.range(0) != 0);
-  RelayWorld world(/*heavy_iterations=*/1024);
-  G2GEpidemicNode& src = world.net->node(NodeId(0));
-  G2GEpidemicNode& relay_node = world.net->node(NodeId(1));
-  {
-    Session s(*world.net, src, relay_node);
-    src.handshake().giver_pass(s, relay_node);
-  }
-  const Bytes seed(32, 0xAB);
-  AllocMeter allocs;
-  for (auto _ : state) {
-    Session s(*world.net, src, relay_node);
-    benchmark::DoNotOptimize(relay_node.respond_test(s, world.h, seed));
-  }
-  allocs.report(state);
-  crypto::set_fast_path(prev);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AuditStorageProof)->ArgName("fastpath")->Arg(1)->Arg(0);
 
 /// Re-verification of one session's gossiped PoMs: dedup by canonical bytes,
 /// structural checks, one Suite::verify_batch over the unique evidence.

@@ -21,6 +21,9 @@
 // the uncached path would compute bit for bit, so there is nothing to switch:
 // with the fast path off the Schnorr engine bypasses its key tables, and the
 // FastSuite's memoised HMAC pad states are the HMAC itself, not a kernel.
+// Nor is heavy_hmac_equal's input-identity verdict (hmac.hpp): it decides the
+// digest comparison exactly, and any chain it does run goes through the
+// switched heavy_hmac.
 #pragma once
 
 namespace g2g::crypto {
@@ -35,10 +38,6 @@ bool set_fast_path(bool on);
 
 /// True when this CPU exposes the SHA-NI extensions (detection is cached).
 [[nodiscard]] bool sha_ni_available();
-
-/// True when this CPU exposes AVX2 (detection is cached). Feeds the
-/// multi-lane SHA-256 dispatch (sha256_compress_multi).
-[[nodiscard]] bool avx2_available();
 
 /// True when SHA-256 will actually use the hardware rounds right now.
 [[nodiscard]] bool sha_accelerated();

@@ -3,16 +3,14 @@
 // The test phase of G2G Epidemic Forwarding challenges a relay that claims to
 // still store message m with a random seed s; the relay must answer with a
 // keyed MAC "designed ... to be heavy to compute" so that silently storing a
-// message is never cheaper than relaying it. HeavyHmac implements that as an
-// iterated HMAC chain whose iteration count is the energy-cost knob.
+// message is never cheaper than relaying it. heavy_hmac implements that as an
+// iterated HMAC chain whose iteration count is the energy-cost knob, and
+// heavy_hmac_equal is how the source judges a relay's answer.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "g2g/crypto/sha256.hpp"
-#include "g2g/util/arena.hpp"
 #include "g2g/util/bytes.hpp"
 
 namespace g2g::crypto {
@@ -50,50 +48,17 @@ class HmacKey {
 [[nodiscard]] Digest heavy_hmac_reference(BytesView message, BytesView seed,
                                           std::uint32_t iterations);
 
-/// One heavy-HMAC chain for heavy_hmac_batch. The views must stay valid for
-/// the duration of the call.
-struct HeavyHmacJob {
-  // g2g-lint: allow(view-escape) -- borrowed for the duration of one heavy_hmac_batch call
-  BytesView message;
-  // g2g-lint: allow(view-escape) -- borrowed for the duration of one heavy_hmac_batch call
-  BytesView seed;
-  std::uint32_t iterations;
-};
-
-/// Compute several independent heavy-HMAC chains, digests in job order. Each
-/// chain iteration is exactly three SHA-256 compressions from cached pad
-/// states, so independent chains run in lockstep through the multi-lane
-/// compressor (sha256_compress_multi) in groups of kSha256MaxLanes. Every
-/// digest is bit-identical to heavy_hmac / heavy_hmac_reference on the same
-/// inputs; with the fast path off, each job routes through the reference
-/// chain instead.
-[[nodiscard]] std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs);
-
-/// Owning collector for deferring heavy-HMAC chains discovered one at a time
-/// (the G2G audit loops queue every storage proof in a contact, then compute
-/// them all in parallel lanes). add() copies its inputs into a batch-owned
-/// arena whose chunks are recycled across run() cycles, so a warmed-up batch
-/// performs no per-challenge heap allocation.
-///
-/// add() returns the index of the job's digest in run()'s output. Inputs that
-/// are byte-identical to a queued job (message, seed and iteration count) share
-/// that job's chain, so add() may return an index it already handed out: an
-/// honest relay's storage proof and the source's recompute cost one chain.
-/// size() counts unique chains; run() clears the queue and resets the arena.
-class HeavyHmacBatch {
- public:
-  std::size_t add(BytesView message, BytesView seed, std::uint32_t iterations);
-  [[nodiscard]] std::vector<Digest> run();
-  [[nodiscard]] std::size_t size() const { return jobs_.size(); }
-  [[nodiscard]] bool empty() const { return jobs_.empty(); }
-  /// add() calls answered by an already queued job, over the batch's lifetime.
-  [[nodiscard]] std::size_t deduped() const { return deduped_; }
-
- private:
-  Arena arena_;  ///< owns every queued message/seed until the next run()
-  std::vector<HeavyHmacJob> jobs_;
-  std::size_t deduped_ = 0;
-};
+/// digest_equal over the two chains heavy_hmac(message_a, seed_a, iterations_a)
+/// and heavy_hmac(message_b, seed_b, iterations_b). Byte-identical inputs
+/// (message, seed and iteration count) make one and the same chain, so they
+/// return true without running it; any other pair runs both chains through
+/// heavy_hmac. The verdict is the digest comparison in every case. This is
+/// how the source judges a storage proof: an honest relay's stored copy
+/// matches its own byte for byte, and a copy that differs by one byte is
+/// judged by the primitive itself.
+[[nodiscard]] bool heavy_hmac_equal(BytesView message_a, BytesView seed_a,
+                                    std::uint32_t iterations_a, BytesView message_b,
+                                    BytesView seed_b, std::uint32_t iterations_b);
 
 /// Constant-time digest comparison.
 [[nodiscard]] bool digest_equal(const Digest& a, const Digest& b);

@@ -35,14 +35,6 @@ bool detect_sha_ni() {
 #endif
 }
 
-bool detect_avx2() {
-#if defined(__x86_64__) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 bool set_fast_path(bool on) { return fast_path_flag().exchange(on, std::memory_order_relaxed); }
@@ -51,11 +43,6 @@ bool fast_path_enabled() { return fast_path_flag().load(std::memory_order_relaxe
 
 bool sha_ni_available() {
   static const bool available = detect_sha_ni();
-  return available;
-}
-
-bool avx2_available() {
-  static const bool available = detect_avx2();
   return available;
 }
 

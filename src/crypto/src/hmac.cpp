@@ -81,155 +81,14 @@ Digest heavy_hmac_reference(BytesView message, BytesView seed, std::uint32_t ite
   return h;
 }
 
-namespace {
-
-void store_state_be(const std::uint32_t* state, std::uint8_t* out) {
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
+bool heavy_hmac_equal(BytesView message_a, BytesView seed_a, std::uint32_t iterations_a,
+                      BytesView message_b, BytesView seed_b, std::uint32_t iterations_b) {
+  if (iterations_a == iterations_b && std::ranges::equal(seed_a, seed_b) &&
+      std::ranges::equal(message_a, message_b)) {
+    return true;  // one chain: its digest equals itself
   }
-}
-
-/// Per-lane chain state. Each iteration of heavy_hmac's fast chain is exactly
-/// three compressions with fixed block shapes:
-///   inner: data block h || m_digest, then a constant pad block (128 fed bytes)
-///   outer: one block inner_digest || 0x80-pad || bit length 768
-/// buf_a pre-bakes the m_digest half and the inner pad block, so only the
-/// 32-byte h prefix changes per iteration; buf_c pre-bakes the outer padding.
-struct HeavyLane {
-  std::array<std::uint32_t, 8> inner0{};  // chaining state after the ipad block
-  std::array<std::uint32_t, 8> outer0{};  // chaining state after the opad block
-  std::array<std::uint32_t, 8> state_inner{};
-  std::array<std::uint32_t, 8> state_outer{};
-  std::array<std::uint8_t, 128> buf_a{};
-  std::array<std::uint8_t, 64> buf_c{};
-  Digest h{};
-  std::uint32_t iterations = 0;
-  std::size_t job = 0;
-};
-
-/// Lockstep chunk of at most kSha256MaxLanes chains.
-void run_heavy_lanes(std::span<HeavyLane> lanes, std::vector<Digest>& out) {
-  std::uint32_t* states[kSha256MaxLanes];
-  const std::uint8_t* blocks[kSha256MaxLanes];
-
-  for (std::uint32_t t = 0;; ++t) {
-    // Lanes finish in place once their iteration count is reached; the
-    // active prefix shrinks as shorter chains complete.
-    std::size_t active = 0;
-    for (auto& ln : lanes) {
-      if (ln.iterations > t) {
-        std::copy(ln.h.begin(), ln.h.end(), ln.buf_a.begin());
-        ln.state_inner = ln.inner0;
-        states[active] = ln.state_inner.data();
-        blocks[active] = ln.buf_a.data();
-        ++active;
-      }
-    }
-    if (active == 0) break;
-    sha256_compress_multi(states, blocks, active, 2);
-
-    std::size_t slot = 0;
-    for (auto& ln : lanes) {
-      if (ln.iterations > t) {
-        store_state_be(ln.state_inner.data(), ln.buf_c.data());
-        ln.state_outer = ln.outer0;
-        states[slot] = ln.state_outer.data();
-        blocks[slot] = ln.buf_c.data();
-        ++slot;
-      }
-    }
-    sha256_compress_multi(states, blocks, active, 1);
-
-    for (auto& ln : lanes) {
-      if (ln.iterations > t) store_state_be(ln.state_outer.data(), ln.h.data());
-    }
-  }
-
-  for (const auto& ln : lanes) out[ln.job] = ln.h;
-}
-
-}  // namespace
-
-std::vector<Digest> heavy_hmac_batch(std::span<const HeavyHmacJob> jobs) {
-  std::vector<Digest> out(jobs.size());
-  if (!fast_path_enabled()) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      out[i] = heavy_hmac_reference(jobs[i].message, jobs[i].seed, jobs[i].iterations);
-    }
-    return out;
-  }
-
-  std::array<HeavyLane, kSha256MaxLanes> lanes;
-  for (std::size_t base = 0; base < jobs.size(); base += kSha256MaxLanes) {
-    const std::size_t n = std::min(kSha256MaxLanes, jobs.size() - base);
-    for (std::size_t l = 0; l < n; ++l) {
-      const HeavyHmacJob& job = jobs[base + l];
-      HeavyLane& ln = lanes[l];
-      ln.job = base + l;
-      ln.iterations = job.iterations;
-
-      const auto k = normalize_key(job.seed);
-      std::array<std::uint8_t, kBlockSize> pad{};
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-      }
-      ln.inner0 = kSha256InitState;
-      std::uint32_t* st = ln.inner0.data();
-      const std::uint8_t* blk = pad.data();
-      sha256_compress_multi(&st, &blk, 1, 1);
-      for (std::size_t i = 0; i < kBlockSize; ++i) {
-        pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-      }
-      ln.outer0 = kSha256InitState;
-      st = ln.outer0.data();
-      sha256_compress_multi(&st, &blk, 1, 1);
-
-      const Digest m_digest = sha256(job.message);
-      ln.buf_a.fill(0);
-      std::copy(m_digest.begin(), m_digest.end(), ln.buf_a.begin() + 32);
-      ln.buf_a[64] = 0x80;
-      ln.buf_a[126] = 0x04;  // 128 fed bytes = 1024 bits, big-endian
-      ln.buf_c.fill(0);
-      ln.buf_c[32] = 0x80;
-      ln.buf_c[62] = 0x03;  // 96 fed bytes = 768 bits, big-endian
-
-      ln.h = hmac_sha256(job.seed, job.message);  // H_0
-    }
-    run_heavy_lanes(std::span<HeavyLane>(lanes.data(), n), out);
-  }
-  return out;
-}
-
-std::size_t HeavyHmacBatch::add(BytesView message, BytesView seed, std::uint32_t iterations) {
-  // The key is the full input bytes, never a hash or a message ref: a relay
-  // whose stored copy differs by one byte must get a chain of its own.
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    const HeavyHmacJob& job = jobs_[j];
-    if (job.iterations == iterations && std::ranges::equal(job.seed, seed) &&
-        std::ranges::equal(job.message, message)) {
-      ++deduped_;
-      return j;
-    }
-  }
-  const auto own = [this](BytesView v) {
-    const std::span<std::uint8_t> dst = arena_.alloc(v.size());
-    std::copy(v.begin(), v.end(), dst.begin());
-    return BytesView(dst.data(), dst.size());
-  };
-  jobs_.push_back(HeavyHmacJob{own(message), own(seed), iterations});
-  return jobs_.size() - 1;
-}
-
-std::vector<Digest> HeavyHmacBatch::run() {
-  std::vector<Digest> out = heavy_hmac_batch(jobs_);
-  // The queue drains before the arena resets: the job views point into the
-  // arena, and must not survive it.
-  jobs_.clear();
-  arena_.reset();
-  return out;
+  return digest_equal(heavy_hmac(message_a, seed_a, iterations_a),
+                      heavy_hmac(message_b, seed_b, iterations_b));
 }
 
 bool digest_equal(const Digest& a, const Digest& b) {

@@ -48,7 +48,6 @@ ProtocolCounters::ProtocolCounters(Registry& r)
       pom_batch_verified(&r.counter("g2g.pom.batch_verified")),
       frames_encoded(&r.counter("g2g.frame.encoded")),
       frames_decoded(&r.counter("g2g.frame.decoded")),
-      hmac_dedup(&r.counter("g2g.hmac.dedup")),
       generated(&r.counter("msg.generated")),
       relays(&r.counter("msg.relayed")),
       deliveries(&r.counter("msg.delivered")),

@@ -2,18 +2,18 @@
 //
 // One engine per node owns the pending-test registry and runs both sides of
 // the audit: the source's challenge loop (POR_RQST frames, PoR batch
-// verification through Suite::verify_batch, storage-proof recomputation with
-// HeavyHmacBatch deferral) and the relay's response (present PoRs and/or a
-// heavy-HMAC storage proof). The two former copies of this loop in the
-// epidemic and delegation nodes differed only in how PoRs are presented
-// (PresentMode) and in two delegation-only screens (the host's begin_test /
-// screen_pors hooks: destination lookup and the chain check).
+// verification through Suite::verify_batch, storage proofs judged at
+// challenge time with crypto::heavy_hmac_equal) and the relay's response
+// (present PoRs and/or the inputs of its heavy-HMAC storage proof). The two
+// former copies of this loop in the epidemic and delegation nodes differed
+// only in how PoRs are presented (PresentMode) and in two delegation-only
+// screens (the host's begin_test / screen_pors hooks: destination lookup and
+// the chain check).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "g2g/crypto/hmac.hpp"
 #include "g2g/proto/relay/state.hpp"
 
 namespace g2g::proto {
@@ -23,6 +23,7 @@ class Session;
 namespace g2g::proto::relay {
 
 class RelayNode;
+struct PorRqstFrame;
 
 class AuditEngine {
  public:
@@ -44,23 +45,19 @@ class AuditEngine {
   /// Source side: challenge `peer` for every due pending test.
   void run(Session& s, RelayNode& peer);
 
-  /// Relay side: answer a POR_RQST for `h` with fresh `seed`. With `defer`
-  /// set, a storage proof is queued into the batch (stored_job) rather than
-  /// computed inline, so the audit loop can run every chain of a contact in
-  /// parallel SHA-256 lanes; all byte accounting, counters, and trace events
-  /// stay at challenge time either way.
-  [[nodiscard]] TestResponse respond(Session& s, const MessageHash& h, BytesView seed,
-                                     crypto::HeavyHmacBatch* defer);
+  /// Relay side: answer a decoded POR_RQST. A storage proof carries the
+  /// relay's heavy-HMAC inputs (TestResponse::storage); its byte accounting,
+  /// cost counter and trace event happen here, at challenge time.
+  [[nodiscard]] TestResponse respond(Session& s, const PorRqstFrame& rq);
 
   [[nodiscard]] std::vector<PendingTest>& tests() { return tests_; }
   [[nodiscard]] const std::vector<PendingTest>& tests() const { return tests_; }
   [[nodiscard]] std::size_t pending_count() const;
 
  private:
-  /// The storage-proof leg of respond(): heavy HMAC (eager or deferred into
-  /// `defer`), STORED_RESP frame accounting.
-  void storage_proof(Session& s, const Hold& hold, const MessageHash& h, BytesView seed,
-                     TestResponse& resp, crypto::HeavyHmacBatch* defer);
+  /// The storage-proof leg of respond(): the heavy-HMAC inputs and the
+  /// STORED_RESP frame accounting.
+  void storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq, TestResponse& resp);
 
   RelayNode& host_;
   PresentMode mode_;

@@ -34,8 +34,6 @@ class RelayNode : public ProtocolNode {
         handshake_(*this),
         audit_(*this, mode) {}
 
-  using TestResponse = relay::TestResponse;
-
   /// Source-side admission: seed the hold table and the policy's records.
   void generate(const SealedMessage& m) {
     handshake_.generate(m, source_fm(m));
@@ -49,13 +47,6 @@ class RelayNode : public ProtocolNode {
     return handshake_.has_handled(h);
   }
   [[nodiscard]] std::size_t pending_test_count() const { return audit_.pending_count(); }
-
-  /// Relay side of a POR_RQST challenge (public so tests can drive it; see
-  /// AuditEngine::respond for the `defer` contract).
-  [[nodiscard]] TestResponse respond_test(Session& s, const MessageHash& h, BytesView seed,
-                                          crypto::HeavyHmacBatch* defer = nullptr) {
-    return audit_.respond(s, h, seed, defer);
-  }
 
   /// Engine access. Public because handshakes and audits are symmetric: a
   /// node's engine drives the *peer's* engine across the session.

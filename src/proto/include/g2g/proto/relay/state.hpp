@@ -7,11 +7,11 @@
 // these; the policy nodes reach them through their host accessors.
 #pragma once
 
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
-#include "g2g/crypto/hmac.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/wire.hpp"
 
@@ -31,8 +31,8 @@ struct Hold {
   bool is_source = false;
   bool is_destination = false;
   std::vector<ProofOfRelay> pors;
-  std::vector<QualityDeclaration> attachments;       ///< carried toward D
-  std::deque<QualityDeclaration> failed_candidates;  ///< source only, last 2
+  std::vector<QualityDeclaration> attachments;        ///< carried toward D
+  std::vector<QualityDeclaration> failed_candidates;  ///< source only, last 2
 };
 
 /// A relay the source must challenge when re-met in (Delta1, Delta2].
@@ -44,13 +44,22 @@ struct PendingTest {
   bool done = false;
 };
 
+/// A relay's storage proof: exactly the bytes heavy_hmac reads on its side.
+/// The source judges it against its own copy with crypto::heavy_hmac_equal.
+struct StorageProof {
+  /// The relay's stored encoding. A view into the session arena: valid until
+  /// the next challenge resets the arena (the audit loop judges the proof
+  /// within the challenge that produced it).
+  // g2g-lint: allow(view-escape) -- documented engine seam: judged within the same challenge, before the next reset
+  BytesView message;
+  std::array<std::uint8_t, 32> seed{};  ///< the seed the relay answered
+  std::uint32_t iterations = 0;
+};
+
 /// Response to a POR_RQST challenge.
 struct TestResponse {
   std::vector<ProofOfRelay> pors;
-  std::optional<crypto::Digest> stored_hmac;  ///< heavy HMAC over (m, seed)
-  /// Deferred storage proof: index of the chain queued into the caller's
-  /// HeavyHmacBatch instead of an eager stored_hmac digest.
-  std::optional<std::size_t> stored_job;
+  std::optional<StorageProof> storage;  ///< absent: no storage proof sent
 };
 
 /// What a policy-specific relay attempt hands back to the shared handshake

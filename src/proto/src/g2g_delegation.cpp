@@ -121,7 +121,9 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
     counters().handshakes_declined->add();
     if (hold.is_source) {
       hold.failed_candidates.push_back(*decl);
-      while (hold.failed_candidates.size() > 2) hold.failed_candidates.pop_front();
+      if (hold.failed_candidates.size() > 2) {
+        hold.failed_candidates.erase(hold.failed_candidates.begin());
+      }
     }
     return std::nullopt;
   }
@@ -129,12 +131,8 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   // Step 10: RELAY with f_m and the embedded declarations. A source ships its
   // archived failed-candidate declarations; a relay forwards the attachments
   // it received — borrowed straight from the hold, no copies.
-  std::vector<QualityDeclaration> source_decls;
-  if (hold.is_source) {
-    source_decls.assign(hold.failed_candidates.begin(), hold.failed_candidates.end());
-  }
   const std::span<const QualityDeclaration> attachments =
-      hold.is_source ? std::span<const QualityDeclaration>(source_decls)
+      hold.is_source ? std::span<const QualityDeclaration>(hold.failed_candidates)
                      : std::span<const QualityDeclaration>(hold.attachments);
   std::size_t attach_bytes = 0;
   for (const auto& a : attachments) attach_bytes += a.wire_size();

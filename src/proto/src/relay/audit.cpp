@@ -4,6 +4,7 @@
 #include <memory>
 #include <span>
 
+#include "g2g/crypto/hmac.hpp"
 #include "g2g/proto/relay/frames.hpp"
 #include "g2g/proto/relay/relay_node.hpp"
 
@@ -12,25 +13,6 @@ namespace g2g::proto::relay {
 void AuditEngine::run(Session& s, RelayNode& peer) {
   const TimePoint now = s.now();
   const std::size_t sig = host_.identity().suite().signature_size();
-
-  // Two phases: the challenge loop queues every storage-proof chain of this
-  // contact — the relay's proof and the source's recompute — into one
-  // HeavyHmacBatch, then the batch runs all chains in parallel SHA-256 lanes
-  // and the outcomes (pass / PoM) resolve afterwards. Deferring is invisible
-  // to the protocol: nothing between the challenge and its resolution reads
-  // the blacklist or the PoM log, session byte accounting stays in challenge
-  // order, and the digests are bit-identical to the eager path.
-  crypto::HeavyHmacBatch batch;
-  struct PendingStorageCheck {
-    std::size_t peer_job;    // the relay's deferred proof
-    std::size_t expect_job;  // the source's recompute (== peer_job if inputs match)
-    NodeId relay;
-    std::uint64_t ref;
-    ProofOfRelay por;  // evidence if the digests disagree
-    TimePoint relayed_at;
-    std::uint64_t span;  // audit_round span, closed when the batch resolves
-  };
-  std::vector<PendingStorageCheck> pending;
   obs::Tracer& tracer = host_.env_.obs().tracer;
 
   for (PendingTest& t : tests_) {
@@ -70,8 +52,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     s.signed_control(host_, challenge_bytes.size() + sig, obs::WireKind::PorRqst);
     const PorRqstFrame rq = PorRqstFrame::decode(challenge_bytes);
     peer.counters().frames_decoded->add();
-    const BytesView seed(rq.seed.data(), rq.seed.size());
-    const TestResponse resp = peer.audit().respond(s, rq.h, seed, &batch);
+    const TestResponse resp = peer.audit().respond(s, rq);
 
     if (!host_.screen_pors(t, resp.pors, real_dst, now)) {
       // The policy screen failed the test outright (Delegation: the chain
@@ -130,33 +111,25 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     }
 
     // ...or a storage proof the source can recompute (it still has m).
-    if (resp.stored_hmac.has_value() || resp.stored_job.has_value()) {
+    if (resp.storage.has_value()) {
       auto& holds = host_.handshake().holds();
       const auto it = holds.find(t.h);
-      if (it != holds.end() && it->second.has_msg) {
-        host_.count_heavy_hmac();
-        if (resp.stored_job.has_value()) {
-          // The batch copies both inputs into its own arena, so the encode can
-          // live in the session arena's current generation.
-          const std::size_t expect_job =
-              batch.add(arena_encode(s.arena(), it->second.msg), seed,
-                        host_.config().heavy_hmac_iterations);
-          pending.push_back(PendingStorageCheck{*resp.stored_job, expect_job, peer.id(), ref,
-                                                t.por, t.relayed_at, span});
-          continue;  // outcome resolves after the batch runs
-        }
-        const crypto::Digest expect = crypto::heavy_hmac(
-            arena_encode(s.arena(), it->second.msg), seed, host_.config().heavy_hmac_iterations);
-        if (crypto::digest_equal(expect, *resp.stored_hmac)) {
-          host_.counters().tests_passed->add();
-          host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 2);
-          tracer.close_span(now, span, 2);
-          continue;  // passed: the relay still stores the message
-        }
-      } else {
+      if (it == holds.end() || !it->second.has_msg) {
         host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 3);
         tracer.close_span(now, span, 3);
         continue;  // source can no longer verify; give the benefit of the doubt
+      }
+      // The cost model charges the source's recompute; heavy_hmac_equal runs
+      // the chains only when the relay's inputs differ from the source's.
+      host_.count_heavy_hmac();
+      const StorageProof& proof = *resp.storage;
+      if (crypto::heavy_hmac_equal(arena_encode(s.arena(), it->second.msg), challenge.seed,
+                                   host_.config().heavy_hmac_iterations, proof.message,
+                                   proof.seed, proof.iterations)) {
+        host_.counters().tests_passed->add();
+        host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 2);
+        tracer.close_span(now, span, 2);
+        continue;  // passed: the relay still stores the message
       }
     }
 
@@ -171,37 +144,12 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
                     now - (t.relayed_at + host_.config().delta1));
     tracer.close_span(now, span, 0);
   }
-
-  if (pending.empty()) return;
-  // An honest relay's proof and the source's recompute have byte-identical
-  // inputs and share one chain (the cost model charged both at the call
-  // sites); a tampered hold gets its own job, so its digest disagrees.
-  host_.counters().hmac_dedup->add(batch.deduped());
-  const std::vector<crypto::Digest> digests = batch.run();
-  for (const PendingStorageCheck& c : pending) {
-    if (crypto::digest_equal(digests[c.expect_job], digests[c.peer_job])) {
-      host_.counters().tests_passed->add();
-      host_.trace_event(obs::EventKind::TestBySender, c.relay, c.ref, 2);
-      tracer.close_span(now, c.span, 2);
-      continue;
-    }
-    host_.counters().tests_failed->add();
-    host_.trace_event(obs::EventKind::TestBySender, c.relay, c.ref, 0);
-    ProofOfMisbehavior pom;
-    pom.kind = ProofOfMisbehavior::Kind::RelayFailure;
-    pom.culprit = c.relay;
-    pom.evidence_accepted = c.por;
-    host_.issue_pom(std::move(pom), metrics::DetectionMethod::TestBySender,
-                    now - (c.relayed_at + host_.config().delta1));
-    tracer.close_span(now, c.span, 0);
-  }
 }
 
-TestResponse AuditEngine::respond(Session& s, const MessageHash& h, BytesView seed,
-                                  crypto::HeavyHmacBatch* defer) {
+TestResponse AuditEngine::respond(Session& s, const PorRqstFrame& rq) {
   TestResponse resp;
   auto& holds = host_.handshake().holds();
-  const auto it = holds.find(h);
+  const auto it = holds.find(rq.h);
   if (it == holds.end()) {
     // Nothing to show: a dropper past Delta2, or a dropper that kept no state.
     return resp;
@@ -214,7 +162,7 @@ TestResponse AuditEngine::respond(Session& s, const MessageHash& h, BytesView se
     resp.pors = hold.pors;
     for (const auto& por : resp.pors) s.transfer(host_, por.wire_size(), obs::WireKind::Por);
     if (hold.pors.size() < host_.config().relay_fanout && hold.has_msg) {
-      storage_proof(s, hold, h, seed, resp, defer);
+      storage_proof(s, hold, rq, resp);
     }
     return resp;
   }
@@ -227,40 +175,24 @@ TestResponse AuditEngine::respond(Session& s, const MessageHash& h, BytesView se
   }
   if (hold.has_msg) {
     resp.pors = hold.pors;  // show what we have (0 or 1)
-    storage_proof(s, hold, h, seed, resp, defer);
+    storage_proof(s, hold, rq, resp);
     return resp;
   }
   return resp;  // dropper: no PoRs, no message
 }
 
-void AuditEngine::storage_proof(Session& s, const Hold& hold, const MessageHash& h,
-                                BytesView seed, TestResponse& resp,
-                                crypto::HeavyHmacBatch* defer) {
+void AuditEngine::storage_proof(Session& s, const Hold& hold, const PorRqstFrame& rq,
+                                TestResponse& resp) {
   host_.count_heavy_hmac();
   host_.counters().storage_challenges->add();
   host_.trace_event(obs::EventKind::StorageChallenge, s.peer_of(host_).id(),
-                    host_.trace_ref(h), host_.config().heavy_hmac_iterations);
-  if (defer != nullptr) {
-    // The batch copies both inputs into its own arena, so the encode can live
-    // in the session arena's current generation.
-    resp.stored_job = defer->add(arena_encode(s.arena(), hold.msg),
-                                 seed, host_.config().heavy_hmac_iterations);
-    // The digest is not known yet; the STORED_RESP frame is accounted at its
-    // canonical size either way (the challenger resolves it from the batch).
-    host_.counters().frames_encoded->add();
-  } else {
-    // Eager path: the digest rides a real STORED_RESP frame round trip; the
-    // message encoding and the frame live in the challenge's arena span.
-    StoredRespFrame frame;
-    frame.h = h;
-    std::copy(seed.begin(), seed.end(), frame.seed.begin());
-    frame.digest = crypto::heavy_hmac(arena_encode(s.arena(), hold.msg), seed,
-                                      host_.config().heavy_hmac_iterations);
-    const BytesView frame_bytes = arena_encode(s.arena(), frame);
-    host_.counters().frames_encoded->add();
-    resp.stored_hmac = StoredRespFrame::decode(frame_bytes).digest;
-    static_cast<RelayNode&>(s.peer_of(host_)).counters().frames_decoded->add();
-  }
+                    host_.trace_ref(rq.h), host_.config().heavy_hmac_iterations);
+  // The relay answers with its heavy-HMAC inputs; the message encoding lives
+  // in the challenge's arena generation. The STORED_RESP frame is accounted
+  // at its canonical size.
+  resp.storage = StorageProof{arena_encode(s.arena(), hold.msg), rq.seed,
+                              host_.config().heavy_hmac_iterations};
+  host_.counters().frames_encoded->add();
   const std::size_t sig = host_.identity().suite().signature_size();
   s.signed_control(host_, StoredRespFrame::kWireBytes + sig, obs::WireKind::StoredResp);
 }

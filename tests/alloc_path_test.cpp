@@ -1,8 +1,9 @@
 // Arena + SpanWriter semantics, arena/owning encode equality, and the
 // allocation-count pins for the zero-copy wire path: with warm arena chunks,
 // the full 5-step handshake frame-codec sequence performs zero heap
-// allocations (this binary links g2g_alloc_probe, which replaces global
-// operator new/delete with counting wrappers).
+// allocations, and so does building and moving an empty relay Hold (this
+// binary links g2g_alloc_probe, which replaces global operator new/delete
+// with counting wrappers).
 #include <gtest/gtest.h>
 
 #include <span>
@@ -10,6 +11,7 @@
 #include "g2g/crypto/identity.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/relay/frames.hpp"
+#include "g2g/proto/relay/state.hpp"
 #include "g2g/proto/wire.hpp"
 #include "g2g/util/alloc_probe.hpp"
 #include "g2g/util/arena.hpp"
@@ -246,6 +248,17 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
       << "steady-state handshake codec path hit the heap";
   EXPECT_EQ(arena.chunk_allocations(), chunks);
   EXPECT_EQ(again, first);
+}
+
+TEST(AllocPath, EmptyHoldConstructsAndMovesWithoutHeap) {
+  // Every generate/complete_relay builds a Hold and moves it into the hold
+  // table; an Epidemic hold never fills its Delegation-only fields, so an
+  // empty one must not touch the heap.
+  const std::size_t before = heap_alloc_count();
+  proto::relay::Hold hold;
+  proto::relay::Hold moved(std::move(hold));
+  EXPECT_EQ(heap_alloc_count() - before, 0u) << "an empty Hold allocated";
+  EXPECT_TRUE(moved.failed_candidates.empty());
 }
 
 }  // namespace

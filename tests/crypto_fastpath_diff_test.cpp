@@ -160,138 +160,47 @@ TEST(FastPathDiff, HeavyHmacMatchesReference) {
   }
 }
 
-// -- Multi-lane SHA-256 compression -------------------------------------------
-
-TEST(FastPathDiff, MultiLaneCompressionBitIdenticalAcrossBackends) {
-  // Every available backend must produce the same states as running the
-  // scalar compression on each lane independently — for any lane count up to
-  // kSha256MaxLanes and for multi-block runs.
-  Rng rng(0x1a9e5);
-  for (std::size_t lanes = 1; lanes <= kSha256MaxLanes; ++lanes) {
-    for (std::size_t blocks_per_lane = 1; blocks_per_lane <= 3; ++blocks_per_lane) {
-      std::vector<Bytes> data(lanes);
-      std::vector<std::array<std::uint32_t, 8>> ref_states(lanes);
-      for (std::size_t ln = 0; ln < lanes; ++ln) {
-        data[ln] = random_bytes(rng, 64 * blocks_per_lane);
-        ref_states[ln] = kSha256InitState;
-        for (std::size_t i = 0; i < 8; ++i) ref_states[ln][i] += static_cast<std::uint32_t>(ln);
-      }
-      // Reference: one scalar call per lane.
-      std::vector<std::array<std::uint32_t, 8>> expect = ref_states;
-      for (std::size_t ln = 0; ln < lanes; ++ln) {
-        std::uint32_t* state = expect[ln].data();
-        const std::uint8_t* block = data[ln].data();
-        sha256_compress_multi(&state, &block, 1, blocks_per_lane,
-                              Sha256MultiBackend::kScalar);
-      }
-      for (const auto backend : {Sha256MultiBackend::kAuto, Sha256MultiBackend::kShaNi,
-                                 Sha256MultiBackend::kAvx2, Sha256MultiBackend::kScalar}) {
-        std::vector<std::array<std::uint32_t, 8>> got = ref_states;
-        std::vector<std::uint32_t*> states;
-        std::vector<const std::uint8_t*> blocks;
-        for (std::size_t ln = 0; ln < lanes; ++ln) {
-          states.push_back(got[ln].data());
-          blocks.push_back(data[ln].data());
-        }
-        sha256_compress_multi(states.data(), blocks.data(), lanes, blocks_per_lane, backend);
-        for (std::size_t ln = 0; ln < lanes; ++ln) {
-          EXPECT_EQ(got[ln], expect[ln])
-              << "backend " << static_cast<int>(backend) << ", lanes " << lanes
-              << ", blocks " << blocks_per_lane << ", lane " << ln;
-        }
-      }
-    }
-  }
-}
-
-TEST(FastPathDiff, HeavyHmacBatchMatchesReferencePerJob) {
-  // Job counts 1..7 cross the lane-group boundary; mixed iteration counts
-  // make lanes retire at different times within a group.
-  Rng rng(0xbadc0de);
-  for (std::size_t jobs = 1; jobs <= 7; ++jobs) {
-    std::vector<Bytes> msgs;
-    std::vector<Bytes> seeds;
-    std::vector<std::uint32_t> iters;
-    std::vector<HeavyHmacJob> views;
-    for (std::size_t j = 0; j < jobs; ++j) {
-      msgs.push_back(random_bytes(rng, 1 + rng.next() % 500));
-      seeds.push_back(random_bytes(rng, 1 + rng.next() % 80));
-      iters.push_back(1 + static_cast<std::uint32_t>(rng.next() % 97));
-    }
-    for (std::size_t j = 0; j < jobs; ++j) {
-      views.push_back(HeavyHmacJob{BytesView(msgs[j]), BytesView(seeds[j]), iters[j]});
-    }
-    for (const bool fast : {true, false}) {
-      const FastPathScope scope(fast);
-      const std::vector<Digest> got = heavy_hmac_batch(views);
-      ASSERT_EQ(got.size(), jobs);
-      for (std::size_t j = 0; j < jobs; ++j) {
-        EXPECT_EQ(got[j], heavy_hmac_reference(msgs[j], seeds[j], iters[j]))
-            << "jobs " << jobs << ", job " << j << ", fast=" << fast;
-      }
-    }
-  }
-}
-
-TEST(FastPathDiff, HeavyHmacBatchBuilderPreservesAddOrder) {
-  Rng rng(0x0b7a1a);
-  HeavyHmacBatch batch;
-  EXPECT_TRUE(batch.empty());
-  std::vector<Bytes> msgs;
-  std::vector<Bytes> seeds;
-  for (std::size_t j = 0; j < 5; ++j) {
-    msgs.push_back(random_bytes(rng, 64 + j));
-    seeds.push_back(random_bytes(rng, 16));
-    EXPECT_EQ(batch.add(msgs[j], seeds[j], 10 + static_cast<std::uint32_t>(j)), j);
-  }
-  EXPECT_EQ(batch.size(), 5u);
-  const std::vector<Digest> out = batch.run();
-  ASSERT_EQ(out.size(), 5u);
-  for (std::size_t j = 0; j < 5; ++j) {
-    EXPECT_EQ(out[j],
-              heavy_hmac_reference(msgs[j], seeds[j], 10 + static_cast<std::uint32_t>(j)))
-        << j;
-  }
-  EXPECT_TRUE(batch.empty());  // run() clears for reuse
-}
-
-TEST(FastPathDiff, HeavyHmacBatchDedupedIndicesYieldTheirOwnReference) {
-  // A mix of repeated and near-miss inputs (one flipped message or seed byte,
-  // another iteration count): byte-identical inputs share an index, anything
-  // else gets a new one, and every add() index resolves to the reference chain
-  // of exactly the inputs passed to that add().
+TEST(FastPathDiff, HeavyHmacEqualMatchesReferenceDigestComparison) {
+  // The storage-proof verdict: byte-identical inputs are decided without a
+  // chain, anything else runs both. Either way the verdict must be the
+  // comparison of the two reference digests.
   Rng rng(0x5ea1ed);
-  std::vector<Bytes> msgs{random_bytes(rng, 90), random_bytes(rng, 300)};
-  std::vector<Bytes> seeds{random_bytes(rng, 32), random_bytes(rng, 32)};
-  msgs.push_back(msgs[0]);
-  msgs.back()[0] ^= 0x40;
-  seeds.push_back(seeds[1]);
-  seeds.back()[5] ^= 0x02;
-  struct Add {
-    std::size_t msg;
-    std::size_t seed;
-    std::uint32_t iterations;
-    std::size_t expect_index;
+  const Bytes msg = random_bytes(rng, 300);
+  const Bytes seed = random_bytes(rng, 32);
+  // The relay's side lives in buffers of its own, as in the audit loop.
+  const Bytes relay_msg = msg;
+  const Bytes relay_seed = seed;
+  Bytes flipped_msg = msg;
+  flipped_msg[17] ^= 0x40;
+  Bytes flipped_seed = seed;
+  flipped_seed[5] ^= 0x02;
+  const Bytes empty;
+  const Bytes relay_empty;
+  // Side a is the source's recompute (msg_a, seed, 9 iterations); side b is
+  // the relay's answer.
+  const struct {
+    const char* name;
+    const Bytes& msg_a;
+    const Bytes& msg_b;
+    const Bytes& seed_b;
+    std::uint32_t iterations_b;
+    bool expect;
+  } cases[] = {
+      {"honest", msg, relay_msg, relay_seed, 9, true},
+      {"flipped message byte", msg, flipped_msg, relay_seed, 9, false},
+      {"flipped seed byte", msg, relay_msg, flipped_seed, 9, false},
+      {"other iteration count", msg, relay_msg, relay_seed, 10, false},
+      {"empty message", empty, relay_empty, relay_seed, 9, true},
   };
-  const std::vector<Add> adds{{0, 0, 9, 0}, {1, 1, 9, 1},  {0, 0, 9, 0},  {2, 0, 9, 2},
-                              {0, 2, 9, 3}, {0, 0, 10, 4}, {1, 1, 9, 1},  {2, 0, 9, 2},
-                              {1, 2, 33, 5}, {0, 0, 9, 0}};
   for (const bool fast : {true, false}) {
     const FastPathScope scope(fast);
-    HeavyHmacBatch batch;
-    std::vector<std::size_t> index;
-    for (const Add& a : adds) {
-      index.push_back(batch.add(msgs[a.msg], seeds[a.seed], a.iterations));
-      EXPECT_EQ(index.back(), a.expect_index) << "add " << index.size() - 1 << ", fast=" << fast;
-    }
-    EXPECT_EQ(batch.size(), 6u) << "fast=" << fast;  // unique chains
-    EXPECT_EQ(batch.deduped(), 4u) << "fast=" << fast;
-    const std::vector<Digest> out = batch.run();
-    ASSERT_EQ(out.size(), 6u);
-    for (std::size_t i = 0; i < adds.size(); ++i) {
-      EXPECT_EQ(out[index[i]],
-                heavy_hmac_reference(msgs[adds[i].msg], seeds[adds[i].seed], adds[i].iterations))
-          << "add " << i << ", fast=" << fast;
+    for (const auto& c : cases) {
+      const bool reference = digest_equal(heavy_hmac_reference(c.msg_a, seed, 9),
+                                          heavy_hmac_reference(c.msg_b, c.seed_b, c.iterations_b));
+      const bool verdict =
+          heavy_hmac_equal(c.msg_a, seed, 9, c.msg_b, c.seed_b, c.iterations_b);
+      EXPECT_EQ(verdict, reference) << c.name << ", fast=" << fast;
+      EXPECT_EQ(verdict, c.expect) << c.name << ", fast=" << fast;
     }
   }
 }

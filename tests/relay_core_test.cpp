@@ -1,12 +1,13 @@
 // The relay core's accusation layer: PomLedger, the batched PoM gossip
 // (dedup + one verify_batch re-verification per session), the preverified
-// learn path it drives, and the storage-proof chain sharing that must never
-// let a tampered hold pass.
+// learn path it drives, and the storage-proof verdict that must never let a
+// tampered hold pass, on both G2G protocols.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "g2g/obs/context.hpp"
+#include "g2g/proto/g2g_delegation.hpp"
 #include "g2g/proto/g2g_epidemic.hpp"
 #include "g2g/proto/relay/pom.hpp"
 #include "proto_test_util.hpp"
@@ -131,22 +132,22 @@ TEST(ProtocolNode, PreverifiedVerdictGatesTheBlacklist) {
   EXPECT_FALSE(w.node(0).blacklisted(NodeId(0)));
 }
 
-/// Node 0 relays one message to node 1 at t=100 and tests it on re-meet
-/// after Delta1. Node 1 holds the payload with no PoRs, so it must answer
-/// with a storage proof. `tamper` flips one byte of node 1's stored copy
-/// between the two contacts.
+/// Node 0 relays one message to node 1 and tests it on re-meet after Delta1.
+/// Node 1 holds the payload with no PoRs, so it must answer with a storage
+/// proof. `tamper` flips one byte of node 1's stored copy between the two
+/// contacts, at `tamper_s`.
+template <typename NodeT>
 struct StorageProofRun {
   obs::ObsContext obs;
-  std::unique_ptr<G2GWorld> world;
+  std::unique_ptr<testutil::World<NodeT>> world;
 
-  explicit StorageProofRun(bool tamper) {
-    NetworkConfig cfg = G2GWorld::default_config();
+  StorageProofRun(trace::ContactTrace trace, NetworkConfig cfg, std::uint32_t dst,
+                  double send_s, double tamper_s, bool tamper) {
     cfg.obs = &obs;
-    world = std::make_unique<G2GWorld>(
-        make_trace(4, {{0, 1, 100, 110}, {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}), cfg);
-    world->send(0, 3, 50);
+    world = std::make_unique<testutil::World<NodeT>>(std::move(trace), std::move(cfg));
+    world->send(0, dst, send_s);
     if (tamper) {
-      world->network().simulator().at(TimePoint::from_seconds(100 + kD1), [this] {
+      world->network().simulator().at(TimePoint::from_seconds(tamper_s), [this] {
         auto& holds = world->node(1).handshake().holds();
         ASSERT_EQ(holds.size(), 1u);
         relay::Hold& hold = holds.begin()->second;
@@ -158,30 +159,69 @@ struct StorageProofRun {
   }
 };
 
-TEST(AuditEngine, HonestStorageProofSharesOneChain) {
-  StorageProofRun run(/*tamper=*/false);
+/// Epidemic (PorsOrStorage): relay at t=100, re-meet after Delta1.
+StorageProofRun<G2GEpidemicNode> epidemic_storage_run(bool tamper) {
+  return {make_trace(4, {{0, 1, 100, 110}, {0, 1, 100 + kD1 + 60, 100 + kD1 + 70}}),
+          G2GWorld::default_config(), /*dst=*/3, /*send_s=*/50, /*tamper_s=*/100 + kD1, tamper};
+}
+
+/// Delegation (PorsThenStorage): node 1 met the destination twice before the
+/// message exists, so it qualifies as a relay at t=2000; it meets nobody else.
+StorageProofRun<G2GDelegationNode> delegation_storage_run(bool tamper) {
+  NetworkConfig cfg = testutil::World<G2GDelegationNode>::default_config();
+  cfg.node.quality_frame = Duration::minutes(5);  // the warm-up lands in a closed frame
+  return {make_trace(5, {{1, 4, 10, 12},
+                         {1, 4, 30, 32},
+                         {0, 1, 2000, 2010},
+                         {0, 1, 2000 + kD1 + 60, 2000 + kD1 + 70}}),
+          std::move(cfg), /*dst=*/4, /*send_s=*/1900, /*tamper_s=*/2000 + kD1, tamper};
+}
+
+/// One storage challenge, one pass, no accusation. The cost model charges the
+/// relay's proof and the source's check one heavy HMAC each.
+template <typename NodeT>
+void expect_storage_proof_passed(const StorageProofRun<NodeT>& run) {
   EXPECT_EQ(run.obs.counters.storage_challenges->value(), 1u);
   EXPECT_EQ(run.obs.counters.tests_passed->value(), 1u);
   EXPECT_EQ(run.obs.counters.tests_failed->value(), 0u);
-  EXPECT_EQ(run.obs.counters.hmac_dedup->value(), 1u);
   EXPECT_TRUE(run.world->collector().detections().empty());
-  // The cost model still charges the relay's proof and the source's check.
   EXPECT_EQ(run.world->collector().costs(NodeId(0)).heavy_hmacs, 1u);
   EXPECT_EQ(run.world->collector().costs(NodeId(1)).heavy_hmacs, 1u);
 }
 
-TEST(AuditEngine, TamperedHoldNeverSharesTheSourceChain) {
-  StorageProofRun run(/*tamper=*/true);
+/// One storage challenge that fails, and exactly one TestBySender detection:
+/// node 0 catches node 1.
+template <typename NodeT>
+void expect_storage_proof_failed(const StorageProofRun<NodeT>& run) {
   EXPECT_EQ(run.obs.counters.storage_challenges->value(), 1u);
-  EXPECT_EQ(run.obs.counters.hmac_dedup->value(), 0u);
   EXPECT_EQ(run.obs.counters.tests_passed->value(), 0u);
   EXPECT_EQ(run.obs.counters.tests_failed->value(), 1u);
+  EXPECT_EQ(run.world->collector().costs(NodeId(0)).heavy_hmacs, 1u);
+  EXPECT_EQ(run.world->collector().costs(NodeId(1)).heavy_hmacs, 1u);
   ASSERT_EQ(run.world->collector().detections().size(), 1u);
   const metrics::DetectionEvent& d = run.world->collector().detections()[0];
   EXPECT_EQ(d.culprit, NodeId(1));
   EXPECT_EQ(d.detector, NodeId(0));
   EXPECT_EQ(d.method, metrics::DetectionMethod::TestBySender);
   EXPECT_TRUE(run.world->node(0).blacklisted(NodeId(1)));
+}
+
+TEST(AuditEngine, HonestStorageProofSharesOneChain) {
+  // The relay's inputs equal the source's byte for byte: the proof passes.
+  expect_storage_proof_passed(epidemic_storage_run(/*tamper=*/false));
+}
+
+TEST(AuditEngine, TamperedHoldNeverSharesTheSourceChain) {
+  // One flipped byte sends both chains through heavy_hmac: the proof fails.
+  expect_storage_proof_failed(epidemic_storage_run(/*tamper=*/true));
+}
+
+TEST(AuditEngine, HonestDelegationStorageProofPasses) {
+  expect_storage_proof_passed(delegation_storage_run(/*tamper=*/false));
+}
+
+TEST(AuditEngine, TamperedDelegationHoldFailsItsStorageProof) {
+  expect_storage_proof_failed(delegation_storage_run(/*tamper=*/true));
 }
 
 TEST(PomLedger, RecordAndBlacklistAreIndependent) {
