@@ -19,20 +19,25 @@ int main(int argc, char** argv) {
             << "   (budget per contact = duration x bandwidth; 0 = unlimited)\n\n";
 
   const std::vector<double> bandwidths{0.0, 50000.0, 5000.0, 1000.0, 250.0};
+  std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     std::vector<SweepCell> cells;
+    std::vector<std::string> names;
     for (const double bw : bandwidths) {
       ExperimentConfig cfg;
       cfg.scenario = scen;
       cfg.bandwidth_bytes_per_s = bw;
       cfg.seed = opt.seed;
 
+      const std::string stem = scen.name + "/bandwidth=" + fmt(bw, 0) + "/";
       cfg.protocol = Protocol::Epidemic;
       cells.push_back({cfg, runs});
+      names.push_back(stem + to_string(cfg.protocol));
       cfg.protocol = Protocol::G2GEpidemic;
       cells.push_back({cfg, runs});
+      names.push_back(stem + to_string(cfg.protocol));
     }
-    const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
+    const std::vector<AggregateResult> aggs = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"scenario", "bandwidth", "Epidemic success", "G2G Epidemic success",
                  "Epidemic cost", "G2G cost"});
@@ -52,7 +57,7 @@ int main(int argc, char** argv) {
     repr.scenario = infocom05_scenario(opt.seed);
     repr.bandwidth_bytes_per_s = 1024.0 * 1024.0;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("ablation_bandwidth", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

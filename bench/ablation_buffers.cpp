@@ -19,20 +19,25 @@ int main(int argc, char** argv) {
             << "   (0 = unlimited, the paper's assumption)\n\n";
 
   const std::vector<std::size_t> caps{0, 400, 200, 100, 50, 25};
+  std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     std::vector<SweepCell> cells;
+    std::vector<std::string> names;
     for (const std::size_t cap : caps) {
       ExperimentConfig cfg;
       cfg.scenario = scen;
       cfg.max_buffer_messages = cap;
       cfg.seed = opt.seed;
 
+      const std::string stem = scen.name + "/cap=" + std::to_string(cap) + "/";
       cfg.protocol = Protocol::Epidemic;
       cells.push_back({cfg, runs});
+      names.push_back(stem + to_string(cfg.protocol));
       cfg.protocol = Protocol::DelegationLastContact;
       cells.push_back({cfg, runs});
+      names.push_back(stem + to_string(cfg.protocol));
     }
-    const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
+    const std::vector<AggregateResult> aggs = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"scenario", "buffer cap", "Epidemic success", "Epidemic cost",
                  "Delegation success", "Delegation cost"});
@@ -51,7 +56,7 @@ int main(int argc, char** argv) {
     repr.scenario = infocom05_scenario(opt.seed);
     repr.max_buffer_messages = 50;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("ablation_buffers", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

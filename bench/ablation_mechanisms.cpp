@@ -20,6 +20,10 @@ int main(int argc, char** argv) {
 
   std::cout << "== Ablations of the Give2Get mechanisms (Infocom05 stand-in) ==\n\n";
 
+  // Telemetry covers the two swept sections; the Delta2 and TTL sections
+  // read per-run results and run outside the sweep pool.
+  std::vector<bench::BenchCell> bench_cells;
+
   {
     std::cout << "-- Delta2 / Delta1: test-window length vs dropper detection --\n";
     Table table({"delta2/delta1", "detection rate", "avg detect time", "memory (GB*s)"});
@@ -55,6 +59,7 @@ int main(int argc, char** argv) {
     std::cout << "-- Relay fanout: forwarding duty per relay --\n";
     const std::vector<std::size_t> fanouts{1, 2, 3, 4};
     std::vector<SweepCell> cells;
+    std::vector<std::string> names;
     for (const std::size_t fanout : fanouts) {
       ExperimentConfig cfg;
       cfg.protocol = Protocol::G2GEpidemic;
@@ -62,8 +67,9 @@ int main(int argc, char** argv) {
       cfg.relay_fanout = fanout;
       cfg.seed = opt.seed;
       cells.push_back({std::move(cfg), runs});
+      names.push_back("fanout=" + std::to_string(fanout));
     }
-    const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
+    const std::vector<AggregateResult> aggs = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"fanout", "success", "cost (replicas)", "avg delay"});
     for (std::size_t i = 0; i < fanouts.size(); ++i) {
@@ -107,6 +113,7 @@ int main(int argc, char** argv) {
   {
     std::cout << "-- PoM dissemination: epidemic gossip vs instant broadcast --\n";
     std::vector<SweepCell> cells;
+    std::vector<std::string> names;
     for (const bool instant : {false, true}) {
       ExperimentConfig cfg;
       cfg.protocol = Protocol::G2GEpidemic;
@@ -116,8 +123,9 @@ int main(int argc, char** argv) {
       cfg.instant_pom_broadcast = instant;
       cfg.seed = opt.seed;
       cells.push_back({std::move(cfg), runs});
+      names.push_back(instant ? "pom=instant" : "pom=gossip");
     }
-    const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
+    const std::vector<AggregateResult> aggs = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"dissemination", "post-eviction success", "detection rate"});
     for (int instant = 0; instant < 2; ++instant) {
@@ -134,7 +142,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Dropper;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("ablation_mechanisms", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

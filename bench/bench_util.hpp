@@ -150,27 +150,34 @@ inline std::vector<std::pair<std::string, std::string>> option_pairs(const Optio
           {"fastpath", opt.no_fastpath ? "false" : "true"}};
 }
 
-/// Assemble telemetry cells from a sweep's names + CellTelemetry rows.
-inline std::vector<BenchCell> telemetry_cells(const std::vector<std::string>& names,
-                                              const std::vector<core::CellTelemetry>& tel,
-                                              std::size_t runs) {
-  std::vector<BenchCell> out;
-  for (std::size_t i = 0; i < names.size() && i < tel.size(); ++i) {
-    out.push_back(BenchCell{names[i], runs, tel[i].wall_s, tel[i].sim_events});
+/// core::run_sweep that also appends one telemetry row per sweep cell, named
+/// by `names`, to `report` (the cells of BENCH_<name>.json).
+inline std::vector<core::AggregateResult> sweep(const std::vector<core::SweepCell>& cells,
+                                                const std::vector<std::string>& names,
+                                                const Options& opt,
+                                                std::vector<BenchCell>& report) {
+  std::vector<core::CellTelemetry> telemetry;
+  std::vector<core::AggregateResult> aggs = core::run_sweep(cells, opt.threads, &telemetry);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    report.push_back(
+        BenchCell{names.at(i), cells[i].runs, telemetry[i].wall_s, telemetry[i].sim_events});
   }
-  return out;
+  return aggs;
 }
 
-/// Write BENCH_<name>.json when --json-out was given; exits non-zero when the
-/// write fails so CI never mistakes a missing report for a passing perf run.
-inline void write_report(const std::string& bench_name, const Options& opt,
-                         std::vector<BenchCell> cells, const obs::Registry* registry) {
+/// The tail of every table bench: the observability report of `repr` (see
+/// obs_report), then, when --json-out was given, BENCH_<bench_name>.json with
+/// the swept `cells` and that run's counters. Exits non-zero when the write
+/// fails so CI never mistakes a missing report for a passing perf run.
+inline void report(const std::string& bench_name, const core::ExperimentConfig& repr,
+                   const Options& opt, std::vector<BenchCell> cells) {
+  const std::optional<core::ExperimentResult> repr_result = obs_report(repr, opt);
   if (opt.json_out.empty()) return;
   BenchReport report;
   report.bench = bench_name;
   report.config = option_pairs(opt);
   report.cells = std::move(cells);
-  report.registry = registry;
+  report.registry = repr_result ? &repr_result->counters : nullptr;
   if (!report.write(opt.json_out)) std::exit(1);
 }
 

@@ -24,11 +24,14 @@ int main(int argc, char** argv) {
   std::cout << "== Extension: hoarders vs droppers under G2G Epidemic ==\n\n";
 
   const std::vector<std::size_t> deviant_counts{5, 15, 30};
+  // Telemetry covers the dropper sweep; the hoarder runs stay outside it.
+  std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     // The dropper baseline only needs the standard aggregates, so all three
     // counts go through one sweep; the hoarder runs need per-node collector
     // costs and stay on run_experiment.
     std::vector<SweepCell> dropper_cells;
+    std::vector<std::string> names;
     for (const std::size_t n : deviant_counts) {
       ExperimentConfig cfg;
       cfg.protocol = Protocol::G2GEpidemic;
@@ -37,8 +40,10 @@ int main(int argc, char** argv) {
       cfg.deviation = proto::Behavior::Dropper;
       cfg.seed = opt.seed;
       dropper_cells.push_back({std::move(cfg), runs});
+      names.push_back(scen.name + "/droppers=" + std::to_string(n));
     }
-    const std::vector<AggregateResult> dropper_aggs = run_sweep(dropper_cells, opt.threads);
+    const std::vector<AggregateResult> dropper_aggs =
+        bench::sweep(dropper_cells, names, opt, bench_cells);
 
     Table table({"scenario", "deviants", "dropper delivery", "hoarder delivery",
                  "hoarder HMACs/node", "faithful HMACs/node", "evicted hoarders"});
@@ -100,7 +105,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Hoarder;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("ext_hoarders", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

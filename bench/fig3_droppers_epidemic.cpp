@@ -15,10 +15,12 @@ int main(int argc, char** argv) {
   const auto opt = bench::parse_options(argc, argv);
   std::cout << "== Fig. 3: effect of message droppers on Epidemic Forwarding ==\n\n";
 
+  std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     const std::vector<std::size_t> counts =
         bench::dropper_counts(scen.trace_config.nodes, opt.quick);
     std::vector<SweepCell> cells;
+    std::vector<std::string> names;
     for (const std::size_t n : counts) {
       ExperimentConfig cfg;
       cfg.protocol = Protocol::Epidemic;
@@ -27,12 +29,15 @@ int main(int argc, char** argv) {
       cfg.deviant_count = n;
       cfg.seed = opt.seed;
 
+      const std::string stem = scen.name + "/droppers=" + std::to_string(n);
       cfg.with_outsiders = false;
       cells.push_back({cfg, opt.runs});
+      names.push_back(stem + "/plain");
       cfg.with_outsiders = true;
       cells.push_back({cfg, opt.runs});
+      names.push_back(stem + "/outsiders");
     }
-    const std::vector<AggregateResult> agg = run_sweep(cells, opt.threads);
+    const std::vector<AggregateResult> agg = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"scenario", "droppers", "delivery% (plain)", "delivery% (w/ outsiders)"});
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -49,7 +54,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Dropper;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("fig3", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

@@ -40,11 +40,7 @@ int main(int argc, char** argv) {
       cells.push_back({cfg, opt.runs});
       names.push_back(stem + "/outsiders");
     }
-    std::vector<CellTelemetry> telemetry;
-    const std::vector<AggregateResult> agg = run_sweep(cells, opt.threads, &telemetry);
-    for (const auto& cell : bench::telemetry_cells(names, telemetry, opt.runs)) {
-      bench_cells.push_back(cell);
-    }
+    const std::vector<AggregateResult> agg = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"scenario", "droppers", "detect% (plain)", "avg time (plain)",
                  "detect% (outsiders)", "avg time (outsiders)"});
@@ -66,9 +62,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Dropper;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    const auto repr_result = bench::obs_report(repr, opt);
-    bench::write_report("fig4", opt, std::move(bench_cells),
-                        repr_result ? &repr_result->counters : nullptr);
+    bench::report("fig4", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

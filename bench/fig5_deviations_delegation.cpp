@@ -16,11 +16,13 @@ int main(int argc, char** argv) {
   std::cout << "== Fig. 5: droppers and liars on (vanilla) Delegation Forwarding ==\n"
             << "   (Delegation Destination Last Contact, as in the paper's Section VII)\n\n";
 
+  std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     for (const proto::Behavior behavior : {proto::Behavior::Dropper, proto::Behavior::Liar}) {
       const std::vector<std::size_t> counts =
           bench::dropper_counts(scen.trace_config.nodes, opt.quick);
       std::vector<SweepCell> cells;
+      std::vector<std::string> names;
       for (const std::size_t n : counts) {
         ExperimentConfig cfg;
         cfg.protocol = Protocol::DelegationLastContact;
@@ -29,12 +31,16 @@ int main(int argc, char** argv) {
         cfg.deviant_count = n;
         cfg.seed = opt.seed;
 
+        const std::string stem = scen.name + "/" + proto::to_string(behavior) +
+                                 "s=" + std::to_string(n);
         cfg.with_outsiders = false;
         cells.push_back({cfg, opt.runs});
+        names.push_back(stem + "/plain");
         cfg.with_outsiders = true;
         cells.push_back({cfg, opt.runs});
+        names.push_back(stem + "/outsiders");
       }
-      const std::vector<AggregateResult> agg = run_sweep(cells, opt.threads);
+      const std::vector<AggregateResult> agg = bench::sweep(cells, names, opt, bench_cells);
 
       Table table({"scenario", "deviation", "count", "delivery% (plain)",
                    "delivery% (w/ outsiders)"});
@@ -53,7 +59,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Dropper;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("fig5", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

@@ -46,11 +46,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    std::vector<CellTelemetry> telemetry;
-    const std::vector<AggregateResult> aggs = run_sweep(sweep, opt.threads, &telemetry);
-    for (const auto& cell : bench::telemetry_cells(names, telemetry, cell_runs)) {
-      bench_cells.push_back(cell);
-    }
+    const std::vector<AggregateResult> aggs = bench::sweep(sweep, names, opt, bench_cells);
 
     std::size_t k = 0;
     for (const std::size_t n : counts) {
@@ -72,9 +68,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Dropper;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    const auto repr_result = bench::obs_report(repr, opt);
-    bench::write_report("fig7", opt, std::move(bench_cells),
-                        repr_result ? &repr_result->counters : nullptr);
+    bench::report("fig7", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

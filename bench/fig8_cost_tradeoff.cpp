@@ -29,11 +29,13 @@ int main(int argc, char** argv) {
   const std::vector<double> ttl_minutes =
       opt.quick ? std::vector<double>{15.0, 45.0} : std::vector<double>{10.0, 20.0, 30.0, 45.0};
 
+  std::vector<bench::BenchCell> bench_cells;
   for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
     const std::size_t runs = opt.quick ? 1 : opt.runs;
     // All TTL points for all six protocols plus the headline row configs go
     // through one pool.
     std::vector<SweepCell> cells;
+    std::vector<std::string> names;
     for (const Protocol p : protocols) {
       for (const double ttl : ttl_minutes) {
         ExperimentConfig cfg;
@@ -42,6 +44,7 @@ int main(int argc, char** argv) {
         cfg.delta1_override = Duration::minutes(ttl);
         cfg.seed = opt.seed;
         cells.push_back({std::move(cfg), runs});
+        names.push_back(scen.name + "/" + to_string(p) + "/ttl=" + fmt(ttl, 0) + "m");
       }
     }
     for (const Protocol p : protocols) {
@@ -50,8 +53,9 @@ int main(int argc, char** argv) {
       cfg.scenario = scen;
       cfg.seed = opt.seed;
       cells.push_back({std::move(cfg), runs});
+      names.push_back(scen.name + "/" + to_string(p) + "/ttl=paper");
     }
-    const std::vector<AggregateResult> aggs = run_sweep(cells, opt.threads);
+    const std::vector<AggregateResult> aggs = bench::sweep(cells, names, opt, bench_cells);
 
     Table table({"scenario", "protocol", "ttl", "cost (replicas)", "success rate",
                  "avg delay"});
@@ -99,7 +103,7 @@ int main(int argc, char** argv) {
     repr.protocol = Protocol::G2GEpidemic;
     repr.scenario = infocom05_scenario(opt.seed);
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("fig8", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

@@ -34,6 +34,8 @@ int main(int argc, char** argv) {
   };
 
   std::vector<SweepCell> sweep;
+  std::vector<std::string> names;
+  std::vector<bench::BenchCell> bench_cells;
   for (const auto& row : rows) {
     for (const Scenario& scen : bench::both_scenarios(opt.seed)) {
       ExperimentConfig cfg;
@@ -45,9 +47,11 @@ int main(int argc, char** argv) {
       cfg.seed = opt.seed;
       sweep.push_back({std::move(cfg),
                        opt.quick ? 1 : opt.runs + 1});
+      names.push_back(scen.name + "/" + proto::to_string(row.behavior) +
+                      (row.outsiders ? "_out" : ""));
     }
   }
-  const std::vector<AggregateResult> aggs = run_sweep(sweep, opt.threads);
+  const std::vector<AggregateResult> aggs = bench::sweep(sweep, names, opt, bench_cells);
 
   Table table({"deviation", "infocom05 rate", "infocom05 time", "cambridge06 rate",
                "cambridge06 time", "false accusations"});
@@ -72,7 +76,7 @@ int main(int argc, char** argv) {
     repr.deviation = proto::Behavior::Liar;
     repr.deviant_count = 10;
     repr.seed = opt.seed;
-    bench::obs_report(repr, opt);
+    bench::report("table1", repr, opt, std::move(bench_cells));
   }
   return 0;
 }

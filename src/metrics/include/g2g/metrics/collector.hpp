@@ -69,7 +69,13 @@ class Collector {
   void message_delivered(MessageId id, TimePoint at);
 
   // -- node accounting -------------------------------------------------------
-  [[nodiscard]] NodeCosts& costs(NodeId n);
+  /// Node ids are dense, so the costs are a vector by id that grows on first
+  /// use of an id.
+  [[nodiscard]] NodeCosts& costs(NodeId n) {
+    if (n.value() >= costs_.size()) costs_.resize(std::size_t{n.value()} + 1);
+    return costs_[n.value()];
+  }
+  /// An id never charged reads as zero costs.
   [[nodiscard]] const NodeCosts& costs(NodeId n) const;
 
   // -- misbehaviour ----------------------------------------------------------
@@ -108,7 +114,7 @@ class Collector {
 
  private:
   std::map<MessageId, MessageRecord> messages_;
-  std::map<NodeId, NodeCosts> costs_;
+  std::vector<NodeCosts> costs_;  ///< by node id
   std::vector<DetectionEvent> detections_;
   std::map<NodeId, TimePoint> evictions_;
   std::uint64_t total_relays_ = 0;

@@ -57,12 +57,9 @@ void Collector::detection(const DetectionEvent& e) {
   }
 }
 
-NodeCosts& Collector::costs(NodeId n) { return costs_[n]; }
-
 const NodeCosts& Collector::costs(NodeId n) const {
   static const NodeCosts kEmpty{};
-  const auto it = costs_.find(n);
-  return it == costs_.end() ? kEmpty : it->second;
+  return n.value() < costs_.size() ? costs_[n.value()] : kEmpty;
 }
 
 std::size_t Collector::delivered_count() const {

@@ -11,10 +11,13 @@
 // completion, test arming, forwarding-duty payload drop) lives here.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <deque>
+#include <memory>
 #include <optional>
-#include <set>
+#include <vector>
 
+#include "g2g/proto/relay/hash_index.hpp"
 #include "g2g/proto/relay/state.hpp"
 
 namespace g2g::proto {
@@ -62,13 +65,50 @@ class HandshakeEngine {
   void drop_payload(Hold& hold);
 
   [[nodiscard]] bool has_handled(const MessageHash& h) const { return handled_.contains(h); }
-  [[nodiscard]] std::map<MessageHash, Hold>& holds() { return hold_; }
-  [[nodiscard]] const std::map<MessageHash, Hold>& holds() const { return hold_; }
+  /// The hold for `h`, or nullptr. Holds never move: the pointer stays valid
+  /// until purge() erases the hold.
+  [[nodiscard]] Hold* find_hold(const MessageHash& h);
+  [[nodiscard]] const Hold* find_hold(const MessageHash& h) const;
+  [[nodiscard]] std::size_t hold_count() const { return hold_ids_.size(); }
 
  private:
+  /// A hold plus its membership of the offer list.
+  struct Slot {
+    Hold hold;
+    bool offered = false;
+  };
+  static constexpr std::size_t kChunk = 16;
+
+  [[nodiscard]] Slot& slot(std::uint32_t id) { return chunks_[id / kChunk][id % kChunk]; }
+  [[nodiscard]] const Slot& slot(std::uint32_t id) const {
+    return chunks_[id / kChunk][id % kChunk];
+  }
+  /// Admit a hold for `h` unless one exists (the first hold stays). Its
+  /// `received` must not precede any earlier hold's: the sim clock stamps it.
+  void insert_hold(const MessageHash& h, Hold hold);
+  /// Delta2: drop the payload, tell the host, and free the slot.
+  void erase_hold(std::uint32_t id);
+  /// Where `h` sits, or would sit, in offers_.
+  [[nodiscard]] std::vector<std::uint32_t>::iterator offer_position(const MessageHash& h);
+  /// True while a test of one of this source's relays of `id` is live.
+  [[nodiscard]] bool testing(std::uint32_t id, TimePoint now) const;
+
   RelayNode& host_;
-  std::map<MessageHash, Hold> hold_;
-  std::set<MessageHash> handled_;
+  // The relay state's layout and invariants: DESIGN.md §4b, "Relay state".
+  /// Every H(m) this node ever handled: probed, never iterated, never shrinks.
+  HashIndex handled_;
+  /// H(m) -> hold id; the id also names the hold's slot.
+  HashIndex hold_ids_;
+  /// Hold slots by id, in fixed-size chunks so a slot never moves.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  /// Ids of holds that may still be offered, in ascending byte order of H(m)
+  /// (the order giver_pass offers in). Holds that stopped being offerable
+  /// leave lazily, during the next pass that reaches them.
+  std::vector<std::uint32_t> offers_;
+  /// Unexpired hold ids in receipt order, which is Delta2 order.
+  std::deque<std::uint32_t> by_receipt_;
+  /// Expired source holds kept while a test of their relays is live.
+  std::vector<std::uint32_t> retained_;
 };
 
 }  // namespace g2g::proto::relay

@@ -66,12 +66,11 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     // Either two valid PoRs...
     if (resp.pors.size() >= host_.config().relay_fanout) {
       // Audit the chain through one verify_batch call: structurally broken
-      // PoRs are rejected up front, the rest go to the suite together (the
-      // caching suite answers repeats from its memo and forwards only fresh
-      // signatures inward). Verdicts, counters, and trace order are
-      // identical to a per-PoR verify loop. Signed payloads are built in the
-      // arena and stay valid through the batch call (no reset until the next
-      // challenge).
+      // PoRs are rejected up front, the rest go to the suite together, which
+      // checks them one signature at a time (DESIGN.md §5c). Verdicts,
+      // counters, and trace order are identical to a per-PoR verify loop.
+      // Signed payloads are built in the arena and stay valid through the
+      // batch call (no reset until the next challenge).
       std::vector<crypto::VerifyRequest> requests;
       std::vector<std::size_t> request_of(resp.pors.size(), SIZE_MAX);
       requests.reserve(resp.pors.size());
@@ -112,9 +111,8 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
 
     // ...or a storage proof the source can recompute (it still has m).
     if (resp.storage.has_value()) {
-      auto& holds = host_.handshake().holds();
-      const auto it = holds.find(t.h);
-      if (it == holds.end() || !it->second.has_msg) {
+      const Hold* own = host_.handshake().find_hold(t.h);
+      if (own == nullptr || !own->has_msg) {
         host_.trace_event(obs::EventKind::TestBySender, peer.id(), ref, 3);
         tracer.close_span(now, span, 3);
         continue;  // source can no longer verify; give the benefit of the doubt
@@ -123,7 +121,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
       // the chains only when the relay's inputs differ from the source's.
       host_.count_heavy_hmac();
       const StorageProof& proof = *resp.storage;
-      if (crypto::heavy_hmac_equal(arena_encode(s.arena(), it->second.msg), challenge.seed,
+      if (crypto::heavy_hmac_equal(arena_encode(s.arena(), own->msg), challenge.seed,
                                    host_.config().heavy_hmac_iterations, proof.message,
                                    proof.seed, proof.iterations)) {
         host_.counters().tests_passed->add();
@@ -148,13 +146,12 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
 
 TestResponse AuditEngine::respond(Session& s, const PorRqstFrame& rq) {
   TestResponse resp;
-  auto& holds = host_.handshake().holds();
-  const auto it = holds.find(rq.h);
-  if (it == holds.end()) {
+  const Hold* held = host_.handshake().find_hold(rq.h);
+  if (held == nullptr) {
     // Nothing to show: a dropper past Delta2, or a dropper that kept no state.
     return resp;
   }
-  const Hold& hold = it->second;
+  const Hold& hold = *held;
 
   if (mode_ == PresentMode::PorsThenStorage) {
     // Delegation: every PoR travels (the sender chain-checks them); a storage

@@ -21,34 +21,91 @@ void HandshakeEngine::generate(const SealedMessage& m, double fm) {
   hold.giver = host_.id();
   hold.is_source = true;
   host_.buffer_changed(static_cast<std::int64_t>(hold.msg_bytes));
-  hold_.emplace(h, std::move(hold));
+  insert_hold(h, std::move(hold));
   handled_.insert(h);
 }
 
+Hold* HandshakeEngine::find_hold(const MessageHash& h) {
+  const std::uint32_t id = hold_ids_.find(h);
+  return id == HashIndex::kNone ? nullptr : &slot(id).hold;
+}
+
+const Hold* HandshakeEngine::find_hold(const MessageHash& h) const {
+  const std::uint32_t id = hold_ids_.find(h);
+  return id == HashIndex::kNone ? nullptr : &slot(id).hold;
+}
+
+void HandshakeEngine::insert_hold(const MessageHash& h, Hold hold) {
+  const auto [id, inserted] = hold_ids_.insert(h);
+  if (!inserted) return;
+  if (id / kChunk == chunks_.size()) chunks_.push_back(std::make_unique<Slot[]>(kChunk));
+  Slot& sl = slot(id);
+  sl.hold = std::move(hold);
+  by_receipt_.push_back(id);
+  // Offerable from the start, or never: a hold without a payload or at its
+  // destination is never offered, and a hoarder never relays other people's
+  // messages (it will answer the storage test instead, and pay the heavy HMAC
+  // for it).
+  const Hold& held = sl.hold;
+  const bool hoards = host_.behavior().kind == Behavior::Hoarder && !held.is_source &&
+                      host_.deviates_with(held.giver);
+  if (!held.has_msg || held.is_destination || hoards) return;
+  offers_.insert(offer_position(h), id);
+  sl.offered = true;
+}
+
+std::vector<std::uint32_t>::iterator HandshakeEngine::offer_position(const MessageHash& h) {
+  return std::lower_bound(
+      offers_.begin(), offers_.end(), h,
+      [this](std::uint32_t id, const MessageHash& key) { return hold_ids_.key(id) < key; });
+}
+
+void HandshakeEngine::erase_hold(std::uint32_t id) {
+  Slot& sl = slot(id);
+  if (sl.hold.has_msg) drop_payload(sl.hold);
+  // Message and PoR state is discarded at Delta2; the 32-byte message hash
+  // stays in `handled_` so the node never pays for re-reception.
+  const MessageHash& h = hold_ids_.key(id);
+  host_.on_hold_erased(h);
+  if (sl.offered) offers_.erase(offer_position(h));
+  sl = Slot{};
+  hold_ids_.erase(id);
+}
+
+bool HandshakeEngine::testing(std::uint32_t id, TimePoint now) const {
+  if (!slot(id).hold.is_source) return false;
+  const MessageHash& h = hold_ids_.key(id);
+  const std::vector<PendingTest>& tests = host_.audit().tests();
+  return std::any_of(tests.begin(), tests.end(), [&](const PendingTest& t) {
+    return t.h == h && !t.done && now <= t.relayed_at + host_.config().delta2;
+  });
+}
+
 void HandshakeEngine::purge(TimePoint now) {
-  std::vector<PendingTest>& tests = host_.audit().tests();
-  // Delta2 after receipt: every trace of the message may be discarded.
-  for (auto it = hold_.begin(); it != hold_.end();) {
-    Hold& hold = it->second;
-    const bool expired = now > hold.received + host_.config().delta2;
-    // A source keeps its bookkeeping while tests of its relays are pending.
-    // Only an expired hold needs the scan.
-    const bool testing = expired && hold.is_source &&
-                         std::any_of(tests.begin(), tests.end(), [&](const PendingTest& t) {
-                           return t.h == it->first && !t.done &&
-                                  now <= t.relayed_at + host_.config().delta2;
-                         });
-    if (expired && !testing) {
-      if (hold.has_msg) drop_payload(hold);
-      // Message and PoR state is discarded at Delta2; the 32-byte message
-      // hash stays in `handled_` so the node never pays for re-reception.
-      host_.on_hold_erased(it->first);
-      it = hold_.erase(it);
+  // A source keeps its bookkeeping while tests of its relays are pending:
+  // recheck the holds kept back so far...
+  std::size_t kept = 0;
+  for (const std::uint32_t id : retained_) {
+    if (testing(id, now)) {
+      retained_[kept++] = id;
     } else {
-      ++it;
+      erase_hold(id);
     }
   }
-  std::erase_if(tests, [&](const PendingTest& t) {
+  retained_.resize(kept);
+  // ...then take every hold past Delta2 after receipt off the front of the
+  // receipt queue: every trace of the message may be discarded.
+  while (!by_receipt_.empty() &&
+         now > slot(by_receipt_.front()).hold.received + host_.config().delta2) {
+    const std::uint32_t id = by_receipt_.front();
+    by_receipt_.pop_front();
+    if (testing(id, now)) {
+      retained_.push_back(id);
+    } else {
+      erase_hold(id);
+    }
+  }
+  std::erase_if(host_.audit().tests(), [&](const PendingTest& t) {
     return t.done || now > t.relayed_at + host_.config().delta2;
   });
 }
@@ -61,32 +118,31 @@ void HandshakeEngine::drop_payload(Hold& hold) {
 void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
   const TimePoint now = s.now();
   const std::size_t sig = host_.identity().suite().signature_size();
+  obs::Tracer& tracer = host_.env_.obs().tracer;
 
-  std::vector<MessageHash> candidates;
-  for (const auto& [h, hold] : hold_) {
-    if (!hold.has_msg || hold.is_destination) continue;
-    // A hoarder never relays other people's messages — it will answer the
-    // storage test instead (and pay the heavy HMAC for it).
-    if (host_.behavior().kind == Behavior::Hoarder && !hold.is_source &&
-        host_.deviates_with(hold.giver)) {
-      continue;
-    }
+  // Offer the listed holds in ascending H(m). A hold that stopped being
+  // offerable (payload gone, fanout met, past Delta1 / TTL) never becomes
+  // offerable again, so it leaves the list here. A handshake only touches
+  // the taker's tables and this one hold, so the list and the slots stay put
+  // for the whole pass.
+  std::size_t kept = 0;
+  std::size_t next = 0;
+  for (; next < offers_.size(); ++next) {
+    const std::uint32_t id = offers_[next];
+    Slot& sl = slot(id);
+    Hold& hold = sl.hold;
     const std::size_t fanout =
         hold.is_source ? host_.config().source_fanout : host_.config().relay_fanout;
-    if (hold.pors.size() >= fanout) continue;
-    if (now > hold.expires) continue;  // stop seeking relays (Delta1 / TTL)
-    candidates.push_back(h);
-  }
-
-  obs::Tracer& tracer = host_.env_.obs().tracer;
-  for (const MessageHash& h : candidates) {
+    if (!hold.has_msg || hold.pors.size() >= fanout || now > hold.expires) {
+      sl.offered = false;
+      continue;
+    }
     if (s.exhausted()) break;  // the contact cannot carry another handshake
+    offers_[kept++] = id;
     // One arena generation per handshake attempt: every frame and payload
     // encoded below lives until this reset at the start of the next attempt.
     s.arena().reset();
-    const auto it = hold_.find(h);
-    if (it == hold_.end() || !it->second.has_msg) continue;
-    Hold& hold = it->second;
+    const MessageHash h = hold_ids_.key(id);
 
     // One relay_session span per handshake attempt, child of the message
     // span; closed 0 on decline/abort, 1 when the relay completes.
@@ -124,6 +180,8 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
     }
     tracer.close_span(now, span, 1);
   }
+  offers_.erase(offers_.begin() + static_cast<std::ptrdiff_t>(kept),
+                offers_.begin() + static_cast<std::ptrdiff_t>(next));
 }
 
 std::optional<BytesView> HandshakeEngine::answer_relay_rqst(Session& s, RelayNode& giver,
@@ -207,7 +265,7 @@ void HandshakeEngine::complete_relay(Session& s, RelayNode& giver, BytesView dat
     hold.is_destination = true;
     hold.has_msg = true;
     host_.buffer_changed(static_cast<std::int64_t>(hold.msg_bytes));
-    hold_.emplace(h, std::move(hold));
+    insert_hold(h, std::move(hold));
     return;
   }
 
@@ -215,13 +273,13 @@ void HandshakeEngine::complete_relay(Session& s, RelayNode& giver, BytesView dat
     // Drop right after the relay phase: no payload is stored; only the
     // handled-set entry remains so the node declines re-reception.
     hold.has_msg = false;
-    hold_.emplace(h, std::move(hold));
+    insert_hold(h, std::move(hold));
     return;
   }
 
   hold.has_msg = true;
   host_.buffer_changed(static_cast<std::int64_t>(hold.msg_bytes));
-  hold_.emplace(h, std::move(hold));
+  insert_hold(h, std::move(hold));
 }
 
 }  // namespace g2g::proto::relay

@@ -3,15 +3,13 @@
 namespace g2g::proto::relay {
 
 bool RelayNode::stores_message(const MessageHash& h) const {
-  const auto& holds = handshake_.holds();
-  const auto it = holds.find(h);
-  return it != holds.end() && it->second.has_msg;
+  const Hold* hold = handshake_.find_hold(h);
+  return hold != nullptr && hold->has_msg;
 }
 
 std::size_t RelayNode::por_count(const MessageHash& h) const {
-  const auto& holds = handshake_.holds();
-  const auto it = holds.find(h);
-  return it == holds.end() ? 0 : it->second.pors.size();
+  const Hold* hold = handshake_.find_hold(h);
+  return hold == nullptr ? 0 : hold->pors.size();
 }
 
 void RelayNode::run_contact_impl(Session& s, RelayNode& x, RelayNode& y) {

@@ -1,11 +1,16 @@
 // Regression tests for the bench harness CLI: the --trace-out/--json-out
-// sinks are validated eagerly at option-parse time, and an unwritable path
-// must fail the process (exit != 0) instead of silently dropping telemetry
-// at the end of a long sweep.
+// sinks are validated eagerly at option-parse time, an unwritable path must
+// fail the process (exit != 0) instead of silently dropping telemetry at the
+// end of a long sweep, and a writable one must end up holding the report.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
+
+#include "json.hpp"
 
 namespace {
 
@@ -17,6 +22,7 @@ int run(const std::string& command) {
 }
 
 const std::string kFig4 = G2G_BENCH_FIG4;
+const std::string kTable1 = G2G_BENCH_TABLE1;
 
 TEST(BenchCli, HelpExitsZero) { EXPECT_EQ(run(kFig4 + " --help"), 0); }
 
@@ -30,6 +36,28 @@ TEST(BenchCli, UnwritableJsonSinkFailsAtParseTime) {
 
 TEST(BenchCli, UnknownOptionFails) {
   EXPECT_NE(run(kFig4 + " --no-such-flag"), 0);
+}
+
+TEST(BenchCli, JsonOutHoldsTheReport) {
+  // parse_options truncates the --json-out file up front, so a bench that
+  // never writes its report leaves it empty. The file lands in the test's
+  // working directory (the build tree).
+  const std::string path = "bench_cli_table1.json";
+  ASSERT_EQ(run(kTable1 + " --quick --threads 2 --json-out " + path), 0);
+  std::stringstream text;
+  text << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  const g2g::tools::ParseResult report = g2g::tools::parse_json(text.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  const g2g::tools::Value* bench = report.value.find("bench");
+  ASSERT_NE(bench, nullptr);
+  EXPECT_EQ(bench->str_or(""), "table1");
+  const g2g::tools::Value* cells = report.value.find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_FALSE(cells->array.empty());
+  const g2g::tools::Value* wall = cells->array[0].find("wall_s");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_GT(wall->num_or(0.0), 0.0);
 }
 
 }  // namespace

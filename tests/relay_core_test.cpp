@@ -148,11 +148,14 @@ struct StorageProofRun {
     world->send(0, dst, send_s);
     if (tamper) {
       world->network().simulator().at(TimePoint::from_seconds(tamper_s), [this] {
-        auto& holds = world->node(1).handshake().holds();
-        ASSERT_EQ(holds.size(), 1u);
-        relay::Hold& hold = holds.begin()->second;
-        ASSERT_TRUE(hold.has_msg);
-        hold.msg.box.ciphertext[0] ^= 0x01;
+        // The source's one pending test names the relayed message.
+        const auto& tests = world->node(0).audit().tests();
+        ASSERT_EQ(tests.size(), 1u);
+        ASSERT_EQ(world->node(1).handshake().hold_count(), 1u);
+        relay::Hold* hold = world->node(1).handshake().find_hold(tests[0].h);
+        ASSERT_NE(hold, nullptr);
+        ASSERT_TRUE(hold->has_msg);
+        hold->msg.box.ciphertext[0] ^= 0x01;
       });
     }
     world->run();
