@@ -8,12 +8,17 @@
 //   $ ./g2gsim --scenario cambridge06 --protocol g2g-delegation-lc
 //              --deviation dropper --deviants 10 --outsiders --seed 9
 //   $ ./g2gsim --protocol epidemic --ttl-min 20 --runs 3 --csv
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "g2g/core/experiment.hpp"
 #include "g2g/core/report.hpp"
@@ -48,11 +53,13 @@ int usage(const char* argv0) {
       "  --protocol  epidemic|g2g-epidemic|delegation-freq|delegation-lc|\n"
       "              g2g-delegation-freq|g2g-delegation-lc\n"
       "  --deviation none|dropper|liar|cheater|hoarder (default none)\n"
-      "  --deviants  N                            (default 0)\n"
+      "  --deviants  N                            (default 0, at most the\n"
+      "                                           scenario's node count)\n"
       "  --outsiders                              deviate only with outsiders\n"
-      "  --ttl-min   MINUTES                      override Delta1/TTL\n"
-      "  --interarrival SECONDS                   traffic mean gap (default 4)\n"
+      "  --ttl-min   MINUTES                      override Delta1/TTL (> 0)\n"
+      "  --interarrival SECONDS                   traffic mean gap (default 4, > 0)\n"
       "  --seed S    --runs N                     repetitions average results\n"
+      "                                           (N >= 1)\n"
       "  --schnorr                                real public-key suite\n"
       "  --csv                                    machine-readable output\n"
       "  --trace-out FILE                         stream simulation events (JSONL)\n"
@@ -61,6 +68,27 @@ int usage(const char* argv0) {
       argv0);
   return 2;
 }
+
+/// `text` as a T in [lo, hi], or nullopt unless the whole argument is one
+/// finite number in range (no sign on unsigned types, no trailing bytes).
+template <typename T>
+std::optional<T> parse_number(const char* text, T lo = std::numeric_limits<T>::lowest(),
+                              T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  if (value < lo || value > hi) return std::nullopt;
+  return value;
+}
+
+// Time flags span [1e-6, 1e9] of their unit: at least the simulator's 1 µs
+// resolution, and far from overflowing its 64-bit microsecond clock.
+constexpr double kMinTime = 1e-6;
+constexpr double kMaxTime = 1e9;
 
 std::optional<Protocol> parse_protocol(const std::string& s) {
   if (s == "epidemic") return Protocol::Epidemic;
@@ -95,17 +123,27 @@ int main(int argc, char** argv) {
     } else if (arg == "--deviation") {
       opt.deviation = next();
     } else if (arg == "--deviants") {
-      opt.deviants = std::strtoull(next(), nullptr, 10);
+      // Checked against the scenario's node count once --scenario is known.
+      const auto v = parse_number<std::size_t>(next());
+      if (!v) return usage(argv[0]);
+      opt.deviants = *v;
     } else if (arg == "--outsiders") {
       opt.outsiders = true;
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
+      const auto v = parse_number<std::uint64_t>(next());
+      if (!v) return usage(argv[0]);
+      opt.seed = *v;
     } else if (arg == "--runs") {
-      opt.runs = std::strtoull(next(), nullptr, 10);
+      const auto v = parse_number<std::size_t>(next(), 1);
+      if (!v) return usage(argv[0]);
+      opt.runs = *v;
     } else if (arg == "--ttl-min") {
-      opt.ttl_min = std::strtod(next(), nullptr);
+      opt.ttl_min = parse_number(next(), kMinTime, kMaxTime);
+      if (!opt.ttl_min) return usage(argv[0]);
     } else if (arg == "--interarrival") {
-      opt.interarrival_s = std::strtod(next(), nullptr);
+      const auto v = parse_number(next(), kMinTime, kMaxTime);
+      if (!v) return usage(argv[0]);
+      opt.interarrival_s = *v;
     } else if (arg == "--csv") {
       opt.csv = true;
     } else if (arg == "--schnorr") {
@@ -129,6 +167,7 @@ int main(int argc, char** argv) {
   ExperimentConfig cfg;
   cfg.scenario = opt.scenario == "infocom05" ? infocom05_scenario(opt.seed)
                                              : cambridge06_scenario(opt.seed);
+  if (opt.deviants > cfg.scenario.trace_config.nodes) return usage(argv[0]);
   cfg.protocol = *protocol;
   cfg.deviation = *deviation;
   cfg.deviant_count = opt.deviants;
@@ -150,7 +189,7 @@ int main(int argc, char** argv) {
 
   ExperimentResult last;
   const AggregateResult agg =
-      run_repeated(cfg, std::max<std::size_t>(1, opt.runs), opt.obs ? &last : nullptr);
+      run_repeated(cfg, opt.runs, opt.obs ? &last : nullptr);
 
   Table table({"metric", "mean", "min", "max"});
   table.add_row({"success rate", fmt_pct(agg.success_rate.mean()),

@@ -13,9 +13,9 @@
 //  - Schnorr: fixed-base window tables for g and the per-public-key tables
 //    for y^e vs square-and-multiply pow_mod
 //  - U256 modular arithmetic: Montgomery-form CIOS kernels (montgomery.hpp —
-//    mont window tables, the mont_pow ladder behind pow_mod_fast, the
-//    mont_reduce challenge reduction) vs the schoolbook shift-subtract mod in
-//    uint256.cpp
+//    mont window tables, mont_pow's fixed 4-bit window behind pow_mod_fast
+//    and DH, the mont_reduce challenge reduction) vs the schoolbook
+//    shift-subtract mod in uint256.cpp
 //
 // NOT covered: the suites' per-signer memos (key_memo.hpp). They store values
 // the uncached path would compute bit for bit, so there is nothing to switch:

@@ -9,6 +9,10 @@
 // where schnorr.cpp uses it: exponentiation chains and window tables that
 // stay in the domain across hundreds of multiplies.
 //
+// Simulation-grade: nothing here claims to run in constant time. mont_pow
+// and FixedBaseTable skip zero digits, so their multiply count depends on
+// the exponent, and mont_mul's final subtract is a branch.
+//
 // Oracle policy (docs/TESTING.md): everything here is a fast path behind
 // crypto::set_fast_path. The schoolbook shift-subtract reducer in
 // uint256.cpp (mod / mul_mod / pow_mod) is the always-available reference,
@@ -59,15 +63,17 @@ struct MontgomeryParams {
 /// challenge); canonical result, equal to mod(x, m).
 [[nodiscard]] U256 mont_reduce(const U256& x, const MontgomeryParams& params);
 
-/// base^exp mod m over a Montgomery-form base, via the Montgomery ladder
-/// (two mont_muls per exponent bit, no secret-dependent branch pattern).
-/// `base_mont` must already be in the domain (< m); the result is in the
-/// domain too — from_mont it to compare against pow_mod.
+/// base^exp mod m over a Montgomery-form base, by a fixed 4-bit window:
+/// base^0..15 in 14 products, then four squarings and at most one multiply
+/// per hex digit of exp, from the top (~210 mont_muls for a 160-bit
+/// exponent, where a bit-by-bit ladder takes 320). `base_mont` must already
+/// be in the domain (< m); the result is in the domain too — from_mont it to
+/// compare against pow_mod. A zero exponent gives `one`.
 [[nodiscard]] U256 mont_pow(const U256& base_mont, const U256& exp,
                             const MontgomeryParams& params);
 
-/// base^exp mod m through the Montgomery ladder when the fast path is on
-/// and m is odd; the classic square-and-multiply pow_mod otherwise.
+/// base^exp mod m through mont_pow when the fast path is on and m is odd
+/// and > 1; the classic square-and-multiply pow_mod otherwise.
 /// Byte-identical either way — this is the drop-in for pow_mod call sites
 /// whose moduli are the (odd) group primes.
 [[nodiscard]] U256 pow_mod_fast(const U256& base, const U256& exp, const U256& m);

@@ -8,9 +8,9 @@
 // simulation-grade, NOT production-secure (see DESIGN.md).
 #pragma once
 
-#include <algorithm>
-#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -84,53 +84,58 @@ struct SchnorrSignatureRS {
 [[nodiscard]] U256 dh_shared_secret(const SchnorrGroup& group, const U256& my_secret,
                                     const U256& peer_public);
 
-/// Precomputed fixed-base exponentiation (4-bit windows):
-/// table[w][d] = base^(d * 16^w) mod m, so pow(e) is one modular multiply per
-/// non-zero hex digit of e — ~n/4 multiplies for an n-bit exponent instead of
-/// the ~n squarings + ~n/2 multiplies of square-and-multiply. Exact either
-/// way: the result is bit-identical to pow_mod(base, e, m).
+/// Precomputed fixed-base exponentiation in the Montgomery domain, with
+/// windows of `window_bits` bits: entry (w, d) = base^(d · 2^(window_bits·w))
+/// in Montgomery form, stored as one flat vector of windows × 2^window_bits
+/// entries. pow(e) is one mont_mul per nonzero digit of e after the first,
+/// plus one from_mont — ~n/w multiplies for an n-bit exponent instead of the
+/// ~n squarings + ~n/2 multiplies of square-and-multiply. Exact: the result
+/// is bit-identical to pow_mod(base, e, m).
+///
+/// pow() always runs the Montgomery chain, so callers gate the table on the
+/// fast path themselves (SchnorrEngine does).
 class FixedBaseTable {
  public:
   FixedBaseTable() = default;
-  /// Classic windows covering exponents up to `exp_bits` bits. For an odd
-  /// modulus the table also holds the Montgomery windows below, and while the
-  /// global fast path is on pow() runs the whole digit chain in the domain
-  /// (one mont_mul per digit plus a final from_mont); off, the classic chain
-  /// runs.
-  FixedBaseTable(const U256& base, const U256& modulus, std::size_t exp_bits);
-  /// Montgomery-only windows built directly with mont_mul: no classic copy
-  /// (half the memory, ~20 KB for a 160-bit exponent) and no schoolbook
-  /// multiply in the build. pow() always runs the Montgomery chain, so
-  /// callers gate the table on the fast path themselves (SchnorrEngine does).
-  FixedBaseTable(const U256& base, const MontgomeryParams& params, std::size_t exp_bits);
+  /// Windows covering exponents up to `exp_bits` bits (rounded up to whole
+  /// windows), built directly with mont_mul; any base ≥ m is reduced. The
+  /// width must divide 64, so a digit never straddles a limb, and be at most
+  /// 16; `exp_bits` at most 256. Throws std::invalid_argument otherwise.
+  /// Width 8 over a 160-bit exponent is 20 windows × 256 entries ≈ 160 KB,
+  /// width 4 is 40 × 16 ≈ 20 KB.
+  FixedBaseTable(const U256& base, const MontgomeryParams& params, std::size_t exp_bits,
+                 unsigned window_bits);
 
-  /// base^exponent mod m. The exponent must fit in the built windows
-  /// (exponent.bit_length() <= exp_bits).
+  /// base^exponent mod m, canonical. The exponent must fit in the built
+  /// windows (exponent.bit_length() <= exp_bits()).
   [[nodiscard]] U256 pow(const U256& exponent) const;
-  [[nodiscard]] std::size_t exp_bits() const {
-    return 4 * std::max(windows_.size(), mont_windows_.size());
-  }
-  [[nodiscard]] bool empty() const { return exp_bits() == 0; }
+  /// Multiply base^exponent into `acc`, a Montgomery-form product that stays
+  /// empty (nullopt) until its first factor: the first nonzero digit's entry
+  /// is taken as-is rather than multiplied into one. Same exponent bound as
+  /// pow(). Lets several tables share one accumulator and one from_mont.
+  void mul_into(std::optional<U256>& acc, const U256& exponent) const;
+  [[nodiscard]] std::size_t exp_bits() const { return windows_ * window_bits_; }
 
  private:
-  U256 modulus_;
-  std::vector<std::array<U256, 16>> windows_;  // empty for a Montgomery-only table
-  std::optional<MontgomeryParams> mont_;  // engaged iff the modulus is odd and > 1
-  std::vector<std::array<U256, 16>> mont_windows_;
+  MontgomeryParams params_;
+  unsigned window_bits_ = 0;
+  std::size_t windows_ = 0;
+  std::vector<U256> entries_;  // window w's 2^window_bits entries, then w+1's
 };
 
-/// Per-group precomputation for the hot Schnorr operations: a fixed-base
-/// table for g sized to exponents mod q (keygen's g^x, sign's g^k, verify's
-/// g^s are all bounded by q), cached MontgomeryParams for p and q (products,
-/// DH, and the challenge reduction), and a memo of per-public-key window
-/// tables for the variable-base y^e of verification. Produces byte-identical
-/// keys/signatures/verdicts/secrets to the free functions above — the
-/// accelerators only change how each canonical residue is computed. When the
-/// global fast path is off, every operation falls back to the reference
-/// pow_mod/mul_mod/mod route.
+/// Per-group precomputation for the hot Schnorr operations: an 8-bit
+/// fixed-base table for g sized to exponents mod q (keygen's g^x, sign's
+/// g^k, verify's g^s are all bounded by q), cached MontgomeryParams for p
+/// and q (products, DH, and the challenge reduction), and a memo of 4-bit
+/// per-public-key window tables for the variable-base y^e of verification.
+/// Produces byte-identical keys/signatures/verdicts/secrets to the free
+/// functions above — the accelerators only change how each canonical residue
+/// is computed. When the global fast path is off, every operation falls back
+/// to the reference pow_mod/mul_mod/mod route.
 ///
-/// Thread-safe: the key-table memo is a KeyMemo (key_memo.hpp), so one
-/// engine can serve concurrent runs.
+/// Thread-safe: the g table is immutable after construction and the
+/// key-table memo is a KeyMemo (key_memo.hpp), so one engine can serve
+/// concurrent runs.
 class SchnorrEngine {
  public:
   explicit SchnorrEngine(const SchnorrGroup& group);
@@ -146,29 +151,36 @@ class SchnorrEngine {
                                const SchnorrSignatureRS& sig) const;
 
   /// y^e mod p, the variable-base half of verification. With the fast path
-  /// on and e inside q's bit length (every verification exponent is), y's
-  /// Montgomery window table is built on first use and memoised by y, so ~40
-  /// mont_muls replace the ~320 of a ladder; otherwise pow_p. y is never
-  /// range-checked, as in verify: any U256 gives pow_mod(y, e, p).
+  /// on and e inside q's bit length, y's 4-bit Montgomery window table is
+  /// built on first use and memoised by y, so ~40 mont_muls replace the ~210
+  /// of mont_pow; otherwise pow_p. y is never range-checked, as in verify:
+  /// any U256 gives pow_mod(y, e, p).
   [[nodiscard]] U256 pow_key(const U256& public_key, const U256& exponent) const;
   /// Static DH secret peer_public^my_secret mod p (= dh_shared_secret).
   [[nodiscard]] U256 shared_secret(const U256& my_secret, const U256& peer_public) const;
 
  private:
   [[nodiscard]] U256 pow_g(const U256& exponent) const;
-  /// base^exponent mod p — Montgomery ladder when the fast path is on.
+  /// base^exponent mod p — mont_pow's fixed window when the fast path is on.
   [[nodiscard]] U256 pow_p(const U256& base, const U256& exponent) const;
-  /// a*b mod p / mod q — one to_mont + one mont_mul when the fast path is on.
-  [[nodiscard]] U256 mul_p(const U256& a, const U256& b) const;
+  /// g^s · y^e mod p for s, e < q: the commitment every verification
+  /// recomputes. With the fast path on, the digits of s (g's table) and of e
+  /// (y's table) go into one Montgomery accumulator that leaves the domain
+  /// once; off, pow_mod twice and mul_mod.
+  [[nodiscard]] U256 commitment(const U256& public_key, const U256& s, const U256& e) const;
+  /// y's memoised 4-bit window table (fast path on, mont_p_ engaged).
+  [[nodiscard]] std::shared_ptr<const FixedBaseTable> key_table(const U256& public_key) const;
+  /// a*b mod q — one to_mont + one mont_mul when the fast path is on.
   [[nodiscard]] U256 mul_q(const U256& a, const U256& b) const;
   /// e = H(r || m) mod q — one mont_reduce when the fast path is on.
   [[nodiscard]] U256 challenge(const U256& r, BytesView message) const;
 
   SchnorrGroup group_;
-  FixedBaseTable g_table_;
+  std::size_t q_bits_ = 0;  // every table covers exponents of q's bit length
   // Cached per-modulus precomputations (engaged iff the modulus is odd, > 1).
   std::optional<MontgomeryParams> mont_p_;
   std::optional<MontgomeryParams> mont_q_;
+  FixedBaseTable g_table_;  // empty iff mont_p_ is not engaged
   mutable KeyMemo<FixedBaseTable> key_tables_;
 };
 

@@ -171,63 +171,53 @@ U256 dh_shared_secret(const SchnorrGroup& group, const U256& my_secret, const U2
   return pow_mod_fast(peer_public, my_secret, group.p);
 }
 
-FixedBaseTable::FixedBaseTable(const U256& base, const U256& modulus, std::size_t exp_bits)
-    : modulus_(modulus) {
-  // Montgomery windows first, built in the domain: every entry is the
-  // canonical image of the classic entry, so both digit chains agree.
-  if (modulus_.bit(0) && modulus_ != U256(1)) {
-    *this = FixedBaseTable(base, MontgomeryParams::for_modulus(modulus_), exp_bits);
+FixedBaseTable::FixedBaseTable(const U256& base, const MontgomeryParams& params,
+                               std::size_t exp_bits, unsigned window_bits)
+    : params_(params), window_bits_(window_bits) {
+  if (window_bits == 0 || window_bits > 16 || 64 % window_bits != 0 || exp_bits > 256) {
+    throw std::invalid_argument("FixedBaseTable: width must divide 64 and be <= 16, bits <= 256");
   }
-  windows_.resize((exp_bits + 3) / 4);
-  U256 cur = mod(base, modulus_);  // base^(16^w) as w advances
-  for (auto& window : windows_) {
-    window[0] = U256(1);
+  const std::size_t per_window = std::size_t{1} << window_bits;
+  windows_ = (exp_bits + window_bits - 1) / window_bits;
+  entries_.resize(windows_ * per_window);
+  U256 cur = to_mont(base, params);  // base^(2^(window_bits·w)) as w advances
+  for (std::size_t w = 0; w < windows_; ++w) {
+    U256* window = entries_.data() + w * per_window;
+    window[0] = params.one;
     window[1] = cur;
-    for (int d = 2; d < 16; ++d) window[d] = mul_mod(window[d - 1], cur, modulus_);
-    cur = mul_mod(window[15], cur, modulus_);
+    for (std::size_t d = 2; d < per_window; ++d) window[d] = mont_mul(window[d - 1], cur, params);
+    cur = mont_mul(window[per_window - 1], cur, params);
   }
 }
 
-FixedBaseTable::FixedBaseTable(const U256& base, const MontgomeryParams& params,
-                               std::size_t exp_bits)
-    : modulus_(params.m), mont_(params), mont_windows_((exp_bits + 3) / 4) {
-  U256 cur = to_mont(base, params);  // reduces any base >= m
-  for (auto& window : mont_windows_) {
-    window[0] = params.one;
-    window[1] = cur;
-    for (int d = 2; d < 16; ++d) window[d] = mont_mul(window[d - 1], cur, params);
-    cur = mont_mul(window[15], cur, params);
+void FixedBaseTable::mul_into(std::optional<U256>& acc, const U256& exponent) const {
+  const std::size_t per_window = std::size_t{1} << window_bits_;
+  const std::uint64_t mask = per_window - 1;
+  const U256* window = entries_.data();
+  for (std::size_t bit = 0; bit < exp_bits(); bit += window_bits_, window += per_window) {
+    const auto digit = static_cast<std::size_t>((exponent.limb[bit / 64] >> (bit % 64)) & mask);
+    if (digit == 0) continue;
+    acc = acc ? mont_mul(*acc, window[digit], params_) : window[digit];
   }
 }
 
 U256 FixedBaseTable::pow(const U256& exponent) const {
-  if (mont_ && (windows_.empty() || fast_path_enabled())) {
-    U256 result = mont_->one;
-    for (std::size_t w = 0; w < mont_windows_.size(); ++w) {
-      const std::size_t bit = 4 * w;
-      const unsigned digit = static_cast<unsigned>(exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
-      if (digit != 0) result = mont_mul(result, mont_windows_[w][digit], *mont_);
-    }
-    return from_mont(result, *mont_);
-  }
-  U256 result(1);
-  for (std::size_t w = 0; w < windows_.size(); ++w) {
-    // A 4-bit window never straddles a 64-bit limb.
-    const std::size_t bit = 4 * w;
-    const unsigned digit = static_cast<unsigned>(exponent.limb[bit / 64] >> (bit % 64)) & 0xF;
-    if (digit != 0) result = mul_mod(result, windows_[w][digit], modulus_);
-  }
-  return result;
+  std::optional<U256> acc;
+  mul_into(acc, exponent);
+  return acc ? from_mont(*acc, params_) : U256(1);
 }
 
 SchnorrEngine::SchnorrEngine(const SchnorrGroup& group)
-    : group_(group), g_table_(group.g, group.p, group.q.bit_length()) {
-  if (group.p.bit(0) && group.p != U256(1)) mont_p_ = MontgomeryParams::for_modulus(group.p);
+    : group_(group), q_bits_(group.q.bit_length()) {
+  if (group.p.bit(0) && group.p != U256(1)) {
+    mont_p_ = MontgomeryParams::for_modulus(group.p);
+    g_table_ = FixedBaseTable(group.g, *mont_p_, q_bits_, 8);
+  }
   if (group.q.bit(0) && group.q != U256(1)) mont_q_ = MontgomeryParams::for_modulus(group.q);
 }
 
 U256 SchnorrEngine::pow_g(const U256& exponent) const {
-  if (fast_path_enabled() && exponent.bit_length() <= g_table_.exp_bits()) {
+  if (fast_path_enabled() && mont_p_ && exponent.bit_length() <= q_bits_) {
     return g_table_.pow(exponent);
   }
   return pow_p(group_.g, exponent);
@@ -240,10 +230,21 @@ U256 SchnorrEngine::pow_p(const U256& base, const U256& exponent) const {
   return pow_mod(base, exponent, group_.p);
 }
 
-U256 SchnorrEngine::mul_p(const U256& a, const U256& b) const {
-  // mont_mul(a*R, b) = a*b mod p — one conversion, one product, no divide.
-  if (fast_path_enabled() && mont_p_) return mont_mul(to_mont(a, *mont_p_), b, *mont_p_);
-  return mul_mod(a, b, group_.p);
+std::shared_ptr<const FixedBaseTable> SchnorrEngine::key_table(const U256& public_key) const {
+  // Keyed by the value's own bytes: exactly what the table build reads.
+  const BytesView key(reinterpret_cast<const std::uint8_t*>(public_key.limb.data()),
+                      sizeof(public_key.limb));
+  return key_tables_.get(key, [&] { return FixedBaseTable(public_key, *mont_p_, q_bits_, 4); });
+}
+
+U256 SchnorrEngine::commitment(const U256& public_key, const U256& s, const U256& e) const {
+  if (!fast_path_enabled() || !mont_p_) {
+    return mul_mod(pow_mod(group_.g, s, group_.p), pow_mod(public_key, e, group_.p), group_.p);
+  }
+  std::optional<U256> acc;
+  g_table_.mul_into(acc, s);
+  key_table(public_key)->mul_into(acc, e);
+  return acc ? from_mont(*acc, *mont_p_) : U256(1);
 }
 
 U256 SchnorrEngine::mul_q(const U256& a, const U256& b) const {
@@ -258,15 +259,10 @@ U256 SchnorrEngine::challenge(const U256& r, BytesView message) const {
 }
 
 U256 SchnorrEngine::pow_key(const U256& public_key, const U256& exponent) const {
-  if (!fast_path_enabled() || !mont_p_ || exponent.bit_length() > g_table_.exp_bits()) {
+  if (!fast_path_enabled() || !mont_p_ || exponent.bit_length() > q_bits_) {
     return pow_p(public_key, exponent);
   }
-  // Keyed by the value's own bytes: exactly what the table build reads.
-  const BytesView key(reinterpret_cast<const std::uint8_t*>(public_key.limb.data()),
-                      sizeof(public_key.limb));
-  return key_tables_
-      .get(key, [&] { return FixedBaseTable(public_key, *mont_p_, g_table_.exp_bits()); })
-      ->pow(exponent);
+  return key_table(public_key)->pow(exponent);
 }
 
 U256 SchnorrEngine::shared_secret(const U256& my_secret, const U256& peer_public) const {
@@ -292,11 +288,7 @@ SchnorrSignature SchnorrEngine::sign(const U256& secret, BytesView message, Rng&
 bool SchnorrEngine::verify(const U256& public_key, BytesView message,
                            const SchnorrSignature& sig) const {
   if (sig.e >= group_.q || sig.s >= group_.q) return false;
-  // g^s from the group table, y^e from the signer's (both exponents < q).
-  const U256 gs = pow_g(sig.s);
-  const U256 ye = pow_key(public_key, sig.e);
-  const U256 r = mul_p(gs, ye);
-  return challenge(r, message) == sig.e;
+  return challenge(commitment(public_key, sig.s, sig.e), message) == sig.e;
 }
 
 SchnorrSignatureRS SchnorrEngine::sign_rs(const U256& secret, BytesView message, Rng& rng) const {
@@ -311,10 +303,7 @@ SchnorrSignatureRS SchnorrEngine::sign_rs(const U256& secret, BytesView message,
 bool SchnorrEngine::verify_rs(const U256& public_key, BytesView message,
                               const SchnorrSignatureRS& sig) const {
   if (sig.s >= group_.q || sig.r >= group_.p || sig.r.is_zero()) return false;
-  const U256 e = challenge(sig.r, message);
-  const U256 gs = pow_g(sig.s);
-  const U256 ye = pow_key(public_key, e);
-  return mul_p(gs, ye) == sig.r;
+  return commitment(public_key, sig.s, challenge(sig.r, message)) == sig.r;
 }
 
 }  // namespace g2g::crypto

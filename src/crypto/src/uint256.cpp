@@ -259,7 +259,7 @@ bool is_probable_prime(const U256& n, Rng& rng, int rounds) {
     const U256 a = add_mod(random_below(rng, sub(n, U256(3), b2)), U256(2), n);
     // is_probable_prime is a consumer of the arithmetic, not one of the
     // oracle primitives above — n is odd here (evens fell to trial division),
-    // so the witness power may take the Montgomery ladder.
+    // so the witness power may take mont_pow.
     U256 x = pow_mod_fast(a, d, n);
     if (x == U256(1) || x == n_minus_1) continue;
     bool witness = true;

@@ -1,7 +1,10 @@
-// Regression tests for the bench harness CLI: the --trace-out/--json-out
-// sinks are validated eagerly at option-parse time, an unwritable path must
-// fail the process (exit != 0) instead of silently dropping telemetry at the
-// end of a long sweep, and a writable one must end up holding the report.
+// Regression tests for the command-line drivers. Bench harness: the
+// --trace-out/--json-out sinks are validated eagerly at option-parse time, an
+// unwritable path must fail the process (exit != 0) instead of silently
+// dropping telemetry at the end of a long sweep, and a writable one must end
+// up holding the report. g2gsim: a malformed or out-of-range numeric flag
+// must print the usage text and exit 2, never run with a misparsed value or
+// die by a signal.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,6 +26,7 @@ int run(const std::string& command) {
 
 const std::string kFig4 = G2G_BENCH_FIG4;
 const std::string kTable1 = G2G_BENCH_TABLE1;
+const std::string kG2gsim = G2G_G2GSIM;
 
 TEST(BenchCli, HelpExitsZero) { EXPECT_EQ(run(kFig4 + " --help"), 0); }
 
@@ -58,6 +62,27 @@ TEST(BenchCli, JsonOutHoldsTheReport) {
   const g2g::tools::Value* wall = cells->array[0].find("wall_s");
   ASSERT_NE(wall, nullptr);
   EXPECT_GT(wall->num_or(0.0), 0.0);
+}
+
+TEST(G2gsimCli, RejectsMalformedAndOutOfRangeNumbers) {
+  const char* const bad[] = {
+      "--interarrival 0",  "--interarrival -5",  "--interarrival 4x",
+      "--interarrival nan", "--interarrival inf", "--interarrival",
+      "--ttl-min 0",       "--ttl-min -3",       "--ttl-min 20m",
+      "--seed abc",        "--seed -1",          "--seed 1.5",
+      "--runs abc",        "--runs 0",           "--runs -2",
+      "--deviants 1000",   "--deviants 42",      "--scenario cambridge06 --deviants 37",
+  };
+  for (const char* args : bad) {
+    EXPECT_EQ(run(kG2gsim + " " + args), 2) << args;
+  }
+}
+
+TEST(G2gsimCli, ShortValidRunExitsZero) {
+  // 41 deviants is every Infocom05 node: the bound is inclusive.
+  EXPECT_EQ(run(kG2gsim + " --deviation dropper --deviants 41 --interarrival 40 --ttl-min 20"
+                          " --seed 3 --runs 1"),
+            0);
 }
 
 }  // namespace

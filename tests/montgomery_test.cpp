@@ -1,9 +1,10 @@
 // Property tests for the Montgomery-form U256 kernels: representation
 // round-trips, ring laws (commutativity / associativity / distributivity)
-// inside the Montgomery domain, precomputation invariants, and Fermat
-// checks for fixed primes. The differential corpus against the classic
-// oracle lives in crypto_fastpath_diff_test.cpp; this suite pins the
-// algebra that makes the representation sound in the first place.
+// inside the Montgomery domain, precomputation invariants, mont_pow at its
+// digit boundaries, and Fermat checks for fixed primes. The differential
+// corpus against the classic oracle lives in crypto_fastpath_diff_test.cpp;
+// this suite pins the algebra that makes the representation sound in the
+// first place.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -109,14 +110,28 @@ TEST(MontgomeryProps, MontOneIsTheMultiplicativeIdentity) {
   }
 }
 
-TEST(MontgomeryProps, LadderEdgeExponents) {
+TEST(MontgomeryProps, MontPowEdgeExponents) {
+  // x^0 is one, and every exponent at a digit or limb boundary is its
+  // predecessor's power times x, so mont_pow agrees with itself across the
+  // points where its digit chain changes shape.
   Rng rng(0x1ADDE);
+  const std::vector<U256> boundaries{
+      U256(1), U256(2), U256(15), U256(16), U256(17), U256(0xFFFFFFFFFFFFFFFFULL),
+      U256::from_hex("10000000000000000"),
+      U256::from_hex("ffffffffffffffffffffffffffffffffffffffff"),
+      U256::from_hex("8000000000000000000000000000000000000000000000000000000000000000"),
+      all_ones()};
   for (const U256& m : property_moduli()) {
     const MontgomeryParams params = MontgomeryParams::for_modulus(m);
     const U256 x = to_mont(random_residue(rng, m), params);
     EXPECT_EQ(mont_pow(x, U256(0), params), params.one);
     EXPECT_EQ(mont_pow(x, U256(1), params), x);
-    EXPECT_EQ(mont_pow(x, U256(2), params), mont_mul(x, x, params));
+    for (const U256& e : boundaries) {
+      bool borrow = false;
+      const U256 prev = sub(e, U256(1), borrow);
+      EXPECT_EQ(mont_pow(x, e, params), mont_mul(mont_pow(x, prev, params), x, params))
+          << e.to_hex() << " mod " << m.to_hex();
+    }
   }
 }
 
@@ -129,7 +144,7 @@ TEST(MontgomeryProps, FermatLittleTheoremForFixedPrimes) {
     for (int i = 0; i < 5; ++i) {
       U256 a = random_residue(rng, p);
       if (a.is_zero()) a = U256(2);
-      // a^(p-1) ≡ 1 (mod p), through the ladder and through both pow_mod_fast
+      // a^(p-1) ≡ 1 (mod p), through mont_pow and through both pow_mod_fast
       // routes (Montgomery on, classic fallback off).
       EXPECT_EQ(from_mont(mont_pow(to_mont(a, params), p_minus_1, params), params), U256(1))
           << a.to_hex();
