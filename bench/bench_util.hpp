@@ -17,6 +17,7 @@
 #include "g2g/core/report.hpp"
 #include "g2g/crypto/fastpath.hpp"
 #include "g2g/obs/tracer.hpp"
+#include "g2g/util/parse_number.hpp"
 
 namespace g2g::bench {
 
@@ -46,6 +47,39 @@ inline void require_writable(const std::string& path, const char* flag) {
   std::fclose(f);
 }
 
+inline void print_usage(std::ostream& out, const char* argv0) {
+  out << "usage: " << argv0
+      << " [--quick] [--csv] [--runs N] [--seed S] [--obs]"
+         " [--trace-out FILE] [--json-out FILE] [--no-fastpath]"
+         " [--threads N]\n";
+}
+
+/// A flag whose value is missing or rejected: the error and the usage on
+/// stderr, exit 1 — like the other parse errors, before any work starts.
+[[noreturn]] inline void usage_error(const char* argv0, const std::string& what) {
+  std::cerr << "error: " << what << "\n";
+  print_usage(std::cerr, argv0);
+  std::exit(1);
+}
+
+/// The value of the flag at argv[i], advancing i past it.
+inline const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 == argc) usage_error(argv[0], std::string("missing value for ") + argv[i]);
+  ++i;
+  return argv[i];
+}
+
+/// The value of the numeric flag at argv[i] as a T >= lo (parse_number's
+/// strict rules), advancing i past it.
+template <typename T>
+T flag_number(int argc, char** argv, int& i, T lo) {
+  const char* flag = argv[i];
+  const char* text = flag_value(argc, argv, i);
+  const std::optional<T> v = parse_number<T>(text, lo);
+  if (!v) usage_error(argv[0], "bad value '" + std::string(text) + "' for " + flag);
+  return *v;
+}
+
 inline Options parse_options(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -54,28 +88,25 @@ inline Options parse_options(int argc, char** argv) {
       opt.quick = true;
     } else if (arg == "--csv") {
       opt.csv = true;
-    } else if (arg == "--runs" && i + 1 < argc) {
-      opt.runs = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (arg == "--seed" && i + 1 < argc) {
-      opt.seed = std::stoull(argv[++i]);
+    } else if (arg == "--runs") {
+      opt.runs = flag_number<std::size_t>(argc, argv, i, 1);
+    } else if (arg == "--seed") {
+      opt.seed = flag_number<std::uint64_t>(argc, argv, i, 0);
     } else if (arg == "--obs") {
       opt.obs = true;
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      opt.trace_out = argv[++i];
+    } else if (arg == "--trace-out") {
+      opt.trace_out = flag_value(argc, argv, i);
       require_writable(opt.trace_out, "--trace-out");
-    } else if (arg == "--json-out" && i + 1 < argc) {
-      opt.json_out = argv[++i];
+    } else if (arg == "--json-out") {
+      opt.json_out = flag_value(argc, argv, i);
       require_writable(opt.json_out, "--json-out");
     } else if (arg == "--no-fastpath") {
       opt.no_fastpath = true;
       crypto::set_fast_path(false);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = static_cast<std::size_t>(std::stoul(argv[++i]));
+    } else if (arg == "--threads") {
+      opt.threads = flag_number<std::size_t>(argc, argv, i, 0);  // 0: hardware
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--quick] [--csv] [--runs N] [--seed S] [--obs]"
-                   " [--trace-out FILE] [--json-out FILE] [--no-fastpath]"
-                   " [--threads N]\n";
+      print_usage(std::cout, argv[0]);
       std::exit(0);
     } else {
       // A typo'd flag silently ignored is the same failure class as an

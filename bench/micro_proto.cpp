@@ -213,6 +213,7 @@ void BM_FrameCodecArenaPath(benchmark::State& state) {
   Fixture& f = fast_fixture();
   const SealedMessage msg = make_message(f.identities[0], f.roster.get(NodeId(1)),
                                          MessageId(88), Bytes(64, 0x42), f.rng);
+  const Bytes msg_wire = msg.encode();
   const MessageHash h = msg.hash();
   ProofOfRelay por;
   por.h = h;
@@ -228,7 +229,7 @@ void BM_FrameCodecArenaPath(benchmark::State& state) {
     sink += relay::RelayRqstFrame::decode(rqst).h[0];
     const BytesView ok = arena_encode(arena, relay::RelayOkFrame{h, true});
     sink += relay::RelayOkFrame::decode(ok).accept ? 1u : 0u;
-    const BytesView data = relay::arena_relay_data(arena, h, msg, {});
+    const BytesView data = relay::arena_relay_data(arena, h, msg_wire, {});
     const relay::RelayDataFrameView view = relay::RelayDataFrameView::decode(data);
     sink += view.msg.hash()[0];
     const std::span<std::uint8_t> payload = arena.alloc(por.signed_payload_size());
@@ -277,7 +278,8 @@ struct RelayWorld {
     G2GEpidemicNode& src = net->node(NodeId(0));
     const SealedMessage m = make_message(src.identity(), net->roster().get(NodeId(kTakers + 1)),
                                          MessageId(1), Bytes(64, 0x42), rng);
-    src.generate(m);
+    // Interned without an id: the collector never hears of this message.
+    src.generate(net->messages().intern(m, MessageId::invalid()));
   }
 };
 

@@ -8,21 +8,16 @@
 //   $ ./g2gsim --scenario cambridge06 --protocol g2g-delegation-lc
 //              --deviation dropper --deviants 10 --outsiders --seed 9
 //   $ ./g2gsim --protocol epidemic --ttl-min 20 --runs 3 --csv
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "g2g/core/experiment.hpp"
 #include "g2g/core/report.hpp"
 #include "g2g/obs/tracer.hpp"
+#include "g2g/util/parse_number.hpp"
 
 namespace {
 
@@ -67,22 +62,6 @@ int usage(const char* argv0) {
       "                                           pipeline stage times\n",
       argv0);
   return 2;
-}
-
-/// `text` as a T in [lo, hi], or nullopt unless the whole argument is one
-/// finite number in range (no sign on unsigned types, no trailing bytes).
-template <typename T>
-std::optional<T> parse_number(const char* text, T lo = std::numeric_limits<T>::lowest(),
-                              T hi = std::numeric_limits<T>::max()) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return std::nullopt;
-  }
-  if (value < lo || value > hi) return std::nullopt;
-  return value;
 }
 
 // Time flags span [1e-6, 1e9] of their unit: at least the simulator's 1 µs

@@ -243,7 +243,7 @@ double node_payoff(const ExperimentResult& r, NodeId n, const PayoffWeights& w) 
   if (r.collector.evictions().contains(n)) return 0.0;
 
   double service = 0.0;
-  for (const auto& [id, rec] : r.collector.messages()) {
+  for (const auto& rec : r.collector.messages()) {
     if (rec.src == n && rec.delivered.has_value()) service += w.per_delivery;
     if (rec.dst == n && rec.delivered.has_value()) service += w.per_reception;
   }

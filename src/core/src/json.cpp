@@ -92,10 +92,10 @@ std::string to_json(const ExperimentResult& r) {
 
   o << ",\"messages\":[";
   first = true;
-  for (const auto& [id, rec] : r.collector.messages()) {
+  for (const auto& rec : r.collector.messages()) {
     if (!first) o << ",";
     first = false;
-    o << "{\"id\":" << id.value() << ",\"src\":" << rec.src.value()
+    o << "{\"id\":" << rec.id.value() << ",\"src\":" << rec.src.value()
       << ",\"dst\":" << rec.dst.value() << ",\"created_s\":" << num(rec.created.to_seconds())
       << ",\"replicas\":" << rec.replicas << ",\"delivered_s\":";
     if (rec.delivered.has_value()) {

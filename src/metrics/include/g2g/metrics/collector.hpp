@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -83,7 +84,7 @@ class Collector {
   void node_evicted(NodeId n, TimePoint at);
 
   // -- results ---------------------------------------------------------------
-  [[nodiscard]] std::size_t generated_count() const { return messages_.size(); }
+  [[nodiscard]] std::size_t generated_count() const { return generated_; }
   [[nodiscard]] std::size_t delivered_count() const;
   [[nodiscard]] double success_rate() const;
   /// Delays of delivered messages, seconds.
@@ -99,6 +100,8 @@ class Collector {
   [[nodiscard]] std::uint64_t total_relays() const { return total_relays_; }
 
   struct MessageRecord {
+    /// MessageId::invalid() marks an id that was never generated.
+    MessageId id;
     NodeId src;
     NodeId dst;
     TimePoint created;
@@ -108,12 +111,21 @@ class Collector {
     /// drives the per-hop delay histogram.
     TimePoint last_hop;
   };
-  [[nodiscard]] const std::map<MessageId, MessageRecord>& messages() const {
-    return messages_;
+  /// The generated messages' records, in id order.
+  [[nodiscard]] auto messages() const {
+    return std::views::filter(records_, [](const MessageRecord& r) { return r.id.valid(); });
   }
+  /// The record of `id`, or nullptr if it was never generated.
+  [[nodiscard]] const MessageRecord* message(MessageId id) const;
 
  private:
-  std::map<MessageId, MessageRecord> messages_;
+  /// The index of `id`'s record, or records_.size() if it was never generated.
+  [[nodiscard]] std::size_t slot(MessageId id) const;
+
+  /// Records by id: ids are 1..N in generation order, so records_[id - 1]
+  /// is a relay's or delivery's record, found without a search.
+  std::vector<MessageRecord> records_;
+  std::size_t generated_ = 0;
   std::vector<NodeCosts> costs_;  ///< by node id
   std::vector<DetectionEvent> detections_;
   std::map<NodeId, TimePoint> evictions_;

@@ -6,10 +6,12 @@
 namespace g2g::metrics {
 
 void Collector::message_generated(MessageId id, NodeId src, NodeId dst, TimePoint at) {
-  const auto [it, inserted] =
-      messages_.emplace(id, MessageRecord{src, dst, at, std::nullopt, 0, at});
-  if (!inserted) throw std::logic_error("duplicate message id");
-  (void)it;
+  if (id.value() == 0 || !id.valid()) throw std::logic_error("message ids start at 1");
+  if (id.value() > records_.size()) records_.resize(id.value());
+  MessageRecord& rec = records_[id.value() - 1];
+  if (rec.id.valid()) throw std::logic_error("duplicate message id");
+  rec = MessageRecord{id, src, dst, at, std::nullopt, 0, at};
+  ++generated_;
   if (obs_ != nullptr) {
     obs_->counters.generated->add();
     obs_->tracer.emit(
@@ -18,13 +20,24 @@ void Collector::message_generated(MessageId id, NodeId src, NodeId dst, TimePoin
   }
 }
 
+std::size_t Collector::slot(MessageId id) const {
+  const std::uint64_t i = id.value() - 1;  // id 0 wraps past every slot
+  return i < records_.size() && records_[i].id.valid() ? i : records_.size();
+}
+
+const Collector::MessageRecord* Collector::message(MessageId id) const {
+  const std::size_t i = slot(id);
+  return i < records_.size() ? &records_[i] : nullptr;
+}
+
 void Collector::message_relayed(MessageId id, NodeId from, NodeId to, TimePoint at) {
-  const auto it = messages_.find(id);
-  if (it == messages_.end()) throw std::logic_error("relay of unknown message");
-  ++it->second.replicas;
+  const std::size_t i = slot(id);
+  if (i == records_.size()) throw std::logic_error("relay of unknown message");
+  MessageRecord& rec = records_[i];
+  ++rec.replicas;
   ++total_relays_;
-  const Duration hop = at - it->second.last_hop;
-  it->second.last_hop = at;
+  const Duration hop = at - rec.last_hop;
+  rec.last_hop = at;
   if (obs_ != nullptr) {
     obs_->counters.relays->add();
     obs_->counters.hop_delay_s->observe(hop.to_seconds());
@@ -34,16 +47,17 @@ void Collector::message_relayed(MessageId id, NodeId from, NodeId to, TimePoint 
 }
 
 void Collector::message_delivered(MessageId id, TimePoint at) {
-  const auto it = messages_.find(id);
-  if (it == messages_.end()) throw std::logic_error("delivery of unknown message");
-  if (it->second.delivered.has_value()) return;  // keep the first time
-  it->second.delivered = at;
-  const Duration delay = at - it->second.created;
+  const std::size_t i = slot(id);
+  if (i == records_.size()) throw std::logic_error("delivery of unknown message");
+  MessageRecord& rec = records_[i];
+  if (rec.delivered.has_value()) return;  // keep the first time
+  rec.delivered = at;
+  const Duration delay = at - rec.created;
   if (obs_ != nullptr) {
     obs_->counters.deliveries->add();
     obs_->counters.delivery_delay_s->observe(delay.to_seconds());
-    obs_->tracer.emit({at, obs::EventKind::MessageDelivered, it->second.src,
-                       it->second.dst, id.value(), delay.count()});
+    obs_->tracer.emit({at, obs::EventKind::MessageDelivered, rec.src, rec.dst, id.value(),
+                       delay.count()});
     obs_->tracer.mark_message_delivered(id.value());
   }
 }
@@ -63,30 +77,29 @@ const NodeCosts& Collector::costs(NodeId n) const {
 }
 
 std::size_t Collector::delivered_count() const {
-  return static_cast<std::size_t>(
-      std::count_if(messages_.begin(), messages_.end(),
-                    [](const auto& kv) { return kv.second.delivered.has_value(); }));
+  return static_cast<std::size_t>(std::ranges::count_if(
+      messages(), [](const MessageRecord& rec) { return rec.delivered.has_value(); }));
 }
 
 double Collector::success_rate() const {
-  return messages_.empty() ? 0.0
-                           : static_cast<double>(delivered_count()) /
-                                 static_cast<double>(messages_.size());
+  return generated_ == 0 ? 0.0
+                         : static_cast<double>(delivered_count()) /
+                               static_cast<double>(generated_);
 }
 
 Samples Collector::delays() const {
   Samples out;
-  for (const auto& [id, rec] : messages_) {
+  for (const MessageRecord& rec : messages()) {
     if (rec.delivered.has_value()) out.add((*rec.delivered - rec.created).to_seconds());
   }
   return out;
 }
 
 double Collector::avg_replicas() const {
-  if (messages_.empty()) return 0.0;
+  if (generated_ == 0) return 0.0;
   double total = 0.0;
-  for (const auto& [id, rec] : messages_) total += rec.replicas;
-  return total / static_cast<double>(messages_.size());
+  for (const MessageRecord& rec : messages()) total += rec.replicas;
+  return total / static_cast<double>(generated_);
 }
 
 std::vector<NodeId> Collector::detected_nodes() const {

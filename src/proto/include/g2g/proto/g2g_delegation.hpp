@@ -54,8 +54,8 @@ class G2GDelegationNode final : public relay::RelayNode {
   std::optional<relay::HandshakeOutcome> relay_attempt(Session& s, relay::RelayNode& taker,
                                                        const MessageHash& h,
                                                        relay::Hold& hold) override;
-  double source_fm(const SealedMessage& m) override;
-  void on_generate(const SealedMessage& m) override;
+  double source_fm(MessageRef m) override;
+  void on_generate(MessageRef m) override;
   void on_hold_erased(const MessageHash& h) override;
   void on_delivered(Session& s,
                     const std::vector<QualityDeclaration>& attachments) override;

@@ -54,8 +54,8 @@ struct SealedMessage {
 
 /// Non-owning decode of a SealedMessage: field views into the buffer the
 /// message was decoded from, zero copies. Valid only while that buffer
-/// lives; to_owned() materializes a SealedMessage when the message must be
-/// stored past the buffer's lifetime (e.g. into a relay Hold).
+/// lives; a message kept past it is admitted into the run's MessageTable by
+/// its wire bytes.
 struct SealedMessageView {
   NodeId dst;
   BytesView ephemeral_public;
@@ -65,7 +65,6 @@ struct SealedMessageView {
 
   /// H(m) over the original wire bytes — no re-encode, no allocation.
   [[nodiscard]] MessageHash hash() const;
-  [[nodiscard]] SealedMessage to_owned() const;
   [[nodiscard]] std::size_t wire_size() const { return wire.size(); }
   /// Strict: the whole of `b` must be exactly one message.
   [[nodiscard]] static SealedMessageView decode(BytesView b);

@@ -6,7 +6,6 @@
 // NetworkBase.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -63,9 +62,10 @@ class NetworkBase : public sim::ContactListener, public Env {
   [[nodiscard]] std::size_t node_count() const final { return node_count_; }
   [[nodiscard]] obs::ObsContext& obs() final { return *obs_; }
   [[nodiscard]] Arena& wire_arena() final { return wire_arena_; }
+  [[nodiscard]] MessageTable& messages() final { return messages_; }
   [[nodiscard]] std::uint64_t msg_ref(const MessageHash& h) const final;
-  void notify_delivered(const MessageHash& h, NodeId dst) final;
-  void notify_relayed(const MessageHash& h, NodeId from, NodeId to) final;
+  void notify_delivered(MessageRef m, NodeId dst) final;
+  void notify_relayed(MessageRef m, NodeId from, NodeId to) final;
   void notify_detection(NodeId culprit, NodeId detector, metrics::DetectionMethod method,
                         Duration after_delta1) final;
   void broadcast_pom(const ProofOfMisbehavior& pom) final;
@@ -93,7 +93,7 @@ class NetworkBase : public sim::ContactListener, public Env {
 
  protected:
   /// Subclass hooks.
-  virtual void inject(NodeId src, const SealedMessage& m) = 0;
+  virtual void inject(NodeId src, MessageRef m) = 0;
   virtual void contact(TimePoint t, NodeId a, NodeId b, Duration contact_duration) = 0;
 
   /// Contact byte budget from the configured bandwidth (SIZE_MAX = unlimited).
@@ -119,8 +119,10 @@ class NetworkBase : public sim::ContactListener, public Env {
   /// Per-run wire-path scratch: one arena per network keeps parallel sweep
   /// runs isolated while every contact of a run reuses the same warm chunks.
   Arena wire_arena_;
+  /// Per-run message table: entries are immutable and shared by every node
+  /// of this run, never by another run.
+  MessageTable messages_;
   metrics::Collector* collector_;
-  std::map<MessageHash, MessageId> hash_to_id_;
   std::vector<BehaviorConfig> behaviors_;
 
  private:
@@ -164,7 +166,7 @@ class Network final : public NetworkBase {
   [[nodiscard]] NodeT& node(NodeId n) { return *nodes_.at(n.value()); }
 
  private:
-  void inject(NodeId src, const SealedMessage& m) override { node(src).generate(m); }
+  void inject(NodeId src, MessageRef m) override { node(src).generate(m); }
 
   void contact(TimePoint t, NodeId a, NodeId b, Duration contact_duration) override {
     record_contact_up(a, b, contact_duration);

@@ -14,6 +14,7 @@
 #include "g2g/metrics/collector.hpp"
 #include "g2g/obs/context.hpp"
 #include "g2g/proto/message.hpp"
+#include "g2g/proto/message_table.hpp"
 #include "g2g/proto/relay/pom.hpp"
 #include "g2g/proto/wire.hpp"
 #include "g2g/util/arena.hpp"
@@ -100,12 +101,14 @@ class Env {
   /// DESIGN.md "Buffer ownership"). The default is a per-thread arena for
   /// lightweight test Envs; NetworkBase overrides with a per-run arena.
   [[nodiscard]] virtual Arena& wire_arena();
+  /// The run's message table: every message, encoded and hashed once.
+  [[nodiscard]] virtual MessageTable& messages() = 0;
   /// Trace reference for a message hash: the MessageId where the Env knows
   /// the mapping, otherwise the hash's first 8 bytes.
   [[nodiscard]] virtual std::uint64_t msg_ref(const MessageHash& h) const;
 
-  virtual void notify_delivered(const MessageHash& h, NodeId dst) = 0;
-  virtual void notify_relayed(const MessageHash& h, NodeId from, NodeId to) = 0;
+  virtual void notify_delivered(MessageRef m, NodeId dst) = 0;
+  virtual void notify_relayed(MessageRef m, NodeId from, NodeId to) = 0;
   virtual void notify_detection(NodeId culprit, NodeId detector,
                                 metrics::DetectionMethod method, Duration after_delta1) = 0;
   /// Called whenever a node issues a PoM. The default Network uses epidemic

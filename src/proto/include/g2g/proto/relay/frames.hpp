@@ -135,17 +135,16 @@ struct StoredRespFrame {
   [[nodiscard]] std::size_t wire_size() const;
 };
 
-/// Borrowed-parts encoding of a RelayData frame: identical bytes to
-/// RelayDataFrame::encode() for the same (h, msg, attachments), but straight
-/// from the hold's message and declaration spans — no frame struct, no
-/// message copy. This is what the handshake hot path uses.
-[[nodiscard]] std::size_t relay_data_wire_size(const SealedMessage& msg,
+/// The one RELAY_DATA writer, from borrowed parts: the message's canonical
+/// wire bytes (a message-table entry on the handshake path) copied as they
+/// are, then the declaration span — no frame struct, no message re-encode.
+/// RelayDataFrame::encode() goes through it too.
+[[nodiscard]] std::size_t relay_data_wire_size(std::size_t msg_bytes,
                                                std::span<const QualityDeclaration> attachments);
-void relay_data_encode_into(SpanWriter& w, const MessageHash& h, const SealedMessage& msg,
+void relay_data_encode_into(SpanWriter& w, const MessageHash& h, BytesView msg_wire,
                             std::span<const QualityDeclaration> attachments);
 /// relay_data_encode_into through an exactly-reserved arena span.
-[[nodiscard]] BytesView arena_relay_data(Arena& arena, const MessageHash& h,
-                                         const SealedMessage& msg,
+[[nodiscard]] BytesView arena_relay_data(Arena& arena, const MessageHash& h, BytesView msg_wire,
                                          std::span<const QualityDeclaration> attachments);
 
 /// Delegation step 8: request a signed quality declaration toward D'.

@@ -17,7 +17,7 @@
 #include <optional>
 #include <vector>
 
-#include "g2g/proto/relay/hash_index.hpp"
+#include "g2g/proto/hash_index.hpp"
 #include "g2g/proto/relay/state.hpp"
 
 namespace g2g::proto {
@@ -33,7 +33,7 @@ class HandshakeEngine {
   explicit HandshakeEngine(RelayNode& host) : host_(host) {}
 
   /// Source-side message admission (the host supplies the initial f_m).
-  void generate(const SealedMessage& m, double fm);
+  void generate(MessageRef m, double fm);
 
   /// Delta2 housekeeping: expired holds go (the host is told first so it can
   /// drop its own per-message records), resolved or out-of-window tests go.
@@ -57,7 +57,9 @@ class HandshakeEngine {
   [[nodiscard]] BytesView countersign(Session& s, RelayNode& giver, ProofOfRelay por);
 
   /// Taker side after the key reveal (step 5): decode the data and key
-  /// frames, then store / deliver / drop per behaviour.
+  /// frames, match the message bytes to their table entry
+  /// (MessageTable::admit), then store / deliver / drop per behaviour. A
+  /// frame whose H(m) this node already handled is dropped unread.
   void complete_relay(Session& s, RelayNode& giver, BytesView data_frame,
                       BytesView key_frame, double new_fm, TimePoint expires);
 

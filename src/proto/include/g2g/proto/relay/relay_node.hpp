@@ -34,8 +34,9 @@ class RelayNode : public ProtocolNode {
         handshake_(*this),
         audit_(*this, mode) {}
 
-  /// Source-side admission: seed the hold table and the policy's records.
-  void generate(const SealedMessage& m) {
+  /// Source-side admission of the table entry `m`: seed the hold table and
+  /// the policy's records.
+  void generate(MessageRef m) {
     handshake_.generate(m, source_fm(m));
     on_generate(m);
   }
@@ -68,9 +69,9 @@ class RelayNode : public ProtocolNode {
   virtual std::optional<HandshakeOutcome> relay_attempt(Session& s, RelayNode& taker,
                                                         const MessageHash& h, Hold& hold) = 0;
   /// Initial quality label f_m of a self-generated message.
-  [[nodiscard]] virtual double source_fm(const SealedMessage& /*m*/) { return 0.0; }
+  [[nodiscard]] virtual double source_fm(MessageRef /*m*/) { return 0.0; }
   /// After generate() seeded the hold table.
-  virtual void on_generate(const SealedMessage& /*m*/) {}
+  virtual void on_generate(MessageRef /*m*/) {}
   /// Before purge() erases an expired hold.
   virtual void on_hold_erased(const MessageHash& /*h*/) {}
   /// At the destination, right after delivery: Delegation runs the test by

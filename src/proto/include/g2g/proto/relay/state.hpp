@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "g2g/proto/message.hpp"
+#include "g2g/proto/message_table.hpp"
 #include "g2g/proto/wire.hpp"
 
 namespace g2g::proto::relay {
@@ -21,7 +22,9 @@ namespace g2g::proto::relay {
 /// The Delegation-only fields (fm, attachments, failed_candidates) stay at
 /// their defaults for Epidemic holds.
 struct Hold {
-  SealedMessage msg;
+  /// The message's entry in the run's table (Env::messages()), shared with
+  /// every other holder of the same bytes.
+  MessageRef msg = kNoMessage;
   bool has_msg = false;  ///< payload still stored (PoRs may outlive it)
   std::size_t msg_bytes = 0;
   double fm = 0.0;  ///< quality label; changed only when forwarded (Delegation)
@@ -47,10 +50,9 @@ struct PendingTest {
 /// A relay's storage proof: exactly the bytes heavy_hmac reads on its side.
 /// The source judges it against its own copy with crypto::heavy_hmac_equal.
 struct StorageProof {
-  /// The relay's stored encoding. A view into the session arena: valid until
-  /// the next challenge resets the arena (the audit loop judges the proof
-  /// within the challenge that produced it).
-  // g2g-lint: allow(view-escape) -- documented engine seam: judged within the same challenge, before the next reset
+  /// The relay's stored encoding: its hold's wire bytes in the run's message
+  /// table, which outlives every challenge of the run.
+  // g2g-lint: allow(view-escape) -- views an immutable message-table entry, which lives as long as the network
   BytesView message;
   std::array<std::uint8_t, 32> seed{};  ///< the seed the relay answered
   std::uint32_t iterations = 0;

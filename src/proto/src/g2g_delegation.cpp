@@ -26,12 +26,12 @@ G2GDelegationNode::G2GDelegationNode(Env& env, crypto::NodeIdentity identity,
 
 void G2GDelegationNode::note_encounter(NodeId peer, TimePoint t) { table_.record(peer, t); }
 
-double G2GDelegationNode::source_fm(const SealedMessage& m) {
-  return table_.current(config().quality_kind, m.dst);
+double G2GDelegationNode::source_fm(MessageRef m) {
+  return table_.current(config().quality_kind, env_.messages().body(m).dst);
 }
 
-void G2GDelegationNode::on_generate(const SealedMessage& m) {
-  my_message_dst_.emplace(m.hash(), m.dst);
+void G2GDelegationNode::on_generate(MessageRef m) {
+  my_message_dst_.emplace(env_.messages().hash(m), env_.messages().body(m).dst);
 }
 
 void G2GDelegationNode::on_hold_erased(const MessageHash& h) { my_message_dst_.erase(h); }
@@ -70,7 +70,8 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   const TimePoint now = s.now();
   const std::size_t sig = identity().suite().signature_size();
 
-  const NodeId real_dst = hold.msg.dst;
+  const MessageTable& messages = env_.messages();
+  const NodeId real_dst = messages.body(hold.msg).dst;
   const bool to_dst = taker.id() == real_dst;
   // "When the destination of m is B, D' is chosen as a random node different
   // from B" — B must not learn it is the destination.
@@ -136,7 +137,8 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
                      : std::span<const QualityDeclaration>(hold.attachments);
   std::size_t attach_bytes = 0;
   for (const auto& a : attachments) attach_bytes += a.wire_size();
-  const BytesView data = relay::arena_relay_data(s.arena(), h, hold.msg, attachments);
+  const BytesView data =
+      relay::arena_relay_data(s.arena(), h, messages.wire(hold.msg), attachments);
   counters().frames_encoded->add();
   trace_event(obs::EventKind::HsRelayData, taker.id(), ref,
               static_cast<std::int64_t>(hold.msg_bytes + attach_bytes));

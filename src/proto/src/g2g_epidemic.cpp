@@ -27,8 +27,9 @@ std::optional<relay::HandshakeOutcome> G2GEpidemicNode::relay_attempt(
   const ProofOfRelayView por = ProofOfRelayView::decode(*por_wire);
   counters().frames_decoded->add();
 
-  // Step 3 accounting: E_k(m). Encoded straight from the hold into the arena.
-  const BytesView data = relay::arena_relay_data(s.arena(), h, hold.msg, {});
+  // Step 3 accounting: E_k(m). The held entry's wire bytes, framed in the arena.
+  const BytesView data =
+      relay::arena_relay_data(s.arena(), h, env_.messages().wire(hold.msg), {});
   counters().frames_encoded->add();
   trace_event(obs::EventKind::HsRelayData, taker.id(), ref,
               static_cast<std::int64_t>(hold.msg_bytes));

@@ -56,14 +56,6 @@ std::size_t SealedMessage::wire_size() const {
 
 MessageHash SealedMessageView::hash() const { return crypto::sha256(wire); }
 
-SealedMessage SealedMessageView::to_owned() const {
-  SealedMessage m;
-  m.dst = dst;
-  m.box.ephemeral_public.assign(ephemeral_public.begin(), ephemeral_public.end());
-  m.box.ciphertext.assign(ciphertext.begin(), ciphertext.end());
-  return m;
-}
-
 SealedMessageView SealedMessageView::decode(BytesView b) {
   Reader r(b);
   SealedMessageView v;

@@ -70,8 +70,9 @@ crypto::NodeIdentity NetworkBase::make_identity(NodeId n) {
 void NetworkBase::register_node(ProtocolNode* node) { generic_nodes_.push_back(node); }
 
 std::uint64_t NetworkBase::msg_ref(const MessageHash& h) const {
-  const auto it = hash_to_id_.find(h);
-  return it != hash_to_id_.end() ? it->second.value() : Env::msg_ref(h);
+  const MessageRef m = messages_.find(h);
+  return m != kNoMessage && messages_.id(m).valid() ? messages_.id(m).value()
+                                                    : Env::msg_ref(h);
 }
 
 void NetworkBase::record_contact_up(NodeId a, NodeId b, Duration contact_duration) {
@@ -100,14 +101,14 @@ void NetworkBase::record_contact_down(NodeId a, NodeId b, std::size_t bytes_used
   }
 }
 
-void NetworkBase::notify_delivered(const MessageHash& h, NodeId /*dst*/) {
-  const auto it = hash_to_id_.find(h);
-  if (it != hash_to_id_.end()) collector_->message_delivered(it->second, now());
+void NetworkBase::notify_delivered(MessageRef m, NodeId /*dst*/) {
+  const MessageId id = messages_.id(m);
+  if (id.valid()) collector_->message_delivered(id, now());
 }
 
-void NetworkBase::notify_relayed(const MessageHash& h, NodeId from, NodeId to) {
-  const auto it = hash_to_id_.find(h);
-  if (it != hash_to_id_.end()) collector_->message_relayed(it->second, from, to, now());
+void NetworkBase::notify_relayed(MessageRef m, NodeId from, NodeId to) {
+  const MessageId id = messages_.id(m);
+  if (id.valid()) collector_->message_relayed(id, from, to, now());
 }
 
 void NetworkBase::notify_detection(NodeId culprit, NodeId detector,
@@ -144,8 +145,7 @@ void NetworkBase::schedule_traffic(const std::vector<sim::TrafficDemand>& demand
       const SealedMessage m =
           make_message(src.identity(), roster_.get(d.dst), d.id, body, rng_);
       collector_->message_generated(d.id, d.src, d.dst, now());
-      hash_to_id_.emplace(m.hash(), d.id);
-      inject(d.src, m);
+      inject(d.src, messages_.intern(m, d.id));
     });
   }
 }

@@ -121,7 +121,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
       // the chains only when the relay's inputs differ from the source's.
       host_.count_heavy_hmac();
       const StorageProof& proof = *resp.storage;
-      if (crypto::heavy_hmac_equal(arena_encode(s.arena(), own->msg), challenge.seed,
+      if (crypto::heavy_hmac_equal(host_.env_.messages().wire(own->msg), challenge.seed,
                                    host_.config().heavy_hmac_iterations, proof.message,
                                    proof.seed, proof.iterations)) {
         host_.counters().tests_passed->add();
@@ -184,10 +184,10 @@ void AuditEngine::storage_proof(Session& s, const Hold& hold, const PorRqstFrame
   host_.counters().storage_challenges->add();
   host_.trace_event(obs::EventKind::StorageChallenge, s.peer_of(host_).id(),
                     host_.trace_ref(rq.h), host_.config().heavy_hmac_iterations);
-  // The relay answers with its heavy-HMAC inputs; the message encoding lives
-  // in the challenge's arena generation. The STORED_RESP frame is accounted
-  // at its canonical size.
-  resp.storage = StorageProof{arena_encode(s.arena(), hold.msg), rq.seed,
+  // The relay answers with its heavy-HMAC inputs: its hold's wire bytes in
+  // the message table. The STORED_RESP frame is accounted at its canonical
+  // size.
+  resp.storage = StorageProof{host_.env_.messages().wire(hold.msg), rq.seed,
                               host_.config().heavy_hmac_iterations};
   host_.counters().frames_encoded->add();
   const std::size_t sig = host_.identity().suite().signature_size();

@@ -75,13 +75,12 @@ RelayOkFrame RelayOkFrame::decode(BytesView b) {
 }
 
 std::size_t RelayDataFrame::wire_size() const {
-  std::size_t inner = msg.wire_size();
-  for (const auto& a : attachments) inner += a.wire_size();
-  return 1 + 32 + 8 + inner;
+  return relay_data_wire_size(msg.wire_size(), attachments);
 }
 
 void RelayDataFrame::encode_into(SpanWriter& w) const {
-  relay_data_encode_into(w, h, msg, attachments);
+  // The owning frame (codec tests, fuzzing) encodes its message first.
+  relay_data_encode_into(w, h, msg.encode(), attachments);
 }
 
 Bytes RelayDataFrame::encode() const { return encode_exact(*this); }
@@ -100,34 +99,35 @@ RelayDataFrame RelayDataFrame::decode(BytesView b) {
   return f;
 }
 
-std::size_t relay_data_wire_size(const SealedMessage& msg,
+std::size_t relay_data_wire_size(std::size_t msg_bytes,
                                  std::span<const QualityDeclaration> attachments) {
-  std::size_t inner = msg.wire_size();
+  std::size_t inner = msg_bytes;
   for (const auto& a : attachments) inner += a.wire_size();
   return 1 + 32 + 8 + inner;
 }
 
-void relay_data_encode_into(SpanWriter& w, const MessageHash& h, const SealedMessage& msg,
+void relay_data_encode_into(SpanWriter& w, const MessageHash& h, BytesView msg_wire,
                             std::span<const QualityDeclaration> attachments) {
   // Payload: the message's canonical bytes, then the attachments' canonical
   // bytes back to back (each QualityDeclaration encoding is self-delimiting).
   // Everything is written straight into the destination span — no
   // intermediate payload buffer.
-  std::size_t inner = msg.wire_size();
+  std::size_t inner = msg_wire.size();
   for (const auto& a : attachments) inner += a.wire_size();
 
   put_tag(w, FrameTag::RelayData);
   put_hash(w, h);
   w.u64(inner);
-  msg.encode_into(w);
+  w.raw(msg_wire);
   for (const auto& a : attachments) a.encode_into(w);
 }
 
-BytesView arena_relay_data(Arena& arena, const MessageHash& h, const SealedMessage& msg,
+BytesView arena_relay_data(Arena& arena, const MessageHash& h, BytesView msg_wire,
                            std::span<const QualityDeclaration> attachments) {
-  const std::span<std::uint8_t> out = arena.alloc(relay_data_wire_size(msg, attachments));
+  const std::span<std::uint8_t> out =
+      arena.alloc(relay_data_wire_size(msg_wire.size(), attachments));
   SpanWriter w(out);
-  relay_data_encode_into(w, h, msg, attachments);
+  relay_data_encode_into(w, h, msg_wire, attachments);
   w.expect_full();
   return {out.data(), out.size()};
 }

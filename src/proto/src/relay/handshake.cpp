@@ -9,12 +9,13 @@
 
 namespace g2g::proto::relay {
 
-void HandshakeEngine::generate(const SealedMessage& m, double fm) {
-  const MessageHash h = m.hash();
+void HandshakeEngine::generate(MessageRef m, double fm) {
+  const MessageTable& table = host_.env_.messages();
+  const MessageHash& h = table.hash(m);
   Hold hold;
   hold.msg = m;
   hold.has_msg = true;
-  hold.msg_bytes = m.wire_size();
+  hold.msg_bytes = table.wire(m).size();
   hold.fm = fm;
   hold.received = host_.env_.now();
   hold.expires = host_.env_.now() + host_.config().delta1;
@@ -166,7 +167,7 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
     const BytesView key_bytes = arena_encode(s.arena(), key);
     host_.counters().frames_encoded->add();
     s.signed_control(host_, key_bytes.size() + sig, obs::WireKind::KeyReveal);
-    host_.env_.notify_relayed(h, host_.id(), taker.id());
+    host_.env_.notify_relayed(hold.msg, host_.id(), taker.id());
     if (out->update_fm) hold.fm = out->new_fm;
     taker.handshake().complete_relay(s, host_, out->data_frame, key_bytes, hold.fm,
                                      hold.expires);
@@ -235,18 +236,23 @@ BytesView HandshakeEngine::countersign(Session& s, RelayNode& giver, ProofOfRela
 
 void HandshakeEngine::complete_relay(Session& s, RelayNode& giver, BytesView data_frame,
                                      BytesView key_frame, double new_fm, TimePoint expires) {
-  // In-place decode: the message and attachments are read from the frame
-  // bytes through views; only what the Hold must own is materialized.
+  // In-place decode: the message is read from the frame bytes through a view;
+  // only the attachments the Hold must own are materialized.
   const RelayDataFrameView data = RelayDataFrameView::decode(data_frame);
   const KeyRevealFrame key = KeyRevealFrame::decode(key_frame);
   host_.counters().frames_decoded->add(2);
   (void)key;  // the box seal emulates E_k; see KeyRevealFrame
-  // H(m) over the message's wire bytes as they arrived — no re-encode.
-  const MessageHash h = data.msg.hash();
-  handled_.insert(h);
+  // H(m) of the bytes as they arrived: the claimed entry when the bytes equal
+  // it, else the entry of their own hash.
+  MessageTable& table = s.env().messages();
+  const MessageRef m = table.admit(data.msg.wire, data.h);
+  const MessageHash& h = table.hash(m);
+  // A replayed frame: the RELAY_RQST / FQ_RQST step declines a handled H(m),
+  // so only a peer that skipped it gets here. Drop it before any side effect.
+  if (!handled_.insert(h).second) return;
 
   Hold hold;
-  hold.msg = data.msg.to_owned();
+  hold.msg = m;
   hold.msg_bytes = data.msg.wire_size();
   hold.fm = new_fm;
   hold.received = s.now();
@@ -255,10 +261,11 @@ void HandshakeEngine::complete_relay(Session& s, RelayNode& giver, BytesView dat
   hold.giver = giver.id();
   hold.attachments = data.decode_attachments();
 
-  if (hold.msg.dst == host_.id()) {
-    const auto opened = open_message(host_.identity(), hold.msg, s.env().roster());
+  const SealedMessage& body = table.body(m);
+  if (body.dst == host_.id()) {
+    const auto opened = open_message(host_.identity(), body, s.env().roster());
     host_.count_verification();
-    if (opened.has_value() && opened->authentic) s.env().notify_delivered(h, host_.id());
+    if (opened.has_value() && opened->authentic) s.env().notify_delivered(m, host_.id());
     host_.on_delivered(s, hold.attachments);  // test by the destination
     // The destination keeps the message (it must still answer a possible
     // storage test — it cannot reveal that it is the destination by design).

@@ -103,6 +103,7 @@ struct WireFixture {
     }
     msg = proto::make_message(ids[0], roster.get(NodeId(1)), MessageId(1), Bytes(64, 0x42),
                               rng);
+    msg_wire = msg.encode();
     h = msg.hash();
     por.h = h;
     por.giver = NodeId(0);
@@ -123,6 +124,7 @@ struct WireFixture {
   std::vector<crypto::NodeIdentity> ids;
   proto::Roster roster;
   proto::SealedMessage msg;
+  Bytes msg_wire;
   proto::MessageHash h{};
   proto::ProofOfRelay por;
   proto::QualityDeclaration decl;
@@ -183,8 +185,9 @@ TEST(ArenaEncode, RelayDataBorrowedPartsMatchFrameEncode) {
   frame.attachments.push_back(f.decl);
   const Bytes owned = frame.encode();
   const std::span<const proto::QualityDeclaration> attachments(frame.attachments);
-  EXPECT_EQ(proto::relay::relay_data_wire_size(frame.msg, attachments), frame.wire_size());
-  const BytesView b = proto::relay::arena_relay_data(arena, frame.h, frame.msg, attachments);
+  EXPECT_EQ(proto::relay::relay_data_wire_size(f.msg_wire.size(), attachments),
+            frame.wire_size());
+  const BytesView b = proto::relay::arena_relay_data(arena, frame.h, f.msg_wire, attachments);
   EXPECT_EQ(Bytes(b.begin(), b.end()), owned);
 }
 
@@ -217,9 +220,9 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
     // Step 2: RELAY_OK.
     const BytesView ok = arena_encode(arena, proto::relay::RelayOkFrame{f.h, true});
     sink += proto::relay::RelayOkFrame::decode(ok).accept ? 1u : 0u;
-    // Step 3: RELAY_DATA from borrowed parts; message read back as a view,
-    // H(m) computed over the wire bytes without re-encoding.
-    const BytesView data = proto::relay::arena_relay_data(arena, f.h, f.msg, {});
+    // Step 3: RELAY_DATA from the message's wire bytes; message read back as
+    // a view, H(m) computed over the wire bytes without re-encoding.
+    const BytesView data = proto::relay::arena_relay_data(arena, f.h, f.msg_wire, {});
     const proto::relay::RelayDataFrameView view =
         proto::relay::RelayDataFrameView::decode(data);
     sink += view.msg.hash()[0];

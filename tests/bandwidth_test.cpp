@@ -3,7 +3,12 @@
 // The paper assumes unlimited bandwidth; the default config preserves that.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "g2g/core/experiment.hpp"
+#include "g2g/proto/delegation.hpp"
 #include "g2g/proto/epidemic.hpp"
 #include "g2g/proto/g2g_epidemic.hpp"
 #include "proto_test_util.hpp"
@@ -51,7 +56,7 @@ TEST(Bandwidth, BudgetLimitsMessagesPerContact) {
   for (std::uint32_t i = 0; i < 5; ++i) w.send(0, 5, 50 + i * 10);
   w.run();
   std::size_t transferred = 0;
-  for (const auto& [id, rec] : w.collector().messages()) transferred += rec.replicas;
+  for (const auto& rec : w.collector().messages()) transferred += rec.replicas;
   EXPECT_GE(transferred, 1u);
   EXPECT_LT(transferred, 5u);
 }
@@ -64,6 +69,39 @@ TEST(Bandwidth, G2GHandshakeRespectsBudget) {
   w.run();
   EXPECT_FALSE(w.delivered(id));
   EXPECT_EQ(w.replicas(id), 0u);
+}
+
+/// Node 0 holds eight messages for node 1; a 6-second contact at 100 B/s
+/// carries the auth handshake and only the first few. Offers go out in
+/// ascending H(m), so exactly the smallest hashes get through.
+template <typename NodeT>
+void expect_budget_cuts_offers_in_hash_order() {
+  auto cfg = World<NodeT>::default_config();
+  cfg.bandwidth_bytes_per_s = 100.0;
+  World<NodeT> w(make_trace(4, {{0, 1, 1000, 1006}}), cfg);
+  for (std::uint32_t i = 0; i < 8; ++i) w.send(0, 1, 50 + i * 10);
+  w.run();
+  const MessageTable& messages = w.network().messages();
+  ASSERT_EQ(messages.size(), 8u);
+  std::vector<std::pair<MessageHash, bool>> by_hash;  // (H(m), delivered)
+  for (MessageRef m = 0; m < messages.size(); ++m) {
+    by_hash.emplace_back(messages.hash(m), w.delivered(messages.id(m)));
+  }
+  std::sort(by_hash.begin(), by_hash.end());
+  const auto first_missed =
+      std::find_if(by_hash.begin(), by_hash.end(), [](const auto& e) { return !e.second; });
+  const auto delivered = first_missed - by_hash.begin();
+  EXPECT_GE(delivered, 1);
+  EXPECT_LT(delivered, 8);
+  EXPECT_TRUE(std::none_of(first_missed, by_hash.end(), [](const auto& e) { return e.second; }));
+}
+
+TEST(Bandwidth, EpidemicBudgetCutsOffersInHashOrder) {
+  expect_budget_cuts_offers_in_hash_order<EpidemicNode>();
+}
+
+TEST(Bandwidth, DelegationBudgetCutsOffersInHashOrder) {
+  expect_budget_cuts_offers_in_hash_order<DelegationNode>();
 }
 
 }  // namespace

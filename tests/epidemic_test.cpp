@@ -19,7 +19,7 @@ TEST(Epidemic, DirectDelivery) {
   w.run();
   EXPECT_TRUE(w.delivered(id));
   EXPECT_EQ(w.replicas(id), 1u);
-  const auto& rec = w.collector().messages().at(id);
+  const auto& rec = w.record(id);
   EXPECT_EQ(rec.delivered->to_seconds(), 100.0);
 }
 
@@ -30,7 +30,7 @@ TEST(Epidemic, MultiHopDelivery) {
   w.run();
   EXPECT_TRUE(w.delivered(id));
   EXPECT_EQ(w.replicas(id), 2u);
-  EXPECT_EQ(w.collector().messages().at(id).delivered->to_seconds(), 500.0);
+  EXPECT_EQ(w.record(id).delivered->to_seconds(), 500.0);
 }
 
 TEST(Epidemic, TtlExpiryBlocksDelivery) {
@@ -96,7 +96,7 @@ TEST(Epidemic, DeliveryRecordedOnceDespiteMultiplePaths) {
   w.run();
   EXPECT_TRUE(w.delivered(id));
   // Delivered directly at 150; 1->2 path at 200 is suppressed by `seen_`.
-  EXPECT_EQ(w.collector().messages().at(id).delivered->to_seconds(), 150.0);
+  EXPECT_EQ(w.record(id).delivered->to_seconds(), 150.0);
   EXPECT_EQ(w.replicas(id), 2u);
 }
 

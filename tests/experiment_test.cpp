@@ -48,7 +48,7 @@ TEST(Experiment, SeedChangesOutcome) {
 TEST(Experiment, GeneratesTrafficOnlyInWindow) {
   const ExperimentResult r = run_experiment(small_config(Protocol::Epidemic));
   EXPECT_GT(r.generated, 50u);
-  for (const auto& [id, rec] : r.collector.messages()) {
+  for (const auto& rec : r.collector.messages()) {
     EXPECT_LT(rec.created, TimePoint::zero() + Duration::hours(1));
   }
 }

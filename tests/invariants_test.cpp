@@ -47,7 +47,7 @@ TEST_P(InvariantSweep, ConservationAndSanity) {
   EXPECT_EQ(r.delay_seconds.count(), r.delivered);
 
   std::uint64_t replica_sum = 0;
-  for (const auto& [id, rec] : r.collector.messages()) {
+  for (const auto& rec : r.collector.messages()) {
     replica_sum += rec.replicas;
     // Delivery never precedes creation; delays bounded by the window.
     if (rec.delivered.has_value()) {
@@ -186,9 +186,9 @@ TEST_P(RandomizedInvariantSweep, RelayFanoutIsNeverExceeded) {
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint32_t> forwards;
   for (const auto& e : r.events) {
     if (e.kind != obs::EventKind::HsKeyReveal) continue;
-    const auto it = r.collector.messages().find(MessageId(e.ref));
-    ASSERT_NE(it, r.collector.messages().end()) << "unknown message ref " << e.ref;
-    if (e.a == it->second.src || e.b == it->second.dst) continue;
+    const metrics::Collector::MessageRecord* rec = r.collector.message(MessageId(e.ref));
+    ASSERT_NE(rec, nullptr) << "unknown message ref " << e.ref;
+    if (e.a == rec->src || e.b == rec->dst) continue;
     ++forwards[{e.a.value(), e.ref}];
   }
   EXPECT_FALSE(forwards.empty());

@@ -58,7 +58,7 @@ TEST(Network, MessageMetadataMapsToCollector) {
   World<EpidemicNode> w(make_trace(4, {{0, 2, 100, 110}}));
   const MessageId id = w.send(0, 2, 10);
   w.run();
-  const auto& rec = w.collector().messages().at(id);
+  const auto& rec = w.record(id);
   EXPECT_EQ(rec.src, NodeId(0));
   EXPECT_EQ(rec.dst, NodeId(2));
   EXPECT_EQ(rec.created.to_seconds(), 10.0);

@@ -5,6 +5,7 @@
 
 #include <initializer_list>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "g2g/metrics/collector.hpp"
@@ -73,12 +74,14 @@ class World {
   [[nodiscard]] Network<NodeT>& network() { return *network_; }
   [[nodiscard]] metrics::Collector& collector() { return collector_; }
 
-  [[nodiscard]] bool delivered(MessageId id) const {
-    return collector_.messages().at(id).delivered.has_value();
+  /// The collector's record of `id`; throws if it was never generated.
+  [[nodiscard]] const metrics::Collector::MessageRecord& record(MessageId id) const {
+    const metrics::Collector::MessageRecord* rec = collector_.message(id);
+    if (rec == nullptr) throw std::out_of_range("message never generated");
+    return *rec;
   }
-  [[nodiscard]] std::uint32_t replicas(MessageId id) const {
-    return collector_.messages().at(id).replicas;
-  }
+  [[nodiscard]] bool delivered(MessageId id) const { return record(id).delivered.has_value(); }
+  [[nodiscard]] std::uint32_t replicas(MessageId id) const { return record(id).replicas; }
 
  private:
   trace::ContactTrace trace_;

@@ -134,8 +134,9 @@ TEST(ProtocolNode, PreverifiedVerdictGatesTheBlacklist) {
 
 /// Node 0 relays one message to node 1 and tests it on re-meet after Delta1.
 /// Node 1 holds the payload with no PoRs, so it must answer with a storage
-/// proof. `tamper` flips one byte of node 1's stored copy between the two
-/// contacts, at `tamper_s`.
+/// proof. `tamper` points node 1's hold, between the two contacts at
+/// `tamper_s`, at a table entry whose bytes differ from the message's in one
+/// byte (entries are shared and immutable, so the copy itself never changes).
 template <typename NodeT>
 struct StorageProofRun {
   obs::ObsContext obs;
@@ -155,7 +156,13 @@ struct StorageProofRun {
         relay::Hold* hold = world->node(1).handshake().find_hold(tests[0].h);
         ASSERT_NE(hold, nullptr);
         ASSERT_TRUE(hold->has_msg);
-        hold->msg.box.ciphertext[0] ^= 0x01;
+        MessageTable& messages = world->network().messages();
+        const BytesView wire = messages.wire(hold->msg);
+        Bytes tampered(wire.begin(), wire.end());
+        tampered.back() ^= 0x01;  // the last ciphertext byte
+        const MessageRef entry = messages.admit(tampered, tests[0].h);
+        ASSERT_NE(entry, hold->msg);
+        hold->msg = entry;
       });
     }
     world->run();
