@@ -18,21 +18,23 @@ namespace g2g::crypto {
 /// One-shot HMAC-SHA256 over `data` with key `key`.
 [[nodiscard]] Digest hmac_sha256(BytesView key, BytesView data);
 
-/// Precomputed HMAC key: the SHA-256 states after absorbing the ipad/opad
-/// blocks are saved once, so each MAC under the same key costs two block
-/// compressions fewer than hmac_sha256 (which re-derives the pads per call).
-/// Produces digests bit-identical to hmac_sha256(key, data).
+/// Precomputed HMAC key: the two SHA-256 chaining values (midstates) after
+/// the ipad and the opad block, compressed once in the constructor. A MAC
+/// then costs the compressions of its own message blocks, its padding and
+/// the outer block: two for a message of up to 55 bytes, three up to 119.
+/// Neither overload allocates. Produces the RFC 2104 digest, as
+/// hmac_sha256(key, data) does.
 class HmacKey {
  public:
   explicit HmacKey(BytesView key);
 
   [[nodiscard]] Digest mac(BytesView data) const;
-  /// MAC of the concatenation a || b (avoids an allocation).
+  /// MAC of the concatenation a || b, without concatenating.
   [[nodiscard]] Digest mac(BytesView a, BytesView b) const;
 
  private:
-  Sha256 inner_;  // state after the ipad block
-  Sha256 outer_;  // state after the opad block
+  Sha256State inner_;  // chaining value after the ipad block
+  Sha256State outer_;  // chaining value after the opad block
 };
 
 /// Iterated HMAC used as the storage-proof challenge.

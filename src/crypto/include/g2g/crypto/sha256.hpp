@@ -1,5 +1,12 @@
 // SHA-256 (FIPS 180-4). Used for message digests H(m), session transcripts,
 // and as the compression core of HMAC and the heavy HMAC challenge.
+//
+// Besides the incremental context, the header exposes the two kernels HMAC
+// is built from: block compression into a bare chaining value (how HmacKey
+// precomputes its ipad/opad midstates) and one fused HMAC finish that runs
+// the inner and then the outer compressions in a single call. Every entry
+// point takes the SHA-NI rounds when sha_accelerated() and the scalar
+// FIPS 180-4 rounds otherwise; the words are the same either way.
 #pragma once
 
 #include <array>
@@ -12,6 +19,26 @@ namespace g2g::crypto {
 inline constexpr std::size_t kSha256DigestSize = 32;
 using Digest = std::array<std::uint8_t, kSha256DigestSize>;
 
+/// A chaining value: the eight state words H0..H7.
+using Sha256State = std::array<std::uint32_t, 8>;
+
+/// Initial chaining value H(0) from FIPS 180-4.
+inline constexpr Sha256State kSha256InitState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                                 0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                                 0x1f83d9ab, 0x5be0cd19};
+
+/// Compresses `count` consecutive 64-byte blocks into `state`.
+void sha256_compress(Sha256State& state, const std::uint8_t* blocks, std::size_t count);
+
+/// The end of an HMAC-SHA256 (RFC 2104) in one kernel call. `inner` has
+/// absorbed the ipad block and the message up to `data`, `absorbed` bytes in
+/// all (a multiple of 64); `outer` has absorbed the opad block. Runs the
+/// whole blocks of `data` in place, then its tail and padding from one stack
+/// buffer, then the outer block (the inner digest and constant padding), and
+/// returns the MAC.
+[[nodiscard]] Digest hmac_sha256_finish(const Sha256State& inner, const Sha256State& outer,
+                                        BytesView data, std::uint64_t absorbed);
+
 /// Incremental SHA-256 context.
 class Sha256 {
  public:
@@ -23,12 +50,7 @@ class Sha256 {
   [[nodiscard]] Digest finish();
 
  private:
-  void compress(const std::uint8_t block[64]);
-  // Processes `count` consecutive 64-byte blocks; dispatches to the SHA-NI
-  // hardware rounds when available (bit-identical to the scalar loop).
-  void compress_many(const std::uint8_t* blocks, std::size_t count);
-
-  std::array<std::uint32_t, 8> state_{};
+  Sha256State state_{};
   std::uint64_t length_ = 0;  // total bytes fed
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffered_ = 0;

@@ -16,11 +16,10 @@
 //    verifies them against its own symmetric records (catches *liars*).
 //
 // The handshake middle (steps 8–11) is the relay_attempt() hook; the
-// delegation-only bookkeeping (encounter table, per-message destination
-// records, chain check, test by the destination) rides the RelayNode hooks.
+// delegation-only bookkeeping (encounter table, chain check, test by the
+// destination) rides the RelayNode hooks.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -55,8 +54,6 @@ class G2GDelegationNode final : public relay::RelayNode {
                                                        const MessageHash& h,
                                                        relay::Hold& hold) override;
   double source_fm(MessageRef m) override;
-  void on_generate(MessageRef m) override;
-  void on_hold_erased(const MessageHash& h) override;
   void on_delivered(Session& s,
                     const std::vector<QualityDeclaration>& attachments) override;
   bool begin_test(relay::PendingTest& t, NodeId& real_dst) override;
@@ -71,10 +68,6 @@ class G2GDelegationNode final : public relay::RelayNode {
   bool chain_check(const relay::PendingTest& t, const std::vector<ProofOfRelay>& pors,
                    NodeId real_dst, TimePoint now);
   [[nodiscard]] NodeId random_decoy(NodeId not_this) const;
-
-  /// Ground truth the source needs for chain checks: real destination per
-  /// message it originated.
-  std::map<MessageHash, NodeId> my_message_dst_;
   EncounterTable table_;
 };
 

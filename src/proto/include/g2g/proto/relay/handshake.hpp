@@ -35,8 +35,8 @@ class HandshakeEngine {
   /// Source-side message admission (the host supplies the initial f_m).
   void generate(MessageRef m, double fm);
 
-  /// Delta2 housekeeping: expired holds go (the host is told first so it can
-  /// drop its own per-message records), resolved or out-of-window tests go.
+  /// Delta2 housekeeping: expired holds go (a source's hold stays while a
+  /// test of its message is pending), resolved or out-of-window tests go.
   void purge(TimePoint now);
 
   /// Giver side: offer every eligible hold to `taker`, one handshake each.

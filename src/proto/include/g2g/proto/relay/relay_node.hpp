@@ -9,10 +9,9 @@
 //   * relay_attempt(): the policy-specific middle of one handshake —
 //     epidemic offer/accept vs. delegation quality negotiation with decoy
 //     destinations — returning the verified PoR and the encoded data frame.
-//   * the small hooks (source_fm, on_generate, on_hold_erased, on_delivered,
-//     begin_test, screen_pors) that cover the delegation-only bookkeeping
-//     (encounter-table label, destination records, chain check, test by the
-//     destination).
+//   * the small hooks (source_fm, on_delivered, begin_test, screen_pors)
+//     that cover the delegation-only bookkeeping (encounter-table label,
+//     chain check, test by the destination).
 //
 // The engines are friends: they act with the node's own access rights
 // (cost counters, trace events, PoM issuance) without widening the
@@ -34,12 +33,8 @@ class RelayNode : public ProtocolNode {
         handshake_(*this),
         audit_(*this, mode) {}
 
-  /// Source-side admission of the table entry `m`: seed the hold table and
-  /// the policy's records.
-  void generate(MessageRef m) {
-    handshake_.generate(m, source_fm(m));
-    on_generate(m);
-  }
+  /// Source-side admission of the table entry `m`: seed the hold table.
+  void generate(MessageRef m) { handshake_.generate(m, source_fm(m)); }
 
   // Introspection (tests).
   [[nodiscard]] bool stores_message(const MessageHash& h) const;
@@ -70,16 +65,12 @@ class RelayNode : public ProtocolNode {
                                                         const MessageHash& h, Hold& hold) = 0;
   /// Initial quality label f_m of a self-generated message.
   [[nodiscard]] virtual double source_fm(MessageRef /*m*/) { return 0.0; }
-  /// After generate() seeded the hold table.
-  virtual void on_generate(MessageRef /*m*/) {}
-  /// Before purge() erases an expired hold.
-  virtual void on_hold_erased(const MessageHash& /*h*/) {}
   /// At the destination, right after delivery: Delegation runs the test by
   /// the destination over the embedded declarations.
   virtual void on_delivered(Session& /*s*/, const std::vector<QualityDeclaration>&
                             /*attachments*/) {}
   /// First screen of a due pending test; false skips the challenge entirely
-  /// (Delegation: the per-message destination record is gone).
+  /// (Delegation: the source's hold, which names the destination, is gone).
   virtual bool begin_test(PendingTest& /*t*/, NodeId& /*real_dst*/) { return true; }
   /// Screen the presented PoRs before the validity pass; false fails the
   /// test (Delegation: chain check detected a cheat, PoM already issued).

@@ -30,21 +30,17 @@ double G2GDelegationNode::source_fm(MessageRef m) {
   return table_.current(config().quality_kind, env_.messages().body(m).dst);
 }
 
-void G2GDelegationNode::on_generate(MessageRef m) {
-  my_message_dst_.emplace(env_.messages().hash(m), env_.messages().body(m).dst);
-}
-
-void G2GDelegationNode::on_hold_erased(const MessageHash& h) { my_message_dst_.erase(h); }
-
 void G2GDelegationNode::on_delivered(Session& s,
                                      const std::vector<QualityDeclaration>& attachments) {
   check_attachments(s, attachments);
 }
 
 bool G2GDelegationNode::begin_test(relay::PendingTest& t, NodeId& real_dst) {
-  const auto dst_it = my_message_dst_.find(t.h);
-  if (dst_it == my_message_dst_.end()) return false;  // message record gone
-  real_dst = dst_it->second;
+  // The source's own hold names the destination; purge keeps it while a
+  // test of the message is pending.
+  const relay::Hold* hold = handshake().find_hold(t.h);
+  if (hold == nullptr) return false;
+  real_dst = env_.messages().body(hold->msg).dst;
   return true;
 }
 

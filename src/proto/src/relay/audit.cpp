@@ -26,7 +26,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     s.arena().reset();
 
     NodeId real_dst = NodeId::invalid();
-    if (!host_.begin_test(t, real_dst)) continue;  // policy record gone
+    if (!host_.begin_test(t, real_dst)) continue;  // source hold gone
 
     const std::uint64_t ref = host_.trace_ref(t.h);
     host_.counters().tests_by_sender->add();

@@ -67,7 +67,6 @@ void HandshakeEngine::erase_hold(std::uint32_t id) {
   // Message and PoR state is discarded at Delta2; the 32-byte message hash
   // stays in `handled_` so the node never pays for re-reception.
   const MessageHash& h = hold_ids_.key(id);
-  host_.on_hold_erased(h);
   if (sl.offered) offers_.erase(offer_position(h));
   sl = Slot{};
   hold_ids_.erase(id);

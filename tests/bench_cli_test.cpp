@@ -4,8 +4,10 @@
 // dropping telemetry at the end of a long sweep, and a writable one must end
 // up holding the report; a malformed, out-of-range or missing numeric value
 // exits 1. g2gsim: a malformed or out-of-range numeric flag must print the
-// usage text and exit 2. Neither may run with a misparsed value or die by a
-// signal.
+// usage text and exit 2. g2g-bench-compare: a bad ratio flag exits 2, and
+// the checked-in fig4 baseline grades clean against itself but fails against
+// a copy with one cell 2.5x slower. None may run with a misparsed value or
+// die by a signal.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -29,6 +31,16 @@ const std::string kFig3 = G2G_BENCH_FIG3;
 const std::string kFig4 = G2G_BENCH_FIG4;
 const std::string kTable1 = G2G_BENCH_TABLE1;
 const std::string kG2gsim = G2G_G2GSIM;
+const std::string kBenchCompare = G2G_BENCH_COMPARE;
+const std::string kFig4Baseline = std::string(G2G_BENCH_RESULTS) + "/BENCH_fig4.json";
+
+// `text` with the number after the first `key` multiplied by `factor`.
+std::string scale_first(std::string text, const std::string& key, double factor) {
+  const std::size_t begin = text.find(key) + key.size();
+  const std::size_t end = text.find_first_of(",}", begin);
+  const double value = std::stod(text.substr(begin, end - begin));
+  return text.replace(begin, end - begin, std::to_string(value * factor));
+}
 
 TEST(BenchCli, HelpExitsZero) { EXPECT_EQ(run(kFig4 + " --help"), 0); }
 
@@ -79,6 +91,41 @@ TEST(BenchCli, JsonOutHoldsTheReport) {
   const g2g::tools::Value* wall = cells->array[0].find("wall_s");
   ASSERT_NE(wall, nullptr);
   EXPECT_GT(wall->num_or(0.0), 0.0);
+}
+
+TEST(BenchCompareCli, RejectsBadRatioValues) {
+  // Each used to abort (134), be misread, or be accepted.
+  const std::string files = " " + kFig4Baseline + " " + kFig4Baseline;
+  const char* const bad[] = {
+      "--warn-ratio abc",  "--fail-ratio 2.4x", "--warn-ratio nan", "--fail-ratio inf",
+      "--warn-ratio -1",   "--warn-ratio 0",    "--fail-ratio 0.5", "--warn-ratio 3 --fail-ratio 2",
+  };
+  for (const char* args : bad) {
+    EXPECT_EQ(run(kBenchCompare + " " + args + files), 2) << args;
+  }
+  // A forgotten value: the flag takes the next argument, or nothing at all.
+  EXPECT_EQ(run(kBenchCompare + " --warn-ratio" + files), 2);
+  EXPECT_EQ(run(kBenchCompare + files + " --fail-ratio"), 2);
+}
+
+TEST(BenchCompareCli, BaselineAgainstItselfPasses) {
+  EXPECT_EQ(run(kBenchCompare + " " + kFig4Baseline + " " + kFig4Baseline), 0);
+  EXPECT_EQ(run(kBenchCompare + " --warn-ratio 2 --fail-ratio 2 " + kFig4Baseline + " " +
+                kFig4Baseline),
+            0);
+}
+
+TEST(BenchCompareCli, SlowedCellFailsWithTheDefaults) {
+  // One cell 2.5x slower: its wall time and its throughput both fail.
+  std::stringstream text;
+  text << std::ifstream(kFig4Baseline).rdbuf();
+  const std::string slowed =
+      scale_first(scale_first(text.str(), "\"wall_s\":", 2.5), "\"events_per_s\":", 1 / 2.5);
+  ASSERT_NE(slowed, text.str());
+  const std::string path = "bench_cli_fig4_slowed.json";
+  std::ofstream(path) << slowed;
+  EXPECT_EQ(run(kBenchCompare + " " + kFig4Baseline + " " + path), 1);
+  std::remove(path.c_str());
 }
 
 TEST(G2gsimCli, RejectsMalformedAndOutOfRangeNumbers) {

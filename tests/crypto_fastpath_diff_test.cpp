@@ -1,15 +1,18 @@
 // Differential tests pinning the crypto fast path to its reference
-// implementations. Every accelerated routine (SHA-NI compression, the
-// precomputed-pad heavy HMAC chain, the fixed-base and per-key Schnorr
-// tables, the Montgomery kernels) must be bit-identical to the straight-line
-// code it replaces: golden vectors anchor both sides to the standards, and
-// randomized corpora compare fast vs reference over thousands of inputs.
+// implementations. Every accelerated routine (SHA-NI compression, the fused
+// HMAC finish under precomputed midstates, the heavy HMAC chain, the
+// fixed-base and per-key Schnorr tables, the Montgomery kernels) must be
+// bit-identical to the straight-line code it replaces: golden vectors anchor
+// both sides to the standards, and randomized corpora compare fast vs
+// reference over thousands of inputs. HMAC answers to a test-local RFC 2104
+// construction built only on the incremental Sha256 context.
 // The final tests close the loop end to end: a full experiment serializes to
 // byte-identical JSON with the fast path on or off, and with the suites'
 // per-signer memos cold or warm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -45,6 +48,49 @@ std::string hex(const Digest& d) {
   }
   return out;
 }
+
+// RFC 2104 HMAC-SHA256 built only on the incremental Sha256 context: a key
+// longer than a block is hashed first, then H((K ^ opad) || H((K ^ ipad) ||
+// m)). The independent oracle for HmacKey, which hmac_sha256 is.
+Digest rfc2104_hmac(BytesView key, BytesView message) {
+  std::array<std::uint8_t, 64> k{};
+  if (key.size() > k.size()) {
+    const Digest d = sha256(key);
+    std::copy(d.begin(), d.end(), k.begin());
+  } else {
+    std::copy(key.begin(), key.end(), k.begin());
+  }
+  std::array<std::uint8_t, 64> ipad{};
+  std::array<std::uint8_t, 64> opad{};
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  }
+  Sha256 inner;
+  inner.update(ipad);
+  inner.update(message);
+  const Digest inner_digest = inner.finish();
+  Sha256 outer;
+  outer.update(opad);
+  outer.update(digest_view(inner_digest));
+  return outer.finish();
+}
+
+/// The heavy HMAC chain of hmac.hpp, on the RFC 2104 oracle.
+Digest rfc2104_heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations) {
+  const Digest m_digest = sha256(message);
+  Digest h = rfc2104_hmac(seed, message);
+  for (std::uint32_t i = 0; i < iterations; ++i) {
+    Bytes link(h.begin(), h.end());
+    link.insert(link.end(), m_digest.begin(), m_digest.end());
+    h = rfc2104_hmac(seed, link);
+  }
+  return h;
+}
+
+// Key lengths around the block size: empty, short, a FastSuite MAC key, one
+// short of a block, a block, one over (hashed first), RFC 4231's 131 bytes.
+constexpr std::size_t kHmacKeyLengths[] = {0, 1, 32, 63, 64, 65, 131};
 
 // -- SHA-256 ------------------------------------------------------------------
 
@@ -86,6 +132,27 @@ TEST(FastPathDiff, Sha256FastMatchesReferenceOnRandomCorpus) {
       ref = sha256(data);
     }
     EXPECT_EQ(fast, ref) << "length " << n;
+  }
+}
+
+TEST(FastPathDiff, Sha256EveryLengthTo130MatchesGolden) {
+  // Every length 0..130 of the pattern byte[i] = 31 i + 7: one or two padding
+  // blocks, with and without whole blocks in front. The golden value is the
+  // SHA-256 of the 131 concatenated digests, from python3's hashlib.
+  Bytes pattern(130);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(31 * i + 7);
+  }
+  for (const bool fast : {true, false}) {
+    const FastPathScope scope(fast);
+    Bytes digests;
+    for (std::size_t n = 0; n <= pattern.size(); ++n) {
+      const Digest d = sha256(BytesView(pattern.data(), n));
+      digests.insert(digests.end(), d.begin(), d.end());
+    }
+    EXPECT_EQ(hex(sha256(digests)),
+              "c6e4e8706aad569e79b1296ad67e984c018330dca4cd1bc520b46a1d8c1abb05")
+        << "fast=" << fast;
   }
 }
 
@@ -138,9 +205,59 @@ TEST(FastPathDiff, HmacKeyMatchesOneShotOnRandomCorpus) {
     const Bytes b = random_bytes(rng, rng.next() % 300);
     const HmacKey hk(key);
     EXPECT_EQ(hk.mac(a), hmac_sha256(key, a));
+    EXPECT_EQ(hk.mac(a), rfc2104_hmac(key, a));
     Bytes ab = a;
     ab.insert(ab.end(), b.begin(), b.end());
     EXPECT_EQ(hk.mac(a, b), hmac_sha256(key, ab));
+    EXPECT_EQ(hk.mac(a, b), rfc2104_hmac(key, ab));
+  }
+}
+
+TEST(FastPathDiff, HmacKeyMatchesRfc2104AtEveryLength) {
+  // Every message length 0..300: zero to four whole blocks in place, then a
+  // tail that pads to one block (0..55 bytes) or two (56..63).
+  Rng rng(0x2104);
+  const Bytes message = random_bytes(rng, 300);
+  for (const std::size_t key_len : kHmacKeyLengths) {
+    const Bytes key = random_bytes(rng, key_len);
+    for (const bool fast : {true, false}) {
+      const FastPathScope scope(fast);
+      const HmacKey hk(key);
+      for (std::size_t n = 0; n <= message.size(); ++n) {
+        const BytesView m(message.data(), n);
+        EXPECT_EQ(hk.mac(m), rfc2104_hmac(key, m))
+            << "key " << key_len << ", length " << n << ", fast=" << fast;
+      }
+    }
+  }
+}
+
+TEST(FastPathDiff, HmacKeyTwoPartMacMatchesRfc2104AtEverySplit) {
+  // mac(a, b) at every split of every length 0..130. Each part lives in its
+  // own buffer between guard bytes, so reading past either end shows.
+  Rng rng(0xA11B);
+  const Bytes message = random_bytes(rng, 130);
+  const Bytes guard(64, 0xEE);
+  for (const std::size_t key_len : kHmacKeyLengths) {
+    const Bytes key = random_bytes(rng, key_len);
+    for (const bool fast : {true, false}) {
+      const FastPathScope scope(fast);
+      const HmacKey hk(key);
+      for (std::size_t n = 0; n <= message.size(); ++n) {
+        const Digest expect = rfc2104_hmac(key, BytesView(message.data(), n));
+        for (std::size_t split = 0; split <= n; ++split) {
+          Bytes a(message.begin(), message.begin() + static_cast<std::ptrdiff_t>(split));
+          a.insert(a.end(), guard.begin(), guard.end());
+          Bytes b = guard;
+          b.insert(b.end(), message.begin() + static_cast<std::ptrdiff_t>(split),
+                   message.begin() + static_cast<std::ptrdiff_t>(n));
+          EXPECT_EQ(hk.mac(BytesView(a).first(split), BytesView(b).subspan(guard.size())),
+                    expect)
+              << "key " << key_len << ", length " << n << ", split " << split
+              << ", fast=" << fast;
+        }
+      }
+    }
   }
 }
 
@@ -150,6 +267,7 @@ TEST(FastPathDiff, HeavyHmacMatchesReference) {
     const Bytes msg = random_bytes(rng, 1 + rng.next() % 700);
     const Bytes seed = random_bytes(rng, 1 + rng.next() % 48);
     const Digest ref = heavy_hmac_reference(msg, seed, iterations);
+    EXPECT_EQ(ref, rfc2104_heavy_hmac(msg, seed, iterations)) << iterations;
     {
       const FastPathScope scope(true);
       EXPECT_EQ(heavy_hmac(msg, seed, iterations), ref) << iterations;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "g2g/crypto/fastpath.hpp"
+
 namespace g2g::crypto {
 namespace {
 
@@ -25,6 +27,34 @@ TEST(HmacSha256, Rfc4231Case3) {
   const Digest d = hmac_sha256(key, data);
   EXPECT_EQ(to_hex(digest_view(d)),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+}
+
+TEST(HmacSha256, Rfc4231Case4) {
+  Bytes key(25);
+  for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i + 1);
+  const Bytes data(50, 0xcd);
+  for (const bool fast : {true, false}) {
+    const FastPathScope scope(fast);
+    EXPECT_EQ(to_hex(digest_view(hmac_sha256(key, data))),
+              "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b")
+        << "fast=" << fast;
+  }
+}
+
+TEST(HmacSha256, Rfc4231Case7LongKeyLongData) {
+  // A 131-byte key (hashed first) and 152 bytes of data: two whole blocks in
+  // place, then a 24-byte tail.
+  const Bytes key(131, 0xaa);
+  const Bytes data = to_bytes(
+      "This is a test using a larger than block-size key and a larger than block-size data. "
+      "The key needs to be hashed before being used by the HMAC algorithm.");
+  ASSERT_EQ(data.size(), 152u);
+  for (const bool fast : {true, false}) {
+    const FastPathScope scope(fast);
+    EXPECT_EQ(to_hex(digest_view(hmac_sha256(key, data))),
+              "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2")
+        << "fast=" << fast;
+  }
 }
 
 TEST(HmacSha256, Rfc4231Case6LongKey) {

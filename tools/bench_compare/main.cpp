@@ -3,15 +3,27 @@
 //   g2g-bench-compare [--warn-ratio 1.25] [--fail-ratio 2.0] base.json new.json
 //
 // Exit codes: 0 no failures (warnings allowed), 1 at least one failure,
-// 2 usage / unreadable / unparseable input.
+// 2 usage / unreadable / unparseable input. A ratio is a finite number >= 1
+// and the warn ratio may not exceed the fail ratio; a bad or missing value
+// is a usage error.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "compare.hpp"
+#include "g2g/util/parse_number.hpp"
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: g2g-bench-compare [--warn-ratio R] [--fail-ratio R] base.json new.json\n";
+
+int usage_error(const std::string& message) {
+  std::cerr << "g2g-bench-compare: " << message << '\n' << kUsage;
+  return 2;
+}
 
 bool read_report(const std::string& path, g2g::tools::Value& out) {
   std::ifstream in(path);
@@ -39,29 +51,29 @@ int main(int argc, char** argv) {
   std::string next_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--warn-ratio" && i + 1 < argc) {
-      options.warn_ratio = std::stod(argv[++i]);
-    } else if (arg == "--fail-ratio" && i + 1 < argc) {
-      options.fail_ratio = std::stod(argv[++i]);
+    if (arg == "--warn-ratio" || arg == "--fail-ratio") {
+      const std::string value = i + 1 < argc ? argv[++i] : "";
+      const std::optional<double> ratio = g2g::parse_number<double>(value.c_str(), 1.0);
+      if (!ratio) return usage_error(arg + " needs a finite ratio >= 1, got '" + value + "'");
+      (arg == "--warn-ratio" ? options.warn_ratio : options.fail_ratio) = *ratio;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: g2g-bench-compare [--warn-ratio R] [--fail-ratio R]"
-                   " base.json new.json\n";
+      std::cout << kUsage;
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "g2g-bench-compare: unknown option " << arg << '\n';
-      return 2;
+      return usage_error("unknown option " + arg);
     } else if (base_path.empty()) {
       base_path = arg;
     } else if (next_path.empty()) {
       next_path = arg;
     } else {
-      std::cerr << "g2g-bench-compare: too many arguments\n";
-      return 2;
+      return usage_error("too many arguments");
     }
   }
+  if (options.warn_ratio > options.fail_ratio) {
+    return usage_error("--warn-ratio must not exceed --fail-ratio");
+  }
   if (base_path.empty() || next_path.empty()) {
-    std::cerr << "usage: g2g-bench-compare [--warn-ratio R] [--fail-ratio R]"
-                 " base.json new.json\n";
+    std::cerr << kUsage;
     return 2;
   }
 
