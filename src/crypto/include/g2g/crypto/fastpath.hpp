@@ -9,6 +9,10 @@
 //
 // Covered by the switch:
 //  - SHA-256 compression: SHA-NI hardware rounds vs the scalar FIPS 180-4 loop
+//  - the fused HMAC finish (hmac_sha256_finish, behind every HmacKey::mac):
+//    one SHA-NI kernel for the inner and the outer hash vs the same steps in
+//    scalar rounds; with the switch off, SHA-256 and HMAC run only scalar
+//    rounds
 //  - heavy_hmac: precomputed-pad-state chain vs heavy_hmac_reference
 //  - Schnorr: fixed-base window tables for g and the per-public-key tables
 //    for y^e vs square-and-multiply pow_mod
@@ -20,7 +24,7 @@
 // NOT covered: the suites' per-signer memos (key_memo.hpp). They store values
 // the uncached path would compute bit for bit, so there is nothing to switch:
 // with the fast path off the Schnorr engine bypasses its key tables, and the
-// FastSuite's memoised HMAC pad states are the HMAC itself, not a kernel.
+// FastSuite's memoised HMAC midstates are the HMAC itself, not a kernel.
 // Nor is heavy_hmac_equal's input-identity verdict (hmac.hpp): it decides the
 // digest comparison exactly, and any chain it does run goes through the
 // switched heavy_hmac.
