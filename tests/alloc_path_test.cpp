@@ -1,13 +1,15 @@
 // Arena + SpanWriter semantics, arena/owning encode equality, and the
 // allocation-count pins for the zero-copy wire path: with warm arena chunks,
 // the full 5-step handshake frame-codec sequence performs zero heap
-// allocations, and so does building and moving an empty relay Hold (this
-// binary links g2g_alloc_probe, which replaces global operator new/delete
-// with counting wrappers).
+// allocations, and so do building and moving an empty relay Hold and every
+// HMAC under a prepared key (this binary links g2g_alloc_probe, which
+// replaces global operator new/delete with counting wrappers).
 #include <gtest/gtest.h>
 
 #include <span>
 
+#include "g2g/crypto/fastpath.hpp"
+#include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/identity.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/relay/frames.hpp"
@@ -262,6 +264,24 @@ TEST(AllocPath, EmptyHoldConstructsAndMovesWithoutHeap) {
   proto::relay::Hold moved(std::move(hold));
   EXPECT_EQ(heap_alloc_count() - before, 0u) << "an empty Hold allocated";
   EXPECT_TRUE(moved.failed_candidates.empty());
+}
+
+TEST(AllocPath, HmacKeyMacAllocatesNothing) {
+  // Every FastSuite sign and verify is one mac() and every heavy-chain link
+  // one mac(a, b): whole blocks are read in place, the rest goes to the stack.
+  const crypto::HmacKey key(Bytes(32, 0x4b));
+  const Bytes message(200, 0x5a);
+  for (const bool fast : {true, false}) {
+    const crypto::FastPathScope scope(fast);
+    for (const std::size_t n : {0u, 49u, 63u, 91u, 200u}) {
+      const BytesView m(message.data(), n);
+      const std::size_t before = heap_alloc_count();
+      const crypto::Digest one = key.mac(m);
+      const crypto::Digest two = key.mac(m.first(n / 3), m.subspan(n / 3));
+      EXPECT_EQ(heap_alloc_count() - before, 0u) << "length " << n << ", fast=" << fast;
+      EXPECT_EQ(one, two);
+    }
+  }
 }
 
 }  // namespace
