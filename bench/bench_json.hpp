@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "g2g/core/json.hpp"
+#include "g2g/crypto/fastpath.hpp"
 #include "g2g/obs/registry.hpp"
 
 namespace g2g::bench {
@@ -53,6 +54,14 @@ inline std::string git_rev() {
     ::pclose(p);
   }
   return rev;
+}
+
+/// The crypto kernels this process runs, as "config" pairs: a baseline taken
+/// on a host with SHA-NI or BMI2+ADX, compared on one without them, would
+/// otherwise read as a regression.
+inline std::vector<std::pair<std::string, std::string>> crypto_kernels() {
+  return {{"sha256", crypto::sha_accelerated() ? "shani" : "scalar"},
+          {"mont_mul", crypto::adx_available() ? "adx" : "portable"}};
 }
 
 /// json_escape handles the content; the quotes are ours to add.

@@ -78,16 +78,55 @@ BENCHMARK(BM_HeavyHmacReference)->Arg(256)->Arg(1024)->Arg(4096);
 // One Montgomery CIOS product vs one schoolbook shift-subtract mul_mod over
 // the default group's 256-bit prime. The ratio is the per-multiply fast-path
 // win that compounds through every exponentiation chain; the differential
-// corpus (crypto_fastpath_diff_test) owns correctness.
-void BM_MontMul(benchmark::State& state) {
-  const SchnorrGroup& group = SchnorrGroup::default_group();
-  const MontgomeryParams params = MontgomeryParams::for_modulus(group.p);
-  Rng rng(3);
-  const U256 a = to_mont(random_below(rng, group.p), params);
-  const U256 b = to_mont(random_below(rng, group.p), params);
-  for (auto _ : state) benchmark::DoNotOptimize(mont_mul(a, b, params));
+// corpus (crypto_fastpath_diff_test) owns correctness. mont_mul is the
+// kernel the CPU selects (the report's config names it); the Portable rows
+// time the C kernel, which is what CPUs without BMI2+ADX run.
+struct MontOperands {
+  MontgomeryParams params = MontgomeryParams::for_modulus(SchnorrGroup::default_group().p);
+  U256 a;
+  U256 b;
+  MontOperands() {
+    Rng rng(3);
+    a = to_mont(random_below(rng, params.m), params);
+    b = to_mont(random_below(rng, params.m), params);
+  }
+};
+
+// Independent products: the same operands every iteration, so consecutive
+// products overlap in the pipeline.
+template <U256 (*Kernel)(const U256&, const U256&, const MontgomeryParams&)>
+void mont_mul_independent(benchmark::State& state) {
+  const MontOperands ops;
+  for (auto _ : state) benchmark::DoNotOptimize(Kernel(ops.a, ops.b, ops.params));
 }
+
+// A dependent chain, x = x·b, as every exponentiation and window walk runs:
+// each product waits for the one before.
+template <U256 (*Kernel)(const U256&, const U256&, const MontgomeryParams&)>
+void mont_mul_chain(benchmark::State& state) {
+  const MontOperands ops;
+  U256 x = ops.a;
+  for (auto _ : state) {
+    x = Kernel(x, ops.b, ops.params);
+    benchmark::DoNotOptimize(x);
+  }
+}
+
+void BM_MontMul(benchmark::State& state) { mont_mul_independent<mont_mul>(state); }
 BENCHMARK(BM_MontMul);
+
+void BM_MontMulChain(benchmark::State& state) { mont_mul_chain<mont_mul>(state); }
+BENCHMARK(BM_MontMulChain);
+
+void BM_MontMulPortable(benchmark::State& state) {
+  mont_mul_independent<mont_mul_portable>(state);
+}
+BENCHMARK(BM_MontMulPortable);
+
+void BM_MontMulPortableChain(benchmark::State& state) {
+  mont_mul_chain<mont_mul_portable>(state);
+}
+BENCHMARK(BM_MontMulPortableChain);
 
 void BM_MulModClassic(benchmark::State& state) {
   const SchnorrGroup& group = SchnorrGroup::default_group();
@@ -271,6 +310,7 @@ int main(int argc, char** argv) {
   if (!json_out.empty()) {
     g2g::bench::BenchReport report;
     report.bench = "micro_crypto";
+    report.config = g2g::bench::crypto_kernels();
     report.cells = std::move(reporter.cells);
     if (!report.write(json_out)) return 1;
   }

@@ -400,6 +400,7 @@ int main(int argc, char** argv) {
   if (!json_out.empty()) {
     g2g::bench::BenchReport report;
     report.bench = "micro_proto";
+    report.config = g2g::bench::crypto_kernels();
     report.cells = std::move(reporter.cells);
     if (!report.write(json_out)) return 1;
   }

@@ -16,12 +16,16 @@
 //  - heavy_hmac: precomputed-pad-state chain vs heavy_hmac_reference
 //  - Schnorr: fixed-base window tables for g and the per-public-key tables
 //    for y^e vs square-and-multiply pow_mod
-//  - U256 modular arithmetic: Montgomery-form CIOS kernels (montgomery.hpp —
+//  - U256 modular arithmetic: Montgomery-form arithmetic (montgomery.hpp —
 //    mont window tables, mont_pow's fixed 4-bit window behind pow_mod_fast
 //    and DH, the mont_reduce challenge reduction) vs the schoolbook
 //    shift-subtract mod in uint256.cpp
 //
-// NOT covered: the suites' per-signer memos (key_memo.hpp). They store values
+// NOT covered: which mont_mul kernel runs. The CPU chooses it, once per
+// process (adx_available): the MULX/ADCX/ADOX asm kernel where BMI2 and ADX
+// exist, the C CIOS kernel elsewhere. mont_mul never reads the switch: the
+// callers above read it and, with it off, take the schoolbook route.
+// Nor are the suites' per-signer memos (key_memo.hpp). They store values
 // the uncached path would compute bit for bit, so there is nothing to switch:
 // with the fast path off the Schnorr engine bypasses its key tables, and the
 // FastSuite's memoised HMAC midstates are the HMAC itself, not a kernel.
@@ -45,6 +49,10 @@ bool set_fast_path(bool on);
 
 /// True when SHA-256 will actually use the hardware rounds right now.
 [[nodiscard]] bool sha_accelerated();
+
+/// True when this CPU exposes BMI2 and ADX (MULX, ADCX, ADOX), so mont_mul
+/// runs mont_mul_adx (detection is cached; false off x86-64).
+[[nodiscard]] bool adx_available();
 
 /// RAII toggle for tests: forces the fast path on/off for a scope.
 class FastPathScope {

@@ -9,15 +9,25 @@
 // where schnorr.cpp uses it: exponentiation chains and window tables that
 // stay in the domain across hundreds of multiplies.
 //
+// Two kernels compute the same CIOS product. mont_mul_adx is x86-64 inline
+// asm: MULX for every limb product, and in each pass the low halves ride
+// the ADCX (carry flag) chain while the high halves ride the ADOX (overflow
+// flag) chain, so two carry chains run side by side; the final subtract is
+// a CMOV select. mont_mul_portable is the unrolled C loop. mont_mul picks
+// one per process by a cached CPUID check (adx_available in fastpath.hpp):
+// the asm wherever BMI2 and ADX exist, the C kernel on other CPUs and on
+// non-x86-64 builds, where the asm is not compiled.
+//
 // Simulation-grade: nothing here claims to run in constant time. mont_pow
 // and FixedBaseTable skip zero digits, so their multiply count depends on
-// the exponent, and mont_mul's final subtract is a branch.
+// the exponent, and the C kernel's final subtract is a branch.
 //
-// Oracle policy (docs/TESTING.md): everything here is a fast path behind
-// crypto::set_fast_path. The schoolbook shift-subtract reducer in
-// uint256.cpp (mod / mul_mod / pow_mod) is the always-available reference,
-// and the differential corpus in tests/crypto_fastpath_diff_test.cpp pins
-// every routine below to it bit for bit.
+// Oracle layering (docs/TESTING.md): the schoolbook shift-subtract reducer
+// in uint256.cpp (mod / mul_mod / pow_mod) is the always-available
+// reference; the C CIOS kernel is pinned to it, and the asm kernel to both,
+// by the differential corpus in tests/crypto_fastpath_diff_test.cpp, which
+// pins every routine below bit for bit. The routines above the kernel are
+// a fast path behind crypto::set_fast_path.
 //
 // Contracts (enforced by the differential corpus, not by runtime checks):
 //  * the modulus must be odd and > 1 — for_modulus throws otherwise;
@@ -47,8 +57,19 @@ struct MontgomeryParams {
 
 /// CIOS Montgomery product a·b·R⁻¹ mod m. For Montgomery-form inputs ã, b̃
 /// this is the Montgomery form of a·b. Requires at least one operand < m;
-/// the result is canonical (< m).
+/// the result is canonical (< m). Runs mont_mul_adx when adx_available(),
+/// mont_mul_portable otherwise.
 [[nodiscard]] U256 mont_mul(const U256& a, const U256& b, const MontgomeryParams& params);
+
+/// The C CIOS kernel, same contract as mont_mul: the fallback where the asm
+/// kernel cannot run, and its oracle in the differential tests.
+[[nodiscard]] U256 mont_mul_portable(const U256& a, const U256& b,
+                                     const MontgomeryParams& params);
+
+/// The MULX/ADCX/ADOX kernel, same contract as mont_mul. Only for CPUs where
+/// adx_available(); throws std::logic_error on a build without it (not
+/// x86-64).
+[[nodiscard]] U256 mont_mul_adx(const U256& a, const U256& b, const MontgomeryParams& params);
 
 /// x·R mod m — enter the Montgomery domain. Accepts any U256; values ≥ m
 /// are reduced (the result equals to_mont(mod(x, m), params)).

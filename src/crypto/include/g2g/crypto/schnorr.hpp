@@ -114,6 +114,11 @@ class FixedBaseTable {
   /// is taken as-is rather than multiplied into one. Same exponent bound as
   /// pow(). Lets several tables share one accumulator and one from_mont.
   void mul_into(std::optional<U256>& acc, const U256& exponent) const;
+  /// Window `w`'s entry for the exponent's digit d there, base^(d ·
+  /// 2^(window_bits·w)) in Montgomery form, or nullptr when d is zero.
+  /// Requires w < windows(); mul_into multiplies these for every window.
+  [[nodiscard]] const U256* factor(std::size_t w, const U256& exponent) const;
+  [[nodiscard]] std::size_t windows() const { return windows_; }
   [[nodiscard]] std::size_t exp_bits() const { return windows_ * window_bits_; }
 
  private:
@@ -164,9 +169,10 @@ class SchnorrEngine {
   /// base^exponent mod p — mont_pow's fixed window when the fast path is on.
   [[nodiscard]] U256 pow_p(const U256& base, const U256& exponent) const;
   /// g^s · y^e mod p for s, e < q: the commitment every verification
-  /// recomputes. With the fast path on, the digits of s (g's table) and of e
-  /// (y's table) go into one Montgomery accumulator that leaves the domain
-  /// once; off, pow_mod twice and mul_mod.
+  /// recomputes. With the fast path on, one walk over g's table (digits of
+  /// s) and y's table (digits of e) fills three independent Montgomery
+  /// accumulators — g, y's even windows, y's odd windows — whose product
+  /// leaves the domain once; off, pow_mod twice and mul_mod.
   [[nodiscard]] U256 commitment(const U256& public_key, const U256& s, const U256& e) const;
   /// y's memoised 4-bit window table (fast path on, mont_p_ engaged).
   [[nodiscard]] std::shared_ptr<const FixedBaseTable> key_table(const U256& public_key) const;

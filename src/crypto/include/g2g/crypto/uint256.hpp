@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "g2g/util/bytes.hpp"
@@ -22,9 +23,12 @@ struct U256 {
   constexpr explicit U256(std::uint64_t v) : limb{v, 0, 0, 0} {}
 
   [[nodiscard]] static U256 from_hex(std::string_view hex);
-  /// Interpret a 32-byte big-endian buffer (e.g. a SHA-256 digest).
+  /// Interpret a big-endian buffer of at most 32 bytes (e.g. a SHA-256
+  /// digest); throws DecodeError when it is longer.
   [[nodiscard]] static U256 from_bytes_be(BytesView b);
   [[nodiscard]] Bytes to_bytes_be() const;
+  /// The 32 big-endian bytes of to_bytes_be, written in place.
+  void write_be(std::span<std::uint8_t, 32> out) const;
   [[nodiscard]] std::string to_hex() const;
 
   [[nodiscard]] constexpr bool is_zero() const {

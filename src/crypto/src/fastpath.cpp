@@ -35,6 +35,14 @@ bool detect_sha_ni() {
 #endif
 }
 
+bool detect_adx() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx");
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 bool set_fast_path(bool on) { return fast_path_flag().exchange(on, std::memory_order_relaxed); }
@@ -47,5 +55,10 @@ bool sha_ni_available() {
 }
 
 bool sha_accelerated() { return sha_ni_available() && fast_path_enabled(); }
+
+bool adx_available() {
+  static const bool available = detect_adx();
+  return available;
+}
 
 }  // namespace g2g::crypto

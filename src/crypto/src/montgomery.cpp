@@ -5,6 +5,14 @@
 
 #include "g2g/crypto/fastpath.hpp"
 
+// The MULX/ADCX/ADOX kernel is GCC-style inline asm for x86-64; other
+// targets build only the C kernel.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define G2G_MONT_MUL_ADX 1
+#else
+#define G2G_MONT_MUL_ADX 0
+#endif
+
 namespace g2g::crypto {
 
 namespace {
@@ -25,6 +33,111 @@ unsigned hex_digit(const U256& exp, std::size_t i) {
   return static_cast<unsigned>(exp.limb[bit / 64] >> (bit % 64)) & 0xF;
 }
 
+#if G2G_MONT_MUL_ADX
+
+// The asm kernel's text. Six registers r0..r5 hold the working value t; its
+// limb k lives in r[(i + k) mod 6] during round i, so the CIOS shift by one
+// limb is a change of names, and the limb a reduction clears (zero by
+// construction) is the next round's fresh top limb.
+//
+// MULADD(ptr, T0..T5): t += rdx · ptr[0..3]. Low product halves go into
+// T0..T3 on the ADCX chain (CF), high halves into T1..T4 on the ADOX chain
+// (OF); then OF folds into T5, and CF into T4 and on into T5. T5 is zero
+// on entry to a product pass and holds the product's top limb on entry to
+// the reduction pass. xor clears both flags and the zero register z.
+#define G2G_MONT_MULADD(ptr, T0, T1, T2, T3, T4, T5) \
+  "xorl %k[z], %k[z]\n\t"                            \
+  "mulxq 0(%[" ptr "]), %[lo], %[hi]\n\t"            \
+  "adcxq %[lo], %[" #T0 "]\n\t"                      \
+  "adoxq %[hi], %[" #T1 "]\n\t"                      \
+  "mulxq 8(%[" ptr "]), %[lo], %[hi]\n\t"            \
+  "adcxq %[lo], %[" #T1 "]\n\t"                      \
+  "adoxq %[hi], %[" #T2 "]\n\t"                      \
+  "mulxq 16(%[" ptr "]), %[lo], %[hi]\n\t"           \
+  "adcxq %[lo], %[" #T2 "]\n\t"                      \
+  "adoxq %[hi], %[" #T3 "]\n\t"                      \
+  "mulxq 24(%[" ptr "]), %[lo], %[hi]\n\t"           \
+  "adcxq %[lo], %[" #T3 "]\n\t"                      \
+  "adoxq %[hi], %[" #T4 "]\n\t"                      \
+  "adoxq %[z], %[" #T5 "]\n\t"                       \
+  "adcxq %[z], %[" #T4 "]\n\t"                       \
+  "adcxq %[z], %[" #T5 "]\n\t"
+
+// REDUCE: u = t0 · n0inv, t += u · m. The low limb becomes zero, so the
+// value t / 2^64 sits in T1..T5.
+#define G2G_MONT_REDUCE(T0, T1, T2, T3, T4, T5) \
+  "movq %[" #T0 "], %%rdx\n\t"                  \
+  "imulq %[n0], %%rdx\n\t"                      \
+  G2G_MONT_MULADD("m", T0, T1, T2, T3, T4, T5)
+
+// Round 0 starts from t = 0: t = a[0] · b on one ordinary ADD/ADC chain.
+#define G2G_MONT_FIRST(T0, T1, T2, T3, T4, T5)          \
+  "movq 0(%[a]), %%rdx\n\t"                           \
+  "mulxq 0(%[b]), %[" #T0 "], %[" #T1 "]\n\t"         \
+  "mulxq 8(%[b]), %[lo], %[" #T2 "]\n\t"              \
+  "addq %[lo], %[" #T1 "]\n\t"                        \
+  "mulxq 16(%[b]), %[lo], %[" #T3 "]\n\t"             \
+  "adcq %[lo], %[" #T2 "]\n\t"                        \
+  "mulxq 24(%[b]), %[lo], %[" #T4 "]\n\t"             \
+  "adcq %[lo], %[" #T3 "]\n\t"                        \
+  "adcq $0, %[" #T4 "]\n\t"                           \
+  "xorl %k[" #T5 "], %k[" #T5 "]\n\t"                 \
+  G2G_MONT_REDUCE(T0, T1, T2, T3, T4, T5)
+
+#define G2G_MONT_ROUND(i, T0, T1, T2, T3, T4, T5) \
+  "movq " #i "*8(%[a]), %%rdx\n\t"               \
+  G2G_MONT_MULADD("b", T0, T1, T2, T3, T4, T5)     \
+  G2G_MONT_REDUCE(T0, T1, T2, T3, T4, T5)
+
+[[gnu::always_inline]] inline U256 adx_kernel(const U256& a, const U256& b,
+                                               const MontgomeryParams& params) {
+  // After four rounds t < 2m sits in r4, r5, r0, r1 and r2 (the 257th bit).
+  // t - m is formed in lo, hi, z and rdx; when it does not borrow, CMOVNC
+  // takes it.
+  std::uint64_t r0 = 0;
+  std::uint64_t r1 = 0;
+  std::uint64_t r2 = 0;
+  std::uint64_t r3 = 0;
+  std::uint64_t r4 = 0;
+  std::uint64_t r5 = 0;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::uint64_t z = 0;
+  __asm__(
+      G2G_MONT_FIRST(r0, r1, r2, r3, r4, r5)
+      G2G_MONT_ROUND(1, r1, r2, r3, r4, r5, r0)
+      G2G_MONT_ROUND(2, r2, r3, r4, r5, r0, r1)
+      G2G_MONT_ROUND(3, r3, r4, r5, r0, r1, r2)
+      "movq %[r4], %[lo]\n\t"
+      "subq 0(%[m]), %[lo]\n\t"
+      "movq %[r5], %[hi]\n\t"
+      "sbbq 8(%[m]), %[hi]\n\t"
+      "movq %[r0], %[z]\n\t"
+      "sbbq 16(%[m]), %[z]\n\t"
+      "movq %[r1], %%rdx\n\t"
+      "sbbq 24(%[m]), %%rdx\n\t"
+      "sbbq $0, %[r2]\n\t"
+      "cmovncq %[lo], %[r4]\n\t"
+      "cmovncq %[hi], %[r5]\n\t"
+      "cmovncq %[z], %[r0]\n\t"
+      "cmovncq %%rdx, %[r1]\n\t"
+      : [r0] "=&r"(r0), [r1] "=&r"(r1), [r2] "=&r"(r2), [r3] "=&r"(r3), [r4] "=&r"(r4),
+        [r5] "=&r"(r5), [lo] "=&r"(lo), [hi] "=&r"(hi), [z] "=&r"(z)
+      : [a] "r"(a.limb.data()), [b] "r"(b.limb.data()), [m] "r"(params.m.limb.data()),
+        [n0] "m"(params.n0inv), "m"(a.limb), "m"(b.limb), "m"(params.m.limb)
+      : "rdx", "cc");
+  U256 out;
+  out.limb = {r4, r5, r0, r1};
+  return out;
+}
+
+#undef G2G_MONT_ROUND
+#undef G2G_MONT_FIRST
+#undef G2G_MONT_REDUCE
+#undef G2G_MONT_MULADD
+
+#endif
+
 }  // namespace
 
 MontgomeryParams MontgomeryParams::for_modulus(const U256& modulus) {
@@ -42,6 +155,25 @@ MontgomeryParams MontgomeryParams::for_modulus(const U256& modulus) {
 }
 
 U256 mont_mul(const U256& a, const U256& b, const MontgomeryParams& params) {
+#if G2G_MONT_MUL_ADX
+  static const bool adx = adx_available();
+  if (adx) return adx_kernel(a, b, params);
+#endif
+  return mont_mul_portable(a, b, params);
+}
+
+U256 mont_mul_adx(const U256& a, const U256& b, const MontgomeryParams& params) {
+#if G2G_MONT_MUL_ADX
+  return adx_kernel(a, b, params);
+#else
+  (void)a;
+  (void)b;
+  (void)params;
+  throw std::logic_error("mont_mul_adx: this build has no x86-64 asm kernel");
+#endif
+}
+
+U256 mont_mul_portable(const U256& a, const U256& b, const MontgomeryParams& params) {
   const std::array<std::uint64_t, 4>& m = params.m.limb;
   // CIOS working value: t < b + m throughout, so with one operand < m the
   // pre-subtraction result is < 2m — 257 bits, t[4] ∈ {0,1}.
@@ -107,6 +239,7 @@ U256 mont_mul(const U256& a, const U256& b, const MontgomeryParams& params) {
   }
   return out;
 }
+
 
 U256 to_mont(const U256& x, const MontgomeryParams& params) {
   return mont_mul(x, params.rr, params);

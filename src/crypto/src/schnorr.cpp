@@ -1,5 +1,7 @@
 #include "g2g/crypto/schnorr.hpp"
 
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "g2g/crypto/fastpath.hpp"
@@ -24,8 +26,27 @@ U256 random_odd_with_bits(Rng& rng, std::size_t bits) {
 
 /// H(r || m) as a 256-bit integer, before the reduction into Z_q.
 U256 challenge_hash(const U256& r, BytesView message) {
-  const Digest d = sha256(r.to_bytes_be(), message);
+  std::array<std::uint8_t, 32> r_bytes{};
+  r.write_be(r_bytes);
+  const Digest d = sha256(r_bytes, message);
   return U256::from_bytes_be(digest_view(d));
+}
+
+/// The 64-byte wire form of both signature forms: two big-endian values.
+Bytes encode_pair(const U256& first, const U256& second) {
+  Bytes out(64);
+  const std::span<std::uint8_t> bytes(out);
+  first.write_be(bytes.first<32>());
+  second.write_be(bytes.subspan<32, 32>());
+  return out;
+}
+
+/// Multiply `factor` into a Montgomery accumulator that stays empty until
+/// its first factor (FixedBaseTable::mul_into); a null factor is a zero digit.
+/// Inlined: the window walks call it once per window.
+[[gnu::always_inline]] inline void accumulate(std::optional<U256>& acc, const U256* factor,
+                                              const MontgomeryParams& params) {
+  if (factor != nullptr) acc = acc ? mont_mul(*acc, *factor, params) : *factor;
 }
 
 U256 challenge(const SchnorrGroup& group, const U256& r, BytesView message) {
@@ -93,12 +114,7 @@ bool SchnorrGroup::valid(Rng& rng) const {
   return pow_mod_fast(g, q, p) == U256(1);
 }
 
-Bytes SchnorrSignature::encode() const {
-  Writer w(64);
-  w.raw(e.to_bytes_be());
-  w.raw(s.to_bytes_be());
-  return std::move(w).take();
-}
+Bytes SchnorrSignature::encode() const { return encode_pair(e, s); }
 
 SchnorrSignature SchnorrSignature::decode(BytesView b) {
   if (b.size() != 64) throw DecodeError("bad Schnorr signature length");
@@ -106,12 +122,7 @@ SchnorrSignature SchnorrSignature::decode(BytesView b) {
                           U256::from_bytes_be(b.subspan(32, 32))};
 }
 
-Bytes SchnorrSignatureRS::encode() const {
-  Writer w(64);
-  w.raw(r.to_bytes_be());
-  w.raw(s.to_bytes_be());
-  return std::move(w).take();
-}
+Bytes SchnorrSignatureRS::encode() const { return encode_pair(r, s); }
 
 SchnorrSignatureRS SchnorrSignatureRS::decode(BytesView b) {
   if (b.size() != 64) throw DecodeError("bad Schnorr (R,s) signature length");
@@ -190,15 +201,15 @@ FixedBaseTable::FixedBaseTable(const U256& base, const MontgomeryParams& params,
   }
 }
 
+const U256* FixedBaseTable::factor(std::size_t w, const U256& exponent) const {
+  const std::size_t bit = w * window_bits_;
+  const std::uint64_t mask = (std::uint64_t{1} << window_bits_) - 1;
+  const auto digit = static_cast<std::size_t>((exponent.limb[bit / 64] >> (bit % 64)) & mask);
+  return digit == 0 ? nullptr : &entries_[(w << window_bits_) + digit];
+}
+
 void FixedBaseTable::mul_into(std::optional<U256>& acc, const U256& exponent) const {
-  const std::size_t per_window = std::size_t{1} << window_bits_;
-  const std::uint64_t mask = per_window - 1;
-  const U256* window = entries_.data();
-  for (std::size_t bit = 0; bit < exp_bits(); bit += window_bits_, window += per_window) {
-    const auto digit = static_cast<std::size_t>((exponent.limb[bit / 64] >> (bit % 64)) & mask);
-    if (digit == 0) continue;
-    acc = acc ? mont_mul(*acc, window[digit], params_) : window[digit];
-  }
+  for (std::size_t w = 0; w < windows_; ++w) accumulate(acc, factor(w, exponent), params_);
 }
 
 U256 FixedBaseTable::pow(const U256& exponent) const {
@@ -241,10 +252,27 @@ U256 SchnorrEngine::commitment(const U256& public_key, const U256& s, const U256
   if (!fast_path_enabled() || !mont_p_) {
     return mul_mod(pow_mod(group_.g, s, group_.p), pow_mod(public_key, e, group_.p), group_.p);
   }
+  // One walk over both tables with three independent accumulators: g's
+  // windows, y's even windows and y's odd windows. With an 8-bit g table and
+  // a 4-bit y table each step multiplies into all three, so consecutive
+  // products do not wait on each other. Each table reads its own digits, so
+  // the walk only has to visit every window of each once: when q's bit
+  // length is not a multiple of 8, y has one window fewer than twice g's.
+  const MontgomeryParams& params = *mont_p_;
+  const std::shared_ptr<const FixedBaseTable> y_table = key_table(public_key);
+  const std::size_t g_windows = g_table_.windows();
+  const std::size_t y_windows = y_table->windows();
   std::optional<U256> acc;
-  g_table_.mul_into(acc, s);
-  key_table(public_key)->mul_into(acc, e);
-  return acc ? from_mont(*acc, *mont_p_) : U256(1);
+  std::optional<U256> even;
+  std::optional<U256> odd;
+  for (std::size_t w = 0; w < g_windows || 2 * w < y_windows; ++w) {
+    if (w < g_windows) accumulate(acc, g_table_.factor(w, s), params);
+    if (2 * w < y_windows) accumulate(even, y_table->factor(2 * w, e), params);
+    if (2 * w + 1 < y_windows) accumulate(odd, y_table->factor(2 * w + 1, e), params);
+  }
+  if (even) accumulate(acc, &*even, params);
+  if (odd) accumulate(acc, &*odd, params);
+  return acc ? from_mont(*acc, params) : U256(1);
 }
 
 U256 SchnorrEngine::mul_q(const U256& a, const U256& b) const {

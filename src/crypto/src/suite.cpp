@@ -11,6 +11,17 @@ namespace g2g::crypto {
 
 namespace {
 
+// Deterministic nonce derivation (RFC-6979 style): the signing nonce is a PRF
+// of the secret and the message, so signing needs no ambient RNG. Both
+// Schnorr suites draw it this way, so they produce the same (k, e, s) triple
+// for the same key and message — only the transmitted pair differs. The
+// cross-suite differential tests pin this.
+Rng nonce_rng(BytesView secret_key, BytesView message) {
+  const Digest nd = hmac_sha256(secret_key, message);
+  const U256 seed = U256::from_bytes_be(digest_view(nd));
+  return Rng(seed.limb[0] ^ seed.limb[2]);
+}
+
 class SchnorrSuite final : public Suite {
  public:
   // The engine carries the per-group fixed-base tables for g; every key,
@@ -24,12 +35,8 @@ class SchnorrSuite final : public Suite {
   }
 
   Bytes sign(BytesView secret_key, BytesView message) const override {
-    // Deterministic nonce derivation (RFC-6979 style): the signing nonce is a
-    // PRF of the secret and the message, so signing needs no ambient RNG.
-    const Digest nd = hmac_sha256(secret_key, message);
-    Rng nonce_rng(U256::from_bytes_be(digest_view(nd)).limb[0] ^
-                  U256::from_bytes_be(digest_view(nd)).limb[2]);
-    return engine_.sign(U256::from_bytes_be(secret_key), message, nonce_rng).encode();
+    Rng rng = nonce_rng(secret_key, message);
+    return engine_.sign(U256::from_bytes_be(secret_key), message, rng).encode();
   }
 
   bool verify(BytesView public_key, BytesView message, BytesView signature) const override {
@@ -61,13 +68,8 @@ class SchnorrRSSuite final : public Suite {
   }
 
   Bytes sign(BytesView secret_key, BytesView message) const override {
-    // Same deterministic nonce derivation as SchnorrSuite, so the two suites
-    // produce the same (k, e, s) triple for the same key/message — only the
-    // transmitted pair differs. The cross-suite differential tests pin this.
-    const Digest nd = hmac_sha256(secret_key, message);
-    Rng nonce_rng(U256::from_bytes_be(digest_view(nd)).limb[0] ^
-                  U256::from_bytes_be(digest_view(nd)).limb[2]);
-    return engine_.sign_rs(U256::from_bytes_be(secret_key), message, nonce_rng).encode();
+    Rng rng = nonce_rng(secret_key, message);
+    return engine_.sign_rs(U256::from_bytes_be(secret_key), message, rng).encode();
   }
 
   bool verify(BytesView public_key, BytesView message, BytesView signature) const override {

@@ -1,6 +1,8 @@
 #include "g2g/crypto/uint256.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "g2g/crypto/montgomery.hpp"
@@ -8,6 +10,19 @@
 namespace g2g::crypto {
 
 namespace {
+
+// One big-endian 64-bit word: an 8-byte load or store and a byte swap.
+std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  return v;
+}
+
+void store_be64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof(v));
+}
 
 // Shift a U512 left by one bit and OR in `in_bit` at the bottom.
 void shl1(U512& x, bool in_bit) {
@@ -68,21 +83,26 @@ U256 U256::from_hex(std::string_view hex) {
 
 U256 U256::from_bytes_be(BytesView b) {
   if (b.size() > 32) throw DecodeError("U256 buffer too long");
-  U256 out;
-  std::size_t shift = 0;
-  for (auto it = b.rbegin(); it != b.rend(); ++it, shift += 8) {
-    out.limb[shift / 64] |= static_cast<std::uint64_t>(*it) << (shift % 64);
+  // A shorter buffer is the low end of a zero-padded 32-byte one.
+  std::array<std::uint8_t, 32> padded{};
+  const std::uint8_t* be = b.data();
+  if (b.size() != padded.size()) {
+    std::copy(b.begin(), b.end(), padded.end() - static_cast<std::ptrdiff_t>(b.size()));
+    be = padded.data();
   }
+  U256 out;
+  for (std::size_t k = 0; k < 4; ++k) out.limb[3 - k] = load_be64(be + 8 * k);
   return out;
 }
 
 Bytes U256::to_bytes_be() const {
   Bytes out(32);
-  for (std::size_t i = 0; i < 32; ++i) {
-    const std::size_t shift = 8 * (31 - i);
-    out[i] = static_cast<std::uint8_t>(limb[shift / 64] >> (shift % 64));
-  }
+  write_be(std::span<std::uint8_t, 32>(out.data(), 32));
   return out;
+}
+
+void U256::write_be(std::span<std::uint8_t, 32> out) const {
+  for (std::size_t k = 0; k < 4; ++k) store_be64(out.data() + 8 * k, limb[3 - k]);
 }
 
 std::string U256::to_hex() const {

@@ -73,12 +73,15 @@ struct ProtocolCounters {
   Counter* evictions;
 
   // Relay-core mechanism counters ("g2g.*"). They describe how the run was
-  // computed (frame codec traffic, batched PoM re-verification), not what it
-  // computed, so core::to_json(ExperimentResult) excludes them.
+  // computed (frame codec traffic, batched PoM re-verification, frames the
+  // relay core refused), not what it computed, so
+  // core::to_json(ExperimentResult) excludes them.
   Counter* pom_gossip_dup;      ///< gossiped PoMs deduped before re-verification
   Counter* pom_batch_verified;  ///< unique PoMs re-verified through verify_batch
   Counter* frames_encoded;      ///< handshake/audit frames encoded
   Counter* frames_decoded;      ///< handshake/audit frames decoded
+  Counter* relay_replays;       ///< RELAY_DATA for an H(m) already handled, dropped
+  Counter* relay_misclaims;     ///< RELAY_DATA whose claimed H(m) is not its bytes' hash
 
   // Message lifecycle.
   Counter* generated;

@@ -48,6 +48,8 @@ ProtocolCounters::ProtocolCounters(Registry& r)
       pom_batch_verified(&r.counter("g2g.pom.batch_verified")),
       frames_encoded(&r.counter("g2g.frame.encoded")),
       frames_decoded(&r.counter("g2g.frame.decoded")),
+      relay_replays(&r.counter("g2g.relay.replay_dropped")),
+      relay_misclaims(&r.counter("g2g.relay.misclaimed")),
       generated(&r.counter("msg.generated")),
       relays(&r.counter("msg.relayed")),
       deliveries(&r.counter("msg.delivered")),

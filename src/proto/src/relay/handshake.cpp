@@ -246,9 +246,13 @@ void HandshakeEngine::complete_relay(Session& s, RelayNode& giver, BytesView dat
   MessageTable& table = s.env().messages();
   const MessageRef m = table.admit(data.msg.wire, data.h);
   const MessageHash& h = table.hash(m);
+  if (h != data.h) host_.counters().relay_misclaims->add();
   // A replayed frame: the RELAY_RQST / FQ_RQST step declines a handled H(m),
   // so only a peer that skipped it gets here. Drop it before any side effect.
-  if (!handled_.insert(h).second) return;
+  if (!handled_.insert(h).second) {
+    host_.counters().relay_replays->add();
+    return;
+  }
 
   Hold hold;
   hold.msg = m;

@@ -259,11 +259,16 @@ struct ReplayProbe {
 TEST(RelayState, ReplayedRelayDataChangesNothing) {
   // Node 0 relays to node 1 and to node 2 at t=100 and t=200; node `to` is a
   // relay (dst 3) or the destination. Replaying the RELAY_DATA frame to it
-  // afterwards must not store, charge, deliver or test the message again.
+  // afterwards must not store, charge, deliver or test the message again,
+  // and is counted as one dropped replay.
   for (const std::uint32_t to : {1u, 2u}) {
-    G2GWorld w(make_trace(4, {{0, 1, 100, 110}, {0, 2, 200, 210}}));
+    obs::ObsContext obs;
+    NetworkConfig cfg = G2GWorld::default_config();
+    cfg.obs = &obs;
+    G2GWorld w(make_trace(4, {{0, 1, 100, 110}, {0, 2, 200, 210}}), cfg);
     w.send(0, to == 1 ? 3 : 2, 50);
     w.run();
+    EXPECT_EQ(obs.counters.relay_replays->value(), 0u) << "honest run, node " << to;
     const MessageHash h = w.node(0).audit().tests().at(0).h;
     ASSERT_TRUE(w.node(to).has_handled(h));
     Session s(w.network(), w.node(0), w.node(to));
@@ -272,16 +277,22 @@ TEST(RelayState, ReplayedRelayDataChangesNothing) {
     ASSERT_GT(before.buffered, 0);
     send_relay_data(w, s, to, h, h);
     EXPECT_EQ(ReplayProbe::of(w, to), before) << "replay to node " << to;
+    EXPECT_EQ(obs.counters.relay_replays->value(), 1u) << "replay to node " << to;
+    EXPECT_EQ(obs.counters.relay_misclaims->value(), 0u) << "replay to node " << to;
   }
 }
 
 TEST(RelayState, ReceiptFilesAMisclaimedFrameUnderTheHashOfItsBytes) {
   // Node 2 never met anyone. A RELAY_DATA frame whose claimed H(m) is not the
   // hash of its message bytes leaves node 2's handled set and hold keyed by
-  // the hash of the bytes, never by the claim.
-  G2GWorld w(make_trace(4, {{0, 1, 100, 110}}));
+  // the hash of the bytes, never by the claim, and is counted as a misclaim.
+  obs::ObsContext obs;
+  NetworkConfig cfg = G2GWorld::default_config();
+  cfg.obs = &obs;
+  G2GWorld w(make_trace(4, {{0, 1, 100, 110}}), cfg);
   w.send(0, 3, 50);
   w.run();
+  EXPECT_EQ(obs.counters.relay_misclaims->value(), 0u);
   const MessageHash h = w.node(0).audit().tests().at(0).h;
   MessageHash claim = h;
   claim[0] ^= 0xFF;
@@ -298,6 +309,8 @@ TEST(RelayState, ReceiptFilesAMisclaimedFrameUnderTheHashOfItsBytes) {
   EXPECT_EQ(hold->msg, source_entry);  // the same bytes share one entry
   EXPECT_EQ(w.node(2).handshake().find_hold(claim), nullptr);
   EXPECT_EQ(w.network().messages().size(), entries);
+  EXPECT_EQ(obs.counters.relay_misclaims->value(), 1u);
+  EXPECT_EQ(obs.counters.relay_replays->value(), 0u);
 }
 
 }  // namespace

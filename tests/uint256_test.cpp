@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 namespace g2g::crypto {
 namespace {
 
@@ -28,6 +31,37 @@ TEST(U256, BytesBeRoundTrip) {
   EXPECT_EQ(b[31], 0x10);
   EXPECT_EQ(b[16], 0x01);
   EXPECT_EQ(b[0], 0x00);
+}
+
+TEST(U256, BytesBeMatchesByteByByteAtEveryLength) {
+  // The conversions move 8-byte words; the reference walks single bytes.
+  // Every buffer length up to 32 is the low end of a 32-byte big-endian
+  // value, and 33 bytes are refused.
+  Bytes pattern(33);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(0xA7 * i + 0x3D);
+  }
+  for (std::size_t n = 0; n <= 32; ++n) {
+    const BytesView b(pattern.data(), n);
+    U256 expect;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t shift = 8 * (n - 1 - i);
+      expect.limb[shift / 64] |= static_cast<std::uint64_t>(b[i]) << (shift % 64);
+    }
+    const U256 v = U256::from_bytes_be(b);
+    EXPECT_EQ(v, expect) << n << " bytes";
+    const Bytes out = v.to_bytes_be();
+    ASSERT_EQ(out.size(), 32u);
+    for (std::size_t i = 0; i < 32; ++i) {
+      const std::size_t shift = 8 * (31 - i);
+      EXPECT_EQ(out[i], static_cast<std::uint8_t>(expect.limb[shift / 64] >> (shift % 64)))
+          << n << " bytes, byte " << i;
+    }
+    std::array<std::uint8_t, 32> written{};
+    v.write_be(written);
+    EXPECT_TRUE(std::equal(written.begin(), written.end(), out.begin())) << n << " bytes";
+  }
+  EXPECT_THROW((void)U256::from_bytes_be(pattern), DecodeError);
 }
 
 TEST(U256, Comparisons) {

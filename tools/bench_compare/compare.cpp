@@ -19,6 +19,36 @@ struct CellView {
   double allocs_per_op = -1.0;  ///< -1: cell carries no allocation telemetry
 };
 
+// A report's "config" as strings; empty when absent.
+std::map<std::string, std::string> config_of(const tools::Value& report) {
+  std::map<std::string, std::string> out;
+  const tools::Value* config = report.find("config");
+  if (config == nullptr || config->kind != tools::Value::Kind::Object) return out;
+  for (const auto& [key, value] : config->object) out.emplace(key, value.str_or("?"));
+  return out;
+}
+
+// "key base -> new" for every config key whose value differs, joined by
+// ", "; a key only one side has reads "(none)" on the other. Empty when the
+// two configs agree.
+std::string config_changes(const tools::Value& base, const tools::Value& next) {
+  const auto base_config = config_of(base);
+  const auto next_config = config_of(next);
+  std::map<std::string, std::pair<std::string, std::string>> changed;
+  for (const auto& [key, value] : base_config) changed[key] = {value, "(none)"};
+  for (const auto& [key, value] : next_config) {
+    auto [it, added] = changed.try_emplace(key, "(none)", value);
+    if (!added) it->second.second = value;
+  }
+  std::string out;
+  for (const auto& [key, values] : changed) {
+    if (values.first == values.second) continue;
+    if (!out.empty()) out += ", ";
+    out += key + " " + values.first + " -> " + values.second;
+  }
+  return out;
+}
+
 std::map<std::string, CellView> cells_of(const tools::Value& report) {
   std::map<std::string, CellView> out;
   const tools::Value* cells = report.find("cells");
@@ -58,6 +88,11 @@ Comparison compare(const tools::Value& base, const tools::Value& next,
   if (base_rev != next_rev) {
     c.diffs.push_back({Severity::Info, "rev " + base_rev + " -> " + next_rev});
   }
+
+  // Different options or crypto kernels ("sha256", "mont_mul"): the cells
+  // below compare unlike runs, so say so once.
+  const std::string config = config_changes(base, next);
+  if (!config.empty()) c.diffs.push_back({Severity::Info, "config differs: " + config});
 
   const auto base_cells = cells_of(base);
   const auto next_cells = cells_of(next);

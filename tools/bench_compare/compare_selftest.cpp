@@ -126,6 +126,24 @@ TEST(BenchCompare, CounterDeltasAreInformational) {
   EXPECT_NE(c.diffs[0].message.find("hs.completed"), std::string::npos);
 }
 
+TEST(BenchCompare, ConfigDifferencesAreOneInfoLine) {
+  // A baseline from a host with other crypto kernels: every difference,
+  // including a key only one side has, goes into a single Info line.
+  const tools::Value base = parse(
+      "{\"config\":{\"sha256\":\"shani\",\"mont_mul\":\"adx\",\"quick\":\"true\"},"
+      "\"cells\":[]}");
+  const tools::Value next = parse(
+      "{\"config\":{\"quick\":\"true\",\"mont_mul\":\"portable\",\"sha256\":\"scalar\","
+      "\"threads\":\"1\"},\"cells\":[]}");
+  const Comparison c = compare(base, next, Options{});
+  ASSERT_EQ(c.diffs.size(), 1u);
+  EXPECT_EQ(c.diffs[0].severity, Severity::Info);
+  EXPECT_EQ(c.diffs[0].message,
+            "config differs: mont_mul adx -> portable, sha256 shani -> scalar, "
+            "threads (none) -> 1");
+  EXPECT_TRUE(compare(base, base, Options{}).diffs.empty());
+}
+
 TEST(BenchCompare, CustomThresholdsApply) {
   Options strict;
   strict.warn_ratio = 1.05;
