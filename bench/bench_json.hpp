@@ -60,7 +60,7 @@ inline std::string git_rev() {
 /// on a host with SHA-NI or BMI2+ADX, compared on one without them, would
 /// otherwise read as a regression.
 inline std::vector<std::pair<std::string, std::string>> crypto_kernels() {
-  return {{"sha256", crypto::sha_accelerated() ? "shani" : "scalar"},
+  return {{"sha256", crypto::sha_ni_available() ? "shani" : "scalar"},
           {"mont_mul", crypto::adx_available() ? "adx" : "portable"}};
 }
 

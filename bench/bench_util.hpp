@@ -15,7 +15,6 @@
 #include "g2g/core/experiment.hpp"
 #include "g2g/core/parallel.hpp"
 #include "g2g/core/report.hpp"
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/obs/tracer.hpp"
 #include "g2g/util/parse_number.hpp"
 
@@ -29,9 +28,6 @@ struct Options {
   bool obs = false;        ///< print counters + stage times for one config
   std::string trace_out;   ///< stream one representative run as JSONL
   std::string json_out;    ///< write BENCH_<name>.json telemetry here
-  /// Disable the crypto fast path (SHA-NI, heavy-HMAC chain reuse, Schnorr
-  /// tables, Montgomery kernels) and measure the reference implementations.
-  bool no_fastpath = false;
   std::size_t threads = 0;  ///< sweep worker threads (0 = hardware)
 };
 
@@ -50,8 +46,7 @@ inline void require_writable(const std::string& path, const char* flag) {
 inline void print_usage(std::ostream& out, const char* argv0) {
   out << "usage: " << argv0
       << " [--quick] [--csv] [--runs N] [--seed S] [--obs]"
-         " [--trace-out FILE] [--json-out FILE] [--no-fastpath]"
-         " [--threads N]\n";
+         " [--trace-out FILE] [--json-out FILE] [--threads N]\n";
 }
 
 /// A flag whose value is missing or rejected: the error and the usage on
@@ -100,9 +95,6 @@ inline Options parse_options(int argc, char** argv) {
     } else if (arg == "--json-out") {
       opt.json_out = flag_value(argc, argv, i);
       require_writable(opt.json_out, "--json-out");
-    } else if (arg == "--no-fastpath") {
-      opt.no_fastpath = true;
-      crypto::set_fast_path(false);
     } else if (arg == "--threads") {
       opt.threads = flag_number<std::size_t>(argc, argv, i, 0);  // 0: hardware
     } else if (arg == "--help" || arg == "-h") {
@@ -173,12 +165,15 @@ inline std::optional<core::ExperimentResult> obs_report(core::ExperimentConfig c
   return r;
 }
 
-/// The effective options as "config" key/value pairs for the BENCH report.
+/// The effective options and the crypto kernels as "config" key/value pairs
+/// for the BENCH report.
 inline std::vector<std::pair<std::string, std::string>> option_pairs(const Options& opt) {
-  return {{"quick", opt.quick ? "true" : "false"},
-          {"runs", std::to_string(opt.runs)},
-          {"seed", std::to_string(opt.seed)},
-          {"fastpath", opt.no_fastpath ? "false" : "true"}};
+  std::vector<std::pair<std::string, std::string>> pairs = {
+      {"quick", opt.quick ? "true" : "false"},
+      {"runs", std::to_string(opt.runs)},
+      {"seed", std::to_string(opt.seed)}};
+  for (auto& kernel : crypto_kernels()) pairs.push_back(std::move(kernel));
+  return pairs;
 }
 
 /// core::run_sweep that also appends one telemetry row per sweep cell, named

@@ -4,11 +4,11 @@
 // can emit BENCH_micro_crypto.json alongside the console table.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/montgomery.hpp"
@@ -29,12 +29,22 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
 
-// Same workload with the hardware fast path disabled: the portable scalar
-// compression function. The ratio to BM_Sha256 is the SHA-NI win.
+// The same blocks through the scalar compression, called by name: the
+// message's whole blocks, then the one padding block that ends a message of
+// whole blocks. The ratio to BM_Sha256 is the SHA-NI win; on a CPU without
+// SHA-NI the two rows run the same kernel.
 void BM_Sha256Scalar(benchmark::State& state) {
-  const FastPathScope scope(false);
   const Bytes data(static_cast<std::size_t>(state.range(0)), 0xab);
-  for (auto _ : state) benchmark::DoNotOptimize(sha256(data));
+  std::array<std::uint8_t, 64> pad{};
+  pad[0] = 0x80;
+  const std::uint64_t bits = data.size() * 8;
+  for (std::size_t i = 0; i < 8; ++i) pad[56 + i] = static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+  for (auto _ : state) {
+    Sha256State h = kSha256InitState;
+    sha256_compress_scalar(h, data.data(), data.size() / 64);
+    sha256_compress_scalar(h, pad.data(), 1);
+    benchmark::DoNotOptimize(h);
+  }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha256Scalar)->Arg(64)->Arg(1024)->Arg(65536);
@@ -64,21 +74,10 @@ void BM_HeavyHmac(benchmark::State& state) {
 }
 BENCHMARK(BM_HeavyHmac)->Arg(256)->Arg(1024)->Arg(4096);
 
-// The literal seed implementation (fresh Writer-based HMAC per chain link),
-// kept as the differential-test reference. The ratio to BM_HeavyHmac is the
-// storage-proof fast-path win (pad-state reuse + one-shot finalization).
-void BM_HeavyHmacReference(benchmark::State& state) {
-  const Bytes msg(512, 0x11);
-  const Bytes seed = to_bytes("challenge-seed");
-  const auto iterations = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) benchmark::DoNotOptimize(heavy_hmac_reference(msg, seed, iterations));
-}
-BENCHMARK(BM_HeavyHmacReference)->Arg(256)->Arg(1024)->Arg(4096);
-
 // One Montgomery CIOS product vs one schoolbook shift-subtract mul_mod over
-// the default group's 256-bit prime. The ratio is the per-multiply fast-path
-// win that compounds through every exponentiation chain; the differential
-// corpus (crypto_fastpath_diff_test) owns correctness. mont_mul is the
+// the default group's 256-bit prime. The ratio is the per-multiply win that
+// compounds through every exponentiation chain; the differential corpus
+// (crypto_fastpath_diff_test) owns correctness. mont_mul is the
 // kernel the CPU selects (the report's config names it); the Portable rows
 // time the C kernel, which is what CPUs without BMI2+ADX run.
 struct MontOperands {
@@ -156,19 +155,6 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
-// Square-and-multiply g^x (no fixed-base table). The ratio to
-// BM_SchnorrVerify is the precomputed-table win on the g^s half.
-void BM_SchnorrVerifyNoTable(benchmark::State& state) {
-  const FastPathScope scope(false);
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::default_group());
-  Rng rng(2);
-  const KeyPair kp = suite->keygen(rng);
-  const Bytes msg = to_bytes("proof of relay payload");
-  const Bytes sig = suite->sign(kp.secret_key, msg);
-  for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
-}
-BENCHMARK(BM_SchnorrVerifyNoTable);
-
 void BM_SchnorrRsSign(benchmark::State& state) {
   const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::default_group());
   Rng rng(1);
@@ -242,14 +228,14 @@ void BM_SealedBoxRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SealedBoxRoundTrip)->Arg(64)->Arg(1024);
 
+// The static DH of every Schnorr session key, as the suites run it: one
+// engine per group, its Montgomery parameters built once.
 void BM_DhSharedSecret(benchmark::State& state) {
-  const SchnorrGroup& group = SchnorrGroup::default_group();
+  const SchnorrEngine engine(SchnorrGroup::default_group());
   Rng rng(6);
-  const SchnorrKeyPair a = schnorr_keygen(group, rng);
-  const SchnorrKeyPair b = schnorr_keygen(group, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dh_shared_secret(group, a.secret, b.public_key));
-  }
+  const SchnorrKeyPair a = engine.keygen(rng);
+  const SchnorrKeyPair b = engine.keygen(rng);
+  for (auto _ : state) benchmark::DoNotOptimize(engine.shared_secret(a.secret, b.public_key));
 }
 BENCHMARK(BM_DhSharedSecret);
 

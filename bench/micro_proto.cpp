@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/util/alloc_probe.hpp"
 #include "g2g/util/arena.hpp"
 #include "g2g/crypto/schnorr.hpp"
@@ -286,7 +285,6 @@ struct RelayWorld {
 /// One full 5-step handshake (RELAY_RQST .. KEY reveal, PoR verified) against
 /// a fresh taker each iteration.
 void BM_HandshakeRelayPass(benchmark::State& state) {
-  const bool prev = crypto::set_fast_path(state.range(0) != 0);
   auto world = std::make_unique<RelayWorld>();
   std::uint32_t next = 1;
   AllocMeter allocs;  // includes the periodic world rebuilds: durable-state
@@ -304,10 +302,9 @@ void BM_HandshakeRelayPass(benchmark::State& state) {
     giver.handshake().giver_pass(s, taker);
   }
   allocs.report(state);
-  crypto::set_fast_path(prev);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_HandshakeRelayPass)->ArgName("fastpath")->Arg(1)->Arg(0);
+BENCHMARK(BM_HandshakeRelayPass);
 
 /// Re-verification of one session's gossiped PoMs: dedup by canonical bytes,
 /// structural checks, one Suite::verify_batch over the unique evidence.

@@ -43,12 +43,10 @@ class HmacKey {
 /// H_i = HMAC(s, H_{i-1} || m-digest). Each iteration re-keys from the seed so
 /// the chain cannot be precomputed before the seed is revealed.
 ///
-/// The default implementation reuses the precomputed seed key states and a
-/// fixed chain buffer; `heavy_hmac_reference` is the original straight-line
-/// chain kept for differential testing. Both return identical digests.
+/// The chain keys one HmacKey from the seed and MACs each link in two parts,
+/// so no link allocates; the differential tests pin it to the straight-line
+/// chain of the test oracle (tests/oracle/).
 [[nodiscard]] Digest heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations);
-[[nodiscard]] Digest heavy_hmac_reference(BytesView message, BytesView seed,
-                                          std::uint32_t iterations);
 
 /// digest_equal over the two chains heavy_hmac(message_a, seed_a, iterations_a)
 /// and heavy_hmac(message_b, seed_b, iterations_b). Byte-identical inputs

@@ -1,5 +1,5 @@
-// Montgomery-form arithmetic for U256 (R = 2^256) — the fast path behind
-// the modular reductions that dominate Schnorr verification.
+// Montgomery-form arithmetic for U256 (R = 2^256) — the production route
+// of the modular reductions that dominate Schnorr verification.
 //
 // A value x is represented in Montgomery form as x·R mod m; mont_mul
 // computes a·b·R⁻¹ mod m with the CIOS (coarsely integrated operand
@@ -23,11 +23,12 @@
 // the exponent, and the C kernel's final subtract is a branch.
 //
 // Oracle layering (docs/TESTING.md): the schoolbook shift-subtract reducer
-// in uint256.cpp (mod / mul_mod / pow_mod) is the always-available
-// reference; the C CIOS kernel is pinned to it, and the asm kernel to both,
-// by the differential corpus in tests/crypto_fastpath_diff_test.cpp, which
-// pins every routine below bit for bit. The routines above the kernel are
-// a fast path behind crypto::set_fast_path.
+// in uint256.cpp (mod / mul_mod / pow_mod) is the reference; the C CIOS
+// kernel is pinned to it, and the asm kernel to both, by the differential
+// corpus in tests/crypto_fastpath_diff_test.cpp, which pins every routine
+// below bit for bit. The test oracle's Schnorr functions (tests/oracle/) run
+// on the schoolbook reducer only, so they never share a kernel with the
+// SchnorrEngine they judge.
 //
 // Contracts (enforced by the differential corpus, not by runtime checks):
 //  * the modulus must be odd and > 1 — for_modulus throws otherwise;
@@ -36,7 +37,7 @@
 //  * to_mont accepts ANY U256 and reduces it (x ≥ m is folded to
 //    x mod m — rr < m makes the CIOS bound absorb the excess);
 //  * every result is the canonical representative in [0, m), which is what
-//    makes the fast path byte-identical to the classic path.
+//    makes this route byte-identical to the schoolbook one.
 #pragma once
 
 #include "g2g/crypto/uint256.hpp"
@@ -93,10 +94,10 @@ struct MontgomeryParams {
 [[nodiscard]] U256 mont_pow(const U256& base_mont, const U256& exp,
                             const MontgomeryParams& params);
 
-/// base^exp mod m through mont_pow when the fast path is on and m is odd
-/// and > 1; the classic square-and-multiply pow_mod otherwise.
-/// Byte-identical either way — this is the drop-in for pow_mod call sites
-/// whose moduli are the (odd) group primes.
+/// base^exp mod m through mont_pow when m is odd and > 1; the classic
+/// square-and-multiply pow_mod otherwise, where Montgomery reduction cannot
+/// run. Byte-identical either way — this is the drop-in for pow_mod call
+/// sites whose moduli are the (odd) group primes and candidate primes.
 [[nodiscard]] U256 pow_mod_fast(const U256& base, const U256& exp, const U256& m);
 
 }  // namespace g2g::crypto

@@ -68,22 +68,6 @@ struct SchnorrSignatureRS {
   [[nodiscard]] static SchnorrSignatureRS decode(BytesView b);
 };
 
-[[nodiscard]] SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng);
-[[nodiscard]] SchnorrSignature schnorr_sign(const SchnorrGroup& group, const U256& secret,
-                                            BytesView message, Rng& rng);
-[[nodiscard]] bool schnorr_verify(const SchnorrGroup& group, const U256& public_key,
-                                  BytesView message, const SchnorrSignature& sig);
-
-[[nodiscard]] SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
-                                                 BytesView message, Rng& rng);
-[[nodiscard]] bool schnorr_rs_verify(const SchnorrGroup& group, const U256& public_key,
-                                     BytesView message, const SchnorrSignatureRS& sig);
-
-/// Static Diffie–Hellman over the same group: both parties compute
-/// g^(x_a * x_b); the result feeds the session-key KDF (chacha20.hpp).
-[[nodiscard]] U256 dh_shared_secret(const SchnorrGroup& group, const U256& my_secret,
-                                    const U256& peer_public);
-
 /// Precomputed fixed-base exponentiation in the Montgomery domain, with
 /// windows of `window_bits` bits: entry (w, d) = base^(d · 2^(window_bits·w))
 /// in Montgomery form, stored as one flat vector of windows × 2^window_bits
@@ -91,12 +75,8 @@ struct SchnorrSignatureRS {
 /// plus one from_mont — ~n/w multiplies for an n-bit exponent instead of the
 /// ~n squarings + ~n/2 multiplies of square-and-multiply. Exact: the result
 /// is bit-identical to pow_mod(base, e, m).
-///
-/// pow() always runs the Montgomery chain, so callers gate the table on the
-/// fast path themselves (SchnorrEngine does).
 class FixedBaseTable {
  public:
-  FixedBaseTable() = default;
   /// Windows covering exponents up to `exp_bits` bits (rounded up to whole
   /// windows), built directly with mont_mul; any base ≥ m is reduced. The
   /// width must divide 64, so a digit never straddles a limb, and be at most
@@ -128,15 +108,16 @@ class FixedBaseTable {
   std::vector<U256> entries_;  // window w's 2^window_bits entries, then w+1's
 };
 
-/// Per-group precomputation for the hot Schnorr operations: an 8-bit
-/// fixed-base table for g sized to exponents mod q (keygen's g^x, sign's
-/// g^k, verify's g^s are all bounded by q), cached MontgomeryParams for p
-/// and q (products, DH, and the challenge reduction), and a memo of 4-bit
-/// per-public-key window tables for the variable-base y^e of verification.
-/// Produces byte-identical keys/signatures/verdicts/secrets to the free
-/// functions above — the accelerators only change how each canonical residue
-/// is computed. When the global fast path is off, every operation falls back
-/// to the reference pow_mod/mul_mod/mod route.
+/// The Schnorr scheme over one group, with per-group precomputation for the
+/// hot operations: an 8-bit fixed-base table for g sized to exponents mod q
+/// (keygen's g^x, sign's g^k, verify's g^s are all bounded by q),
+/// MontgomeryParams for p and q (products, DH, and the challenge reduction),
+/// and a memo of 4-bit per-public-key window tables for the variable-base
+/// y^e of verification. Every operation has one body, in the Montgomery
+/// domain; the differential tests pin its keys, signatures, verdicts and
+/// secrets to the schoolbook pow_mod/mul_mod/mod oracle (tests/oracle/). The
+/// group's p and q must be odd and > 1, as every SchnorrGroup::generate group
+/// is; the constructor throws std::invalid_argument otherwise.
 ///
 /// Thread-safe: the g table is immutable after construction and the
 /// key-table memo is a KeyMemo (key_memo.hpp), so one engine can serve
@@ -155,38 +136,35 @@ class SchnorrEngine {
   [[nodiscard]] bool verify_rs(const U256& public_key, BytesView message,
                                const SchnorrSignatureRS& sig) const;
 
-  /// y^e mod p, the variable-base half of verification. With the fast path
-  /// on and e inside q's bit length, y's 4-bit Montgomery window table is
-  /// built on first use and memoised by y, so ~40 mont_muls replace the ~210
-  /// of mont_pow; otherwise pow_p. y is never range-checked, as in verify:
-  /// any U256 gives pow_mod(y, e, p).
+  /// y^e mod p, the variable-base half of verification. With e inside q's
+  /// bit length, y's 4-bit Montgomery window table is built on first use and
+  /// memoised by y, so ~40 mont_muls replace the ~210 of mont_pow; a longer
+  /// e goes to pow_p. y is never range-checked, as in verify: any U256 gives
+  /// pow_mod(y, e, p).
   [[nodiscard]] U256 pow_key(const U256& public_key, const U256& exponent) const;
-  /// Static DH secret peer_public^my_secret mod p (= dh_shared_secret).
+  /// Static DH secret peer_public^my_secret mod p.
   [[nodiscard]] U256 shared_secret(const U256& my_secret, const U256& peer_public) const;
 
  private:
-  [[nodiscard]] U256 pow_g(const U256& exponent) const;
-  /// base^exponent mod p — mont_pow's fixed window when the fast path is on.
+  /// base^exponent mod p — mont_pow's fixed window.
   [[nodiscard]] U256 pow_p(const U256& base, const U256& exponent) const;
   /// g^s · y^e mod p for s, e < q: the commitment every verification
-  /// recomputes. With the fast path on, one walk over g's table (digits of
-  /// s) and y's table (digits of e) fills three independent Montgomery
-  /// accumulators — g, y's even windows, y's odd windows — whose product
-  /// leaves the domain once; off, pow_mod twice and mul_mod.
+  /// recomputes. One walk over g's table (digits of s) and y's table (digits
+  /// of e) fills three independent Montgomery accumulators — g, y's even
+  /// windows, y's odd windows — whose product leaves the domain once.
   [[nodiscard]] U256 commitment(const U256& public_key, const U256& s, const U256& e) const;
-  /// y's memoised 4-bit window table (fast path on, mont_p_ engaged).
+  /// y's memoised 4-bit window table.
   [[nodiscard]] std::shared_ptr<const FixedBaseTable> key_table(const U256& public_key) const;
-  /// a*b mod q — one to_mont + one mont_mul when the fast path is on.
+  /// a*b mod q — one to_mont + one mont_mul.
   [[nodiscard]] U256 mul_q(const U256& a, const U256& b) const;
-  /// e = H(r || m) mod q — one mont_reduce when the fast path is on.
+  /// e = H(r || m) mod q — one mont_reduce.
   [[nodiscard]] U256 challenge(const U256& r, BytesView message) const;
 
   SchnorrGroup group_;
   std::size_t q_bits_ = 0;  // every table covers exponents of q's bit length
-  // Cached per-modulus precomputations (engaged iff the modulus is odd, > 1).
-  std::optional<MontgomeryParams> mont_p_;
-  std::optional<MontgomeryParams> mont_q_;
-  FixedBaseTable g_table_;  // empty iff mont_p_ is not engaged
+  MontgomeryParams mont_p_;
+  MontgomeryParams mont_q_;
+  FixedBaseTable g_table_;  // g^x for the x and k drawn below q
   mutable KeyMemo<FixedBaseTable> key_tables_;
 };
 

@@ -5,8 +5,11 @@
 // is built from: block compression into a bare chaining value (how HmacKey
 // precomputes its ipad/opad midstates) and one fused HMAC finish that runs
 // the inner and then the outer compressions in a single call. Every entry
-// point takes the SHA-NI rounds when sha_accelerated() and the scalar
-// FIPS 180-4 rounds otherwise; the words are the same either way.
+// point takes the SHA-NI rounds when sha_ni_available() (fastpath.hpp, one
+// cached CPUID check) and the scalar FIPS 180-4 rounds otherwise; the words
+// are the same either way. The scalar kernels are also exposed by name, as
+// mont_mul_portable is, so tests pin the hardware rounds to them on SHA-NI
+// hosts.
 #pragma once
 
 #include <array>
@@ -30,6 +33,10 @@ inline constexpr Sha256State kSha256InitState = {0x6a09e667, 0xbb67ae85, 0x3c6ef
 /// Compresses `count` consecutive 64-byte blocks into `state`.
 void sha256_compress(Sha256State& state, const std::uint8_t* blocks, std::size_t count);
 
+/// sha256_compress in the scalar rounds, on every CPU: the kernel where
+/// SHA-NI is missing, and the hardware rounds' oracle in the tests.
+void sha256_compress_scalar(Sha256State& state, const std::uint8_t* blocks, std::size_t count);
+
 /// The end of an HMAC-SHA256 (RFC 2104) in one kernel call. `inner` has
 /// absorbed the ipad block and the message up to `data`, `absorbed` bytes in
 /// all (a multiple of 64); `outer` has absorbed the opad block. Runs the
@@ -38,6 +45,10 @@ void sha256_compress(Sha256State& state, const std::uint8_t* blocks, std::size_t
 /// returns the MAC.
 [[nodiscard]] Digest hmac_sha256_finish(const Sha256State& inner, const Sha256State& outer,
                                         BytesView data, std::uint64_t absorbed);
+
+/// hmac_sha256_finish in the scalar rounds, on every CPU (same contract).
+[[nodiscard]] Digest hmac_sha256_finish_scalar(const Sha256State& inner, const Sha256State& outer,
+                                               BytesView data, std::uint64_t absorbed);
 
 /// Incremental SHA-256 context.
 class Sha256 {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "g2g/crypto/fastpath.hpp"
-
 namespace g2g::crypto {
 
 namespace {
@@ -62,7 +60,6 @@ Digest HmacKey::mac(BytesView a, BytesView b) const {
 }
 
 Digest heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations) {
-  if (!fast_path_enabled()) return heavy_hmac_reference(message, seed, iterations);
   // Hash the message once so each iteration touches a fixed-size state; the
   // cost knob is the iteration count, independent of message length.
   const Digest m_digest = sha256(message);
@@ -70,21 +67,6 @@ Digest heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations) {
   Digest h = key.mac(message);
   for (std::uint32_t i = 0; i < iterations; ++i) {
     h = key.mac(digest_view(h), digest_view(m_digest));
-  }
-  return h;
-}
-
-Digest heavy_hmac_reference(BytesView message, BytesView seed, std::uint32_t iterations) {
-  // Original straight-line chain: re-derives the HMAC pads and allocates the
-  // concatenation buffer every iteration. Kept as the differential oracle for
-  // heavy_hmac (tests/crypto_fastpath_diff_test.cpp).
-  const Digest m_digest = sha256(message);
-  Digest h = hmac_sha256(seed, message);
-  for (std::uint32_t i = 0; i < iterations; ++i) {
-    Writer w(64);
-    w.raw(digest_view(h));
-    w.raw(digest_view(m_digest));
-    h = hmac_sha256(seed, w.bytes());
   }
   return h;
 }

@@ -274,9 +274,7 @@ U256 mont_pow(const U256& base_mont, const U256& exp, const MontgomeryParams& pa
 }
 
 U256 pow_mod_fast(const U256& base, const U256& exp, const U256& m) {
-  if (!fast_path_enabled() || !m.bit(0) || m == U256(1)) {
-    return pow_mod(base, exp, m);
-  }
+  if (!m.bit(0) || m == U256(1)) return pow_mod(base, exp, m);
   const MontgomeryParams params = MontgomeryParams::for_modulus(m);
   return from_mont(mont_pow(to_mont(base, params), exp, params), params);
 }

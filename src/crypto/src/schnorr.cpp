@@ -4,7 +4,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/montgomery.hpp"
 
 namespace g2g::crypto {
@@ -47,10 +46,6 @@ Bytes encode_pair(const U256& first, const U256& second) {
 [[gnu::always_inline]] inline void accumulate(std::optional<U256>& acc, const U256* factor,
                                               const MontgomeryParams& params) {
   if (factor != nullptr) acc = acc ? mont_mul(*acc, *factor, params) : *factor;
-}
-
-U256 challenge(const SchnorrGroup& group, const U256& r, BytesView message) {
-  return mod(challenge_hash(r, message), group.q);
 }
 
 }  // namespace
@@ -130,58 +125,6 @@ SchnorrSignatureRS SchnorrSignatureRS::decode(BytesView b) {
                             U256::from_bytes_be(b.subspan(32, 32))};
 }
 
-SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng) {
-  bool borrow = false;
-  const U256 x = add_mod(random_below(rng, sub(group.q, U256(1), borrow)), U256(1), group.q);
-  return SchnorrKeyPair{x, pow_mod_fast(group.g, x, group.p)};
-}
-
-SchnorrSignature schnorr_sign(const SchnorrGroup& group, const U256& secret, BytesView message,
-                              Rng& rng) {
-  bool borrow = false;
-  const U256 k = add_mod(random_below(rng, sub(group.q, U256(1), borrow)), U256(1), group.q);
-  const U256 r = pow_mod_fast(group.g, k, group.p);
-  const U256 e = challenge(group, r, message);
-  const U256 s = sub_mod(k, mul_mod(secret, e, group.q), group.q);
-  return SchnorrSignature{e, s};
-}
-
-bool schnorr_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
-                    const SchnorrSignature& sig) {
-  if (sig.e >= group.q || sig.s >= group.q) return false;
-  // r' = g^s * y^e mod p;   valid iff H(r' || m) == e
-  const U256 gs = pow_mod_fast(group.g, sig.s, group.p);
-  const U256 ye = pow_mod_fast(public_key, sig.e, group.p);
-  const U256 r = mul_mod(gs, ye, group.p);
-  return challenge(group, r, message) == sig.e;
-}
-
-SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
-                                   BytesView message, Rng& rng) {
-  // Same draws and same (k, e, s) as schnorr_sign — only the transmitted pair
-  // changes, so the two forms stay interconvertible for the same nonce.
-  bool borrow = false;
-  const U256 k = add_mod(random_below(rng, sub(group.q, U256(1), borrow)), U256(1), group.q);
-  const U256 r = pow_mod_fast(group.g, k, group.p);
-  const U256 e = challenge(group, r, message);
-  const U256 s = sub_mod(k, mul_mod(secret, e, group.q), group.q);
-  return SchnorrSignatureRS{r, s};
-}
-
-bool schnorr_rs_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
-                       const SchnorrSignatureRS& sig) {
-  if (sig.s >= group.q || sig.r >= group.p || sig.r.is_zero()) return false;
-  // e = H(R || m);   valid iff g^s * y^e == R.
-  const U256 e = challenge(group, sig.r, message);
-  const U256 gs = pow_mod_fast(group.g, sig.s, group.p);
-  const U256 ye = pow_mod_fast(public_key, e, group.p);
-  return mul_mod(gs, ye, group.p) == sig.r;
-}
-
-U256 dh_shared_secret(const SchnorrGroup& group, const U256& my_secret, const U256& peer_public) {
-  return pow_mod_fast(peer_public, my_secret, group.p);
-}
-
 FixedBaseTable::FixedBaseTable(const U256& base, const MontgomeryParams& params,
                                std::size_t exp_bits, unsigned window_bits)
     : params_(params), window_bits_(window_bits) {
@@ -219,46 +162,31 @@ U256 FixedBaseTable::pow(const U256& exponent) const {
 }
 
 SchnorrEngine::SchnorrEngine(const SchnorrGroup& group)
-    : group_(group), q_bits_(group.q.bit_length()) {
-  if (group.p.bit(0) && group.p != U256(1)) {
-    mont_p_ = MontgomeryParams::for_modulus(group.p);
-    g_table_ = FixedBaseTable(group.g, *mont_p_, q_bits_, 8);
-  }
-  if (group.q.bit(0) && group.q != U256(1)) mont_q_ = MontgomeryParams::for_modulus(group.q);
-}
-
-U256 SchnorrEngine::pow_g(const U256& exponent) const {
-  if (fast_path_enabled() && mont_p_ && exponent.bit_length() <= q_bits_) {
-    return g_table_.pow(exponent);
-  }
-  return pow_p(group_.g, exponent);
-}
+    : group_(group),
+      q_bits_(group.q.bit_length()),
+      mont_p_(MontgomeryParams::for_modulus(group.p)),
+      mont_q_(MontgomeryParams::for_modulus(group.q)),
+      g_table_(group.g, mont_p_, q_bits_, 8) {}
 
 U256 SchnorrEngine::pow_p(const U256& base, const U256& exponent) const {
-  if (fast_path_enabled() && mont_p_) {
-    return from_mont(mont_pow(to_mont(base, *mont_p_), exponent, *mont_p_), *mont_p_);
-  }
-  return pow_mod(base, exponent, group_.p);
+  return from_mont(mont_pow(to_mont(base, mont_p_), exponent, mont_p_), mont_p_);
 }
 
 std::shared_ptr<const FixedBaseTable> SchnorrEngine::key_table(const U256& public_key) const {
   // Keyed by the value's own bytes: exactly what the table build reads.
   const BytesView key(reinterpret_cast<const std::uint8_t*>(public_key.limb.data()),
                       sizeof(public_key.limb));
-  return key_tables_.get(key, [&] { return FixedBaseTable(public_key, *mont_p_, q_bits_, 4); });
+  return key_tables_.get(key, [&] { return FixedBaseTable(public_key, mont_p_, q_bits_, 4); });
 }
 
 U256 SchnorrEngine::commitment(const U256& public_key, const U256& s, const U256& e) const {
-  if (!fast_path_enabled() || !mont_p_) {
-    return mul_mod(pow_mod(group_.g, s, group_.p), pow_mod(public_key, e, group_.p), group_.p);
-  }
   // One walk over both tables with three independent accumulators: g's
   // windows, y's even windows and y's odd windows. With an 8-bit g table and
   // a 4-bit y table each step multiplies into all three, so consecutive
   // products do not wait on each other. Each table reads its own digits, so
   // the walk only has to visit every window of each once: when q's bit
   // length is not a multiple of 8, y has one window fewer than twice g's.
-  const MontgomeryParams& params = *mont_p_;
+  const MontgomeryParams& params = mont_p_;
   const std::shared_ptr<const FixedBaseTable> y_table = key_table(public_key);
   const std::size_t g_windows = g_table_.windows();
   const std::size_t y_windows = y_table->windows();
@@ -276,20 +204,15 @@ U256 SchnorrEngine::commitment(const U256& public_key, const U256& s, const U256
 }
 
 U256 SchnorrEngine::mul_q(const U256& a, const U256& b) const {
-  if (fast_path_enabled() && mont_q_) return mont_mul(to_mont(a, *mont_q_), b, *mont_q_);
-  return mul_mod(a, b, group_.q);
+  return mont_mul(to_mont(a, mont_q_), b, mont_q_);
 }
 
 U256 SchnorrEngine::challenge(const U256& r, BytesView message) const {
-  const U256 h = challenge_hash(r, message);
-  if (fast_path_enabled() && mont_q_) return mont_reduce(h, *mont_q_);
-  return mod(h, group_.q);
+  return mont_reduce(challenge_hash(r, message), mont_q_);
 }
 
 U256 SchnorrEngine::pow_key(const U256& public_key, const U256& exponent) const {
-  if (!fast_path_enabled() || !mont_p_ || exponent.bit_length() > q_bits_) {
-    return pow_p(public_key, exponent);
-  }
+  if (exponent.bit_length() > q_bits_) return pow_p(public_key, exponent);
   return key_table(public_key)->pow(exponent);
 }
 
@@ -298,16 +221,15 @@ U256 SchnorrEngine::shared_secret(const U256& my_secret, const U256& peer_public
 }
 
 SchnorrKeyPair SchnorrEngine::keygen(Rng& rng) const {
-  // Same RNG draws as schnorr_keygen so keys are reproducible either way.
   bool borrow = false;
   const U256 x = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
-  return SchnorrKeyPair{x, pow_g(x)};
+  return SchnorrKeyPair{x, g_table_.pow(x)};
 }
 
 SchnorrSignature SchnorrEngine::sign(const U256& secret, BytesView message, Rng& rng) const {
   bool borrow = false;
   const U256 k = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
-  const U256 r = pow_g(k);
+  const U256 r = g_table_.pow(k);
   const U256 e = challenge(r, message);
   const U256 s = sub_mod(k, mul_q(secret, e), group_.q);
   return SchnorrSignature{e, s};
@@ -322,7 +244,7 @@ bool SchnorrEngine::verify(const U256& public_key, BytesView message,
 SchnorrSignatureRS SchnorrEngine::sign_rs(const U256& secret, BytesView message, Rng& rng) const {
   bool borrow = false;
   const U256 k = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
-  const U256 r = pow_g(k);
+  const U256 r = g_table_.pow(k);
   const U256 e = challenge(r, message);
   const U256 s = sub_mod(k, mul_q(secret, e), group_.q);
   return SchnorrSignatureRS{r, s};

@@ -114,19 +114,18 @@ void compress_block_scalar(std::uint32_t* state, const std::uint8_t* block) {
   state[7] += h;
 }
 
-/// The HMAC finish in scalar rounds: the fused kernel's reference, and the
-/// path without SHA-NI or with the fast path off.
-Digest hmac_finish_scalar(Sha256State inner, Sha256State outer, const std::uint8_t* blocks,
-                          std::size_t count, const std::uint8_t* tail, std::size_t tail_count) {
-  for (std::size_t i = 0; i < count; ++i) compress_block_scalar(inner.data(), blocks + 64 * i);
-  for (std::size_t i = 0; i < tail_count; ++i) compress_block_scalar(inner.data(), tail + 64 * i);
-  std::uint8_t block[64]{};
-  store_state(inner, block);
-  pad_block(block, 0, kSha256DigestSize, kOuterBits);
-  compress_block_scalar(outer.data(), block);
-  Digest out{};
-  store_state(outer, out.data());
-  return out;
+/// Writes the tail of HMAC's inner message (the bytes of `data` past its
+/// last whole block) and the padding into `last`, which holds two blocks;
+/// returns how many it fills, one or two. `absorbed` counts the bytes the
+/// inner state took before `data`. Left uninitialised by the callers on
+/// purpose: the memcpy and pad_block write every byte a kernel reads, each
+/// once.
+std::size_t pad_inner_tail(std::uint8_t* last, BytesView data, std::uint64_t absorbed) {
+  const std::size_t tail = data.size() % 64;
+  if (tail > 0) std::memcpy(last, data.data() + (data.size() - tail), tail);
+  const std::uint64_t bit_count = (absorbed + data.size()) * 8;
+  for (std::size_t i = 0; i < pad_blocks(tail); ++i) pad_block(last + 64 * i, i, tail, bit_count);
+  return pad_blocks(tail);
 }
 
 #if defined(G2G_HAVE_SHA_NI)
@@ -223,7 +222,7 @@ __attribute__((target("sha,sse4.1"))) void compress_blocks_shani(std::uint32_t* 
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), hgfe);
 }
 
-/// hmac_finish_scalar in hardware rounds, without leaving the vector
+/// hmac_sha256_finish_scalar in hardware rounds, without leaving the vector
 /// registers between the inner and the outer hash.
 __attribute__((target("sha,sse4.1"))) Digest hmac_finish_shani(
     const std::uint32_t* inner, const std::uint32_t* outer, const std::uint8_t* blocks,
@@ -255,31 +254,49 @@ __attribute__((target("sha,sse4.1"))) Digest hmac_finish_shani(
 
 void sha256_compress(Sha256State& state, const std::uint8_t* blocks, std::size_t count) {
 #if defined(G2G_HAVE_SHA_NI)
-  if (sha_accelerated()) {
+  static const bool shani = sha_ni_available();
+  if (shani) {
     compress_blocks_shani(state.data(), blocks, count);
     return;
   }
 #endif
+  sha256_compress_scalar(state, blocks, count);
+}
+
+void sha256_compress_scalar(Sha256State& state, const std::uint8_t* blocks, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) compress_block_scalar(state.data(), blocks + 64 * i);
 }
 
 Digest hmac_sha256_finish(const Sha256State& inner, const Sha256State& outer, BytesView data,
                           std::uint64_t absorbed) {
-  const std::size_t whole = data.size() / 64;
-  const std::size_t tail = data.size() % 64;
-  // The tail and its padding. Left uninitialised on purpose: the memcpy and
-  // pad_block write every byte the kernel reads, each once.
-  std::uint8_t last[128];
-  if (tail > 0) std::memcpy(last, data.data() + 64 * whole, tail);
-  const std::size_t last_count = pad_blocks(tail);
-  const std::uint64_t bit_count = (absorbed + data.size()) * 8;
-  for (std::size_t i = 0; i < last_count; ++i) pad_block(last + 64 * i, i, tail, bit_count);
 #if defined(G2G_HAVE_SHA_NI)
-  if (sha_accelerated()) {
-    return hmac_finish_shani(inner.data(), outer.data(), data.data(), whole, last, last_count);
+  static const bool shani = sha_ni_available();
+  if (shani) {
+    std::uint8_t last[128];
+    const std::size_t last_count = pad_inner_tail(last, data, absorbed);
+    return hmac_finish_shani(inner.data(), outer.data(), data.data(), data.size() / 64, last,
+                             last_count);
   }
 #endif
-  return hmac_finish_scalar(inner, outer, data.data(), whole, last, last_count);
+  return hmac_sha256_finish_scalar(inner, outer, data, absorbed);
+}
+
+Digest hmac_sha256_finish_scalar(const Sha256State& inner, const Sha256State& outer,
+                                 BytesView data, std::uint64_t absorbed) {
+  std::uint8_t last[128];
+  const std::size_t last_count = pad_inner_tail(last, data, absorbed);
+  Sha256State in = inner;
+  sha256_compress_scalar(in, data.data(), data.size() / 64);
+  sha256_compress_scalar(in, last, last_count);
+  // The outer block: the inner digest, then its padding.
+  std::uint8_t block[64]{};
+  store_state(in, block);
+  pad_block(block, 0, kSha256DigestSize, kOuterBits);
+  Sha256State out_state = outer;
+  compress_block_scalar(out_state.data(), block);
+  Digest out{};
+  store_state(out_state, out.data());
+  return out;
 }
 
 void Sha256::reset() {

@@ -25,8 +25,9 @@ Rng nonce_rng(BytesView secret_key, BytesView message) {
 class SchnorrSuite final : public Suite {
  public:
   // The engine carries the per-group fixed-base tables for g; every key,
-  // signature, and verdict it produces is byte-identical to the free
-  // schnorr_* functions (the differential suite pins this down).
+  // signature, and verdict it produces is byte-identical to the schoolbook
+  // schnorr_* functions of the test oracle (the differential suite pins this
+  // down).
   explicit SchnorrSuite(const SchnorrGroup& group) : engine_(group) {}
 
   KeyPair keygen(Rng& rng) const override {

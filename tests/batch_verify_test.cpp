@@ -1,20 +1,23 @@
 // Adversarial batch-verification tests for the (R,s)-form Schnorr suite.
 //
 // Suite::verify_batch checks each signature through the per-signer tables;
-// these tests pin the two properties the protocol layer depends on:
+// these tests pin the properties the protocol layer depends on:
 //  * a forged signature anywhere in a batch reads false at exactly its own
 //    index, and every other index stays true;
 //  * the (R,s) suite's verdicts must agree with the classic (e,s) suite on
-//    the same corpora (same keys, same nonces, same corruption pattern).
+//    the same corpora (same keys, same nonces, same corruption pattern);
+//  * both agree, verdict for verdict, with the schoolbook oracle suites
+//    (tests/oracle/). Names that say "Montgomery on and off" compare the
+//    production suite ("on") with the oracle ("off").
 #include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/suite.hpp"
+#include "oracle/oracle.hpp"
 
 namespace g2g::crypto {
 namespace {
@@ -53,13 +56,13 @@ std::vector<VerifyRequest> requests_of(const std::vector<SignedItem>& corpus) {
 class RsBatchSuite : public ::testing::Test {
  protected:
   SuitePtr suite_ = make_schnorr_rs_suite(SchnorrGroup::small_group());
+  SuitePtr oracle_ = oracle::schnorr_rs_suite(SchnorrGroup::small_group());
 };
 
 TEST_F(RsBatchSuite, AllValidBatchAcceptsEveryIndex) {
   const auto corpus = make_corpus(*suite_, 16, 1);
   const auto reqs = requests_of(corpus);
   bool verdicts[16];
-  const FastPathScope scope(true);
   suite_->verify_batch(reqs, verdicts);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_TRUE(verdicts[i]) << "index " << i;
@@ -74,7 +77,6 @@ TEST_F(RsBatchSuite, ForgedSignatureLocalizedToExactIndex) {
     corpus[bad].sig[40] ^= 0x01;
     const auto reqs = requests_of(corpus);
     bool verdicts[8];
-    const FastPathScope scope(true);
     suite_->verify_batch(reqs, verdicts);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(verdicts[i], i != bad) << "forged " << bad << ", index " << i;
@@ -87,7 +89,6 @@ TEST_F(RsBatchSuite, SignatureReplayAcrossMessagesLocalized) {
   corpus[2].sig = corpus[4].sig;  // valid signature, wrong message/key
   const auto reqs = requests_of(corpus);
   bool verdicts[6];
-  const FastPathScope scope(true);
   suite_->verify_batch(reqs, verdicts);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(verdicts[i], i != 2) << "index " << i;
@@ -100,40 +101,17 @@ TEST_F(RsBatchSuite, MalformedLengthsLocalizedWithoutDerailingBatch) {
   corpus[3].kp.public_key.push_back(0);   // wrong public-key size
   const auto reqs = requests_of(corpus);
   bool verdicts[5];
-  const FastPathScope scope(true);
   suite_->verify_batch(reqs, verdicts);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(verdicts[i], i != 1 && i != 3) << "index " << i;
   }
 }
 
-TEST_F(RsBatchSuite, FastPathOffMatchesFastPathOn) {
-  for (std::size_t bad : {std::size_t{0}, std::size_t{5}}) {
-    auto corpus = make_corpus(*suite_, 6, 5);
-    corpus[bad].sig[10] ^= 0x80;
-    const auto reqs = requests_of(corpus);
-    bool fast[6];
-    bool slow[6];
-    {
-      const FastPathScope scope(true);
-      suite_->verify_batch(reqs, fast);
-    }
-    {
-      const FastPathScope scope(false);
-      suite_->verify_batch(reqs, slow);
-    }
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      EXPECT_EQ(fast[i], slow[i]) << "bad " << bad << ", index " << i;
-      EXPECT_EQ(fast[i], i != bad);
-    }
-  }
-}
-
 TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
   // The full adversarial matrix (forge at every index, replay, truncation)
-  // with the Montgomery fast path forced on vs forced off: the verdict
-  // vectors must be identical element for element. FastPathScope(true) takes
-  // the per-key window tables; false takes the schoolbook oracle.
+  // through the production suite, which takes the per-key window tables, and
+  // the schoolbook oracle suite: the verdict vectors must be identical
+  // element for element.
   enum class Tamper { kForge, kReplay, kTruncate };
   for (const Tamper tamper : {Tamper::kForge, Tamper::kReplay, Tamper::kTruncate}) {
     for (std::size_t bad = 0; bad < 6; ++bad) {
@@ -152,14 +130,8 @@ TEST_F(RsBatchSuite, AdversarialMatrixIdenticalWithMontgomeryOnAndOff) {
       const auto reqs = requests_of(corpus);
       bool mont_on[6];
       bool mont_off[6];
-      {
-        const FastPathScope scope(true);
-        suite_->verify_batch(reqs, mont_on);
-      }
-      {
-        const FastPathScope scope(false);
-        suite_->verify_batch(reqs, mont_off);
-      }
+      suite_->verify_batch(reqs, mont_on);
+      oracle_->verify_batch(reqs, mont_off);
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         EXPECT_EQ(mont_on[i], mont_off[i])
             << "tamper " << static_cast<int>(tamper) << ", bad " << bad << ", index " << i;
@@ -208,10 +180,12 @@ TEST(CrossSuiteDifferential, VerdictsAgreeOnSameCorpora) {
 }
 
 TEST(CrossSuiteDifferential, VerdictsAgreeWithMontgomeryOnAndOff) {
-  // The cross-suite matrix again, under both arithmetic backends: all four
-  // verdict vectors — (e,s) and (R,s), Montgomery on and off — must agree.
+  // The cross-suite matrix again, production and oracle: all four verdict
+  // vectors — (e,s) and (R,s), Montgomery tables and schoolbook — must agree.
   const SuitePtr es = make_schnorr_suite(SchnorrGroup::small_group());
   const SuitePtr rs = make_schnorr_rs_suite(SchnorrGroup::small_group());
+  const SuitePtr es_oracle = oracle::schnorr_suite(SchnorrGroup::small_group());
+  const SuitePtr rs_oracle = oracle::schnorr_rs_suite(SchnorrGroup::small_group());
   auto corpus_es = make_corpus(*es, 8, 50);
   auto corpus_rs = make_corpus(*rs, 8, 50);
   for (const std::size_t i : {std::size_t{1}, std::size_t{6}}) {
@@ -224,16 +198,10 @@ TEST(CrossSuiteDifferential, VerdictsAgreeWithMontgomeryOnAndOff) {
   bool es_off[8];
   bool rs_on[8];
   bool rs_off[8];
-  {
-    const FastPathScope scope(true);
-    es->verify_batch(reqs_es, es_on);
-    rs->verify_batch(reqs_rs, rs_on);
-  }
-  {
-    const FastPathScope scope(false);
-    es->verify_batch(reqs_es, es_off);
-    rs->verify_batch(reqs_rs, rs_off);
-  }
+  es->verify_batch(reqs_es, es_on);
+  rs->verify_batch(reqs_rs, rs_on);
+  es_oracle->verify_batch(reqs_es, es_off);
+  rs_oracle->verify_batch(reqs_rs, rs_off);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(es_on[i], es_off[i]) << "index " << i;
     EXPECT_EQ(rs_on[i], rs_off[i]) << "index " << i;

@@ -1,14 +1,18 @@
-// Differential tests pinning the crypto fast path to its reference
-// implementations. Every accelerated routine (SHA-NI compression, the fused
+// Differential tests pinning the production crypto to the test oracle
+// (tests/oracle/). Every accelerated routine (SHA-NI compression, the fused
 // HMAC finish under precomputed midstates, the heavy HMAC chain, the
 // fixed-base and per-key Schnorr tables, the Montgomery kernels) must be
-// bit-identical to the straight-line code it replaces: golden vectors anchor
-// both sides to the standards, and randomized corpora compare fast vs
-// reference over thousands of inputs. HMAC answers to a test-local RFC 2104
-// construction built only on the incremental Sha256 context.
-// The final tests close the loop end to end: a full experiment serializes to
-// byte-identical JSON with the fast path on or off, and with the suites'
-// per-signer memos cold or warm.
+// bit-identical to straight-line code that shares no kernel with it: golden
+// vectors anchor both sides to the standards, and randomized corpora compare
+// production against the oracle over thousands of inputs. The SHA-NI rounds
+// are also compared with the scalar rounds directly, on CPUs that have them.
+// The final tests close the loop end to end: a full (R,s) experiment
+// serializes to byte-identical JSON on the production suite and on the
+// oracle suite, and with the suites' per-signer memos cold or warm.
+//
+// Names that say "on and off" or "both paths" compare production ("on")
+// with the oracle ("off"); they keep the names they had when a process-wide
+// switch chose between the two routes at run time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +34,7 @@
 #include "g2g/crypto/sha256.hpp"
 #include "g2g/crypto/suite.hpp"
 #include "g2g/crypto/uint256.hpp"
+#include "oracle/oracle.hpp"
 
 namespace g2g::crypto {
 namespace {
@@ -50,13 +55,12 @@ std::string hex(const Digest& d) {
   return out;
 }
 
-// RFC 2104 HMAC-SHA256 built only on the incremental Sha256 context: a key
-// longer than a block is hashed first, then H((K ^ opad) || H((K ^ ipad) ||
-// m)). The independent oracle for HmacKey, which hmac_sha256 is.
-Digest rfc2104_hmac(BytesView key, BytesView message) {
+/// The HMAC midstates of `key` (the chaining values after its ipad and
+/// opad blocks) compressed by the scalar rounds, as HmacKey keeps them.
+std::pair<Sha256State, Sha256State> scalar_midstates(BytesView key) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > k.size()) {
-    const Digest d = sha256(key);
+    const Digest d = oracle::sha256(key);
     std::copy(d.begin(), d.end(), k.begin());
   } else {
     std::copy(key.begin(), key.end(), k.begin());
@@ -67,26 +71,17 @@ Digest rfc2104_hmac(BytesView key, BytesView message) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-  Sha256 inner;
-  inner.update(ipad);
-  inner.update(message);
-  const Digest inner_digest = inner.finish();
-  Sha256 outer;
-  outer.update(opad);
-  outer.update(digest_view(inner_digest));
-  return outer.finish();
+  std::pair<Sha256State, Sha256State> states{kSha256InitState, kSha256InitState};
+  sha256_compress_scalar(states.first, ipad.data(), 1);
+  sha256_compress_scalar(states.second, opad.data(), 1);
+  return states;
 }
 
-/// The heavy HMAC chain of hmac.hpp, on the RFC 2104 oracle.
-Digest rfc2104_heavy_hmac(BytesView message, BytesView seed, std::uint32_t iterations) {
-  const Digest m_digest = sha256(message);
-  Digest h = rfc2104_hmac(seed, message);
-  for (std::uint32_t i = 0; i < iterations; ++i) {
-    Bytes link(h.begin(), h.end());
-    link.insert(link.end(), m_digest.begin(), m_digest.end());
-    h = rfc2104_hmac(seed, link);
-  }
-  return h;
+/// HMAC-SHA256 through the scalar finish, called by name: the route every
+/// CPU without SHA-NI runs.
+Digest scalar_hmac(BytesView key, BytesView message) {
+  const auto [inner, outer] = scalar_midstates(key);
+  return hmac_sha256_finish_scalar(inner, outer, message, 64);
 }
 
 // Key lengths around the block size: empty, short, a FastSuite MAC key, one
@@ -94,6 +89,12 @@ Digest rfc2104_heavy_hmac(BytesView message, BytesView seed, std::uint32_t itera
 constexpr std::size_t kHmacKeyLengths[] = {0, 1, 32, 63, 64, 65, 131};
 
 // -- SHA-256 ------------------------------------------------------------------
+
+// The production hash and the oracle's (its own padding, the scalar rounds).
+const struct {
+  const char* name;
+  Digest (*hash)(BytesView);
+} kSha256Routes[] = {{"production", &sha256}, {"oracle", &oracle::sha256}};
 
 TEST(FastPathDiff, Sha256GoldenVectorsHoldOnBothPaths) {
   const struct {
@@ -105,10 +106,9 @@ TEST(FastPathDiff, Sha256GoldenVectorsHoldOnBothPaths) {
       {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
   };
-  for (const bool fast : {true, false}) {
-    const FastPathScope scope(fast);
+  for (const auto& route : kSha256Routes) {
     for (const auto& v : vectors) {
-      EXPECT_EQ(hex(sha256(to_bytes(v.msg))), v.digest) << "fast=" << fast;
+      EXPECT_EQ(hex(route.hash(to_bytes(v.msg))), v.digest) << route.name;
     }
   }
 }
@@ -122,17 +122,7 @@ TEST(FastPathDiff, Sha256FastMatchesReferenceOnRandomCorpus) {
   for (int i = 0; i < 40; ++i) lengths.push_back(static_cast<std::size_t>(rng.next() % 4096));
   for (const std::size_t n : lengths) {
     const Bytes data = random_bytes(rng, n);
-    Digest fast;
-    Digest ref;
-    {
-      const FastPathScope scope(true);
-      fast = sha256(data);
-    }
-    {
-      const FastPathScope scope(false);
-      ref = sha256(data);
-    }
-    EXPECT_EQ(fast, ref) << "length " << n;
+    EXPECT_EQ(sha256(data), oracle::sha256(data)) << "length " << n;
   }
 }
 
@@ -144,57 +134,89 @@ TEST(FastPathDiff, Sha256EveryLengthTo130MatchesGolden) {
   for (std::size_t i = 0; i < pattern.size(); ++i) {
     pattern[i] = static_cast<std::uint8_t>(31 * i + 7);
   }
-  for (const bool fast : {true, false}) {
-    const FastPathScope scope(fast);
+  for (const auto& route : kSha256Routes) {
     Bytes digests;
     for (std::size_t n = 0; n <= pattern.size(); ++n) {
-      const Digest d = sha256(BytesView(pattern.data(), n));
+      const Digest d = route.hash(BytesView(pattern.data(), n));
       digests.insert(digests.end(), d.begin(), d.end());
     }
-    EXPECT_EQ(hex(sha256(digests)),
+    EXPECT_EQ(hex(route.hash(digests)),
               "c6e4e8706aad569e79b1296ad67e984c018330dca4cd1bc520b46a1d8c1abb05")
-        << "fast=" << fast;
+        << route.name;
   }
 }
 
 TEST(FastPathDiff, Sha256ChunkedUpdatesMatchOneShot) {
   Rng rng(0xC0FFEE);
   const Bytes data = random_bytes(rng, 3000);
-  for (const bool fast : {true, false}) {
-    const FastPathScope scope(fast);
-    const Digest oneshot = sha256(data);
-    for (int trial = 0; trial < 20; ++trial) {
-      Sha256 ctx;
-      std::size_t off = 0;
-      while (off < data.size()) {
-        const std::size_t chunk =
-            std::min<std::size_t>(1 + rng.next() % 257, data.size() - off);
-        ctx.update(BytesView(data.data() + off, chunk));
-        // An empty view (null data()) between chunks, usually with bytes
-        // buffered: HmacKey::mac(data) feeds exactly this.
-        ctx.update(BytesView());
-        off += chunk;
-      }
-      EXPECT_EQ(ctx.finish(), oneshot) << "fast=" << fast << " trial " << trial;
+  const Digest oneshot = oracle::sha256(data);
+  for (int trial = 0; trial < 20; ++trial) {
+    Sha256 ctx;
+    std::size_t off = 0;
+    while (off < data.size()) {
+      const std::size_t chunk = std::min<std::size_t>(1 + rng.next() % 257, data.size() - off);
+      ctx.update(BytesView(data.data() + off, chunk));
+      // An empty view (null data()) between chunks, usually with bytes
+      // buffered: HmacKey::mac(data) feeds exactly this.
+      ctx.update(BytesView());
+      off += chunk;
     }
-    Sha256 empty;
-    empty.update(BytesView());
-    EXPECT_EQ(empty.finish(), sha256(Bytes{})) << "fast=" << fast;
+    EXPECT_EQ(ctx.finish(), oneshot) << "trial " << trial;
+  }
+  Sha256 empty;
+  empty.update(BytesView());
+  EXPECT_EQ(empty.finish(), oracle::sha256(Bytes{}));
+}
+
+TEST(FastPathDiff, ShaNiCompressionMatchesScalarRounds) {
+  if (!sha_ni_available()) GTEST_SKIP() << "this CPU has no SHA-NI; SHA-256 runs the scalar rounds";
+  // Random chaining values, 0 to 9 blocks: the hardware loop from its first
+  // block to its last, against the scalar rounds called by name.
+  Rng rng(0x5ca1a2);
+  for (int i = 0; i < 200; ++i) {
+    Sha256State state{};
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+    const std::size_t blocks = static_cast<std::size_t>(i % 10);
+    const Bytes data = random_bytes(rng, 64 * blocks);
+    Sha256State hardware = state;
+    Sha256State scalar = state;
+    sha256_compress(hardware, data.data(), blocks);
+    sha256_compress_scalar(scalar, data.data(), blocks);
+    EXPECT_EQ(hardware, scalar) << "case " << i << ", " << blocks << " blocks";
+  }
+}
+
+TEST(FastPathDiff, ShaNiHmacFinishMatchesScalarFinish) {
+  if (!sha_ni_available()) GTEST_SKIP() << "this CPU has no SHA-NI; HMAC runs the scalar finish";
+  // Random midstates, every message length 0..200 (one or two padding
+  // blocks, up to three whole blocks in place) and absorbed counts of one to
+  // three blocks, as HmacKey::mac(a, b) passes them.
+  Rng rng(0xF1A1);
+  const Bytes message = random_bytes(rng, 200);
+  for (std::size_t n = 0; n <= message.size(); ++n) {
+    Sha256State inner{};
+    Sha256State outer{};
+    for (auto& word : inner) word = static_cast<std::uint32_t>(rng.next());
+    for (auto& word : outer) word = static_cast<std::uint32_t>(rng.next());
+    const std::uint64_t absorbed = 64 * (1 + n % 3);
+    const BytesView m(message.data(), n);
+    EXPECT_EQ(hmac_sha256_finish(inner, outer, m, absorbed),
+              hmac_sha256_finish_scalar(inner, outer, m, absorbed))
+        << "length " << n;
   }
 }
 
 // -- HMAC and the heavy HMAC chain --------------------------------------------
 
 TEST(FastPathDiff, HmacRfc4231GoldenVectorHoldsOnBothPaths) {
+  // Production, the scalar finish by name, and the oracle.
   const Bytes key(20, 0x0b);
   const Bytes data = to_bytes("Hi There");
-  for (const bool fast : {true, false}) {
-    const FastPathScope scope(fast);
-    EXPECT_EQ(hex(hmac_sha256(key, data)),
-              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
-        << "fast=" << fast;
-    EXPECT_EQ(HmacKey(key).mac(data), hmac_sha256(key, data)) << "fast=" << fast;
-  }
+  const char* golden = "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7";
+  EXPECT_EQ(hex(hmac_sha256(key, data)), golden);
+  EXPECT_EQ(hex(HmacKey(key).mac(data)), golden);
+  EXPECT_EQ(hex(scalar_hmac(key, data)), golden);
+  EXPECT_EQ(hex(oracle::hmac_sha256(key, data)), golden);
 }
 
 TEST(FastPathDiff, HmacKeyMatchesOneShotOnRandomCorpus) {
@@ -206,29 +228,28 @@ TEST(FastPathDiff, HmacKeyMatchesOneShotOnRandomCorpus) {
     const Bytes b = random_bytes(rng, rng.next() % 300);
     const HmacKey hk(key);
     EXPECT_EQ(hk.mac(a), hmac_sha256(key, a));
-    EXPECT_EQ(hk.mac(a), rfc2104_hmac(key, a));
+    EXPECT_EQ(hk.mac(a), oracle::hmac_sha256(key, a));
     Bytes ab = a;
     ab.insert(ab.end(), b.begin(), b.end());
     EXPECT_EQ(hk.mac(a, b), hmac_sha256(key, ab));
-    EXPECT_EQ(hk.mac(a, b), rfc2104_hmac(key, ab));
+    EXPECT_EQ(hk.mac(a, b), oracle::hmac_sha256(key, ab));
   }
 }
 
 TEST(FastPathDiff, HmacKeyMatchesRfc2104AtEveryLength) {
   // Every message length 0..300: zero to four whole blocks in place, then a
-  // tail that pads to one block (0..55 bytes) or two (56..63).
+  // tail that pads to one block (0..55 bytes) or two (56..63). Production and
+  // the scalar finish against the oracle.
   Rng rng(0x2104);
   const Bytes message = random_bytes(rng, 300);
   for (const std::size_t key_len : kHmacKeyLengths) {
     const Bytes key = random_bytes(rng, key_len);
-    for (const bool fast : {true, false}) {
-      const FastPathScope scope(fast);
-      const HmacKey hk(key);
-      for (std::size_t n = 0; n <= message.size(); ++n) {
-        const BytesView m(message.data(), n);
-        EXPECT_EQ(hk.mac(m), rfc2104_hmac(key, m))
-            << "key " << key_len << ", length " << n << ", fast=" << fast;
-      }
+    const HmacKey hk(key);
+    for (std::size_t n = 0; n <= message.size(); ++n) {
+      const BytesView m(message.data(), n);
+      const Digest expect = oracle::hmac_sha256(key, m);
+      EXPECT_EQ(hk.mac(m), expect) << "key " << key_len << ", length " << n;
+      EXPECT_EQ(scalar_hmac(key, m), expect) << "scalar, key " << key_len << ", length " << n;
     }
   }
 }
@@ -241,22 +262,17 @@ TEST(FastPathDiff, HmacKeyTwoPartMacMatchesRfc2104AtEverySplit) {
   const Bytes guard(64, 0xEE);
   for (const std::size_t key_len : kHmacKeyLengths) {
     const Bytes key = random_bytes(rng, key_len);
-    for (const bool fast : {true, false}) {
-      const FastPathScope scope(fast);
-      const HmacKey hk(key);
-      for (std::size_t n = 0; n <= message.size(); ++n) {
-        const Digest expect = rfc2104_hmac(key, BytesView(message.data(), n));
-        for (std::size_t split = 0; split <= n; ++split) {
-          Bytes a(message.begin(), message.begin() + static_cast<std::ptrdiff_t>(split));
-          a.insert(a.end(), guard.begin(), guard.end());
-          Bytes b = guard;
-          b.insert(b.end(), message.begin() + static_cast<std::ptrdiff_t>(split),
-                   message.begin() + static_cast<std::ptrdiff_t>(n));
-          EXPECT_EQ(hk.mac(BytesView(a).first(split), BytesView(b).subspan(guard.size())),
-                    expect)
-              << "key " << key_len << ", length " << n << ", split " << split
-              << ", fast=" << fast;
-        }
+    const HmacKey hk(key);
+    for (std::size_t n = 0; n <= message.size(); ++n) {
+      const Digest expect = oracle::hmac_sha256(key, BytesView(message.data(), n));
+      for (std::size_t split = 0; split <= n; ++split) {
+        Bytes a(message.begin(), message.begin() + static_cast<std::ptrdiff_t>(split));
+        a.insert(a.end(), guard.begin(), guard.end());
+        Bytes b = guard;
+        b.insert(b.end(), message.begin() + static_cast<std::ptrdiff_t>(split),
+                 message.begin() + static_cast<std::ptrdiff_t>(n));
+        EXPECT_EQ(hk.mac(BytesView(a).first(split), BytesView(b).subspan(guard.size())), expect)
+            << "key " << key_len << ", length " << n << ", split " << split;
       }
     }
   }
@@ -264,19 +280,12 @@ TEST(FastPathDiff, HmacKeyTwoPartMacMatchesRfc2104AtEverySplit) {
 
 TEST(FastPathDiff, HeavyHmacMatchesReference) {
   Rng rng(0x11EA);
-  for (const std::uint32_t iterations : {1u, 2u, 3u, 64u, 257u, 1024u}) {
+  for (const std::uint32_t iterations : {0u, 1u, 2u, 3u, 64u, 257u, 1024u}) {
     const Bytes msg = random_bytes(rng, 1 + rng.next() % 700);
     const Bytes seed = random_bytes(rng, 1 + rng.next() % 48);
-    const Digest ref = heavy_hmac_reference(msg, seed, iterations);
-    EXPECT_EQ(ref, rfc2104_heavy_hmac(msg, seed, iterations)) << iterations;
-    {
-      const FastPathScope scope(true);
-      EXPECT_EQ(heavy_hmac(msg, seed, iterations), ref) << iterations;
-    }
-    {
-      const FastPathScope scope(false);
-      EXPECT_EQ(heavy_hmac(msg, seed, iterations), ref) << iterations;
-    }
+    EXPECT_EQ(heavy_hmac(msg, seed, iterations),
+              oracle::heavy_hmac_reference(msg, seed, iterations))
+        << iterations;
   }
 }
 
@@ -312,28 +321,24 @@ TEST(FastPathDiff, HeavyHmacEqualMatchesReferenceDigestComparison) {
       {"other iteration count", msg, relay_msg, relay_seed, 10, false},
       {"empty message", empty, relay_empty, relay_seed, 9, true},
   };
-  for (const bool fast : {true, false}) {
-    const FastPathScope scope(fast);
-    for (const auto& c : cases) {
-      const bool reference = digest_equal(heavy_hmac_reference(c.msg_a, seed, 9),
-                                          heavy_hmac_reference(c.msg_b, c.seed_b, c.iterations_b));
-      const bool verdict =
-          heavy_hmac_equal(c.msg_a, seed, 9, c.msg_b, c.seed_b, c.iterations_b);
-      EXPECT_EQ(verdict, reference) << c.name << ", fast=" << fast;
-      EXPECT_EQ(verdict, c.expect) << c.name << ", fast=" << fast;
-    }
+  for (const auto& c : cases) {
+    const bool reference =
+        oracle::heavy_hmac_reference(c.msg_a, seed, 9) ==
+        oracle::heavy_hmac_reference(c.msg_b, c.seed_b, c.iterations_b);
+    const bool verdict = heavy_hmac_equal(c.msg_a, seed, 9, c.msg_b, c.seed_b, c.iterations_b);
+    EXPECT_EQ(verdict, reference) << c.name;
+    EXPECT_EQ(verdict, c.expect) << c.name;
   }
 }
 
 // -- Schnorr: fixed-base tables and the engine --------------------------------
 
 // Honest and tampered inputs, each through both forms: the engine's verdict
-// must equal the free function's, and the expected one.
-void expect_verdicts_match_free_functions(const SchnorrEngine& engine, const SchnorrKeyPair& kp,
-                                          const U256& other_key, const Bytes& msg,
-                                          const SchnorrSignature& es,
-                                          const SchnorrSignatureRS& rs,
-                                          const std::string& where) {
+// must equal the oracle's schoolbook one, and the expected one.
+void expect_verdicts_match_oracle(const SchnorrEngine& engine, const SchnorrKeyPair& kp,
+                                  const U256& other_key, const Bytes& msg,
+                                  const SchnorrSignature& es, const SchnorrSignatureRS& rs,
+                                  const std::string& where) {
   const SchnorrGroup& group = engine.group();
   Bytes flipped = msg;
   flipped[0] ^= 1;
@@ -359,71 +364,73 @@ void expect_verdicts_match_free_functions(const SchnorrEngine& engine, const Sch
   };
   for (const auto& c : cases) {
     const bool es_verdict = engine.verify(c.key, c.message, c.es);
-    EXPECT_EQ(es_verdict, schnorr_verify(group, c.key, c.message, c.es))
+    EXPECT_EQ(es_verdict, oracle::schnorr_verify(group, c.key, c.message, c.es))
         << c.name << ", " << where;
     EXPECT_EQ(es_verdict, c.expect) << c.name << ", " << where;
     const bool rs_verdict = engine.verify_rs(c.key, c.message, c.rs);
-    EXPECT_EQ(rs_verdict, schnorr_rs_verify(group, c.key, c.message, c.rs))
+    EXPECT_EQ(rs_verdict, oracle::schnorr_rs_verify(group, c.key, c.message, c.rs))
         << c.name << ", " << where;
     EXPECT_EQ(rs_verdict, c.expect) << c.name << ", " << where;
   }
 }
 
 TEST(FastPathDiff, SchnorrEngineMatchesFreeFunctions) {
+  // The engine against the oracle's schoolbook free functions.
   const Bytes msg = to_bytes("proof of relay, hop 3");
   for (const SchnorrGroup* group : {&SchnorrGroup::small_group(), &SchnorrGroup::default_group()}) {
     const SchnorrEngine engine(*group);
-    for (const bool fast : {true, false}) {
-      const FastPathScope scope(fast);
-      const std::string where = "p=" + group->p.to_hex() + ", fast=" + std::to_string(fast);
-      // Identical RNG draws => identical keys and signatures, bit for bit.
-      Rng rng_a(42);
-      Rng rng_b(42);
-      const SchnorrKeyPair kp = engine.keygen(rng_a);
-      const SchnorrKeyPair kp_free = schnorr_keygen(*group, rng_b);
-      EXPECT_EQ(kp.secret, kp_free.secret) << where;
-      EXPECT_EQ(kp.public_key, kp_free.public_key) << where;
-      const SchnorrKeyPair other = engine.keygen(rng_a);
-      EXPECT_EQ(other.public_key, schnorr_keygen(*group, rng_b).public_key) << where;
+    const std::string where = "p=" + group->p.to_hex();
+    // Identical RNG draws => identical keys and signatures, bit for bit.
+    Rng rng_a(42);
+    Rng rng_b(42);
+    const SchnorrKeyPair kp = engine.keygen(rng_a);
+    const SchnorrKeyPair kp_oracle = oracle::schnorr_keygen(*group, rng_b);
+    EXPECT_EQ(kp.secret, kp_oracle.secret) << where;
+    EXPECT_EQ(kp.public_key, kp_oracle.public_key) << where;
+    const SchnorrKeyPair other = engine.keygen(rng_a);
+    EXPECT_EQ(other.public_key, oracle::schnorr_keygen(*group, rng_b).public_key) << where;
 
-      const SchnorrSignature es = engine.sign(kp.secret, msg, rng_a);
-      const SchnorrSignature es_free = schnorr_sign(*group, kp.secret, msg, rng_b);
-      EXPECT_EQ(es.e, es_free.e) << where;
-      EXPECT_EQ(es.s, es_free.s) << where;
-      const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng_a);
-      const SchnorrSignatureRS rs_free = schnorr_rs_sign(*group, kp.secret, msg, rng_b);
-      EXPECT_EQ(rs.r, rs_free.r) << where;
-      EXPECT_EQ(rs.s, rs_free.s) << where;
+    const SchnorrSignature es = engine.sign(kp.secret, msg, rng_a);
+    const SchnorrSignature es_oracle = oracle::schnorr_sign(*group, kp.secret, msg, rng_b);
+    EXPECT_EQ(es.e, es_oracle.e) << where;
+    EXPECT_EQ(es.s, es_oracle.s) << where;
+    const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng_a);
+    const SchnorrSignatureRS rs_oracle = oracle::schnorr_rs_sign(*group, kp.secret, msg, rng_b);
+    EXPECT_EQ(rs.r, rs_oracle.r) << where;
+    EXPECT_EQ(rs.s, rs_oracle.s) << where;
 
-      expect_verdicts_match_free_functions(engine, kp, other.public_key, msg, es, rs, where);
+    expect_verdicts_match_oracle(engine, kp, other.public_key, msg, es, rs, where);
+    EXPECT_EQ(engine.shared_secret(kp.secret, other.public_key),
+              oracle::dh_shared_secret(*group, kp.secret, other.public_key))
+        << where;
 
-      // y^e through the per-key tables. verify never range-checks y, so keys
-      // at and past p must reduce like pow_mod does.
-      const U256 one(1);
-      bool borrow = false;
-      const U256 q_minus_1 = sub(group->q, one, borrow);
-      const U256 all_ones = U256::from_hex(
-          "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
-      for (const U256& y : {U256(0), one, sub(group->p, one, borrow), group->p, all_ones}) {
-        for (const U256& e : {U256(0), one, q_minus_1, random_below(rng_a, group->q)}) {
-          EXPECT_EQ(engine.pow_key(y, e), pow_mod(y, e, group->p))
-              << y.to_hex() << "^" << e.to_hex() << ", " << where;
-        }
+    // y^e through the per-key tables, and past q's bit length through pow_p.
+    // verify never range-checks y, so keys at and past p must reduce like
+    // pow_mod does.
+    const U256 one(1);
+    bool borrow = false;
+    const U256 q_minus_1 = sub(group->q, one, borrow);
+    const U256 all_ones = U256::from_hex(
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+    for (const U256& y : {U256(0), one, sub(group->p, one, borrow), group->p, all_ones}) {
+      for (const U256& e : {U256(0), one, q_minus_1, random_below(rng_a, group->q), all_ones}) {
+        EXPECT_EQ(engine.pow_key(y, e), pow_mod(y, e, group->p))
+            << y.to_hex() << "^" << e.to_hex() << ", " << where;
       }
-      if (group != &SchnorrGroup::small_group()) continue;
-      // More distinct keys than the memo holds, visited twice, so every table
-      // is also rebuilt after the memo clears.
-      Rng key_rng(7);
-      std::vector<U256> keys;
-      for (std::size_t i = 0; i < KeyMemo<FixedBaseTable>::kMaxKeys + 9; ++i) {
-        keys.push_back(random_below(key_rng, group->p));
-      }
-      for (int round = 0; round < 2; ++round) {
-        for (const U256& y : keys) {
-          const U256 e = random_below(key_rng, group->q);
-          EXPECT_EQ(engine.pow_key(y, e), pow_mod(y, e, group->p))
-              << y.to_hex() << ", round " << round << ", " << where;
-        }
+    }
+    if (group != &SchnorrGroup::small_group()) continue;
+    // More distinct keys than the memo holds, visited twice, so every table
+    // is also rebuilt after the memo clears.
+    Rng key_rng(7);
+    std::vector<U256> keys;
+    for (std::size_t i = 0; i < KeyMemo<FixedBaseTable>::kMaxKeys + 9; ++i) {
+      keys.push_back(random_below(key_rng, group->p));
+    }
+    for (int round = 0; round < 2; ++round) {
+      for (const U256& y : keys) {
+        const U256 e = random_below(key_rng, group->q);
+        EXPECT_EQ(engine.pow_key(y, e), pow_mod(y, e, group->p))
+            << y.to_hex() << ", round " << round << ", " << where;
       }
     }
   }
@@ -432,98 +439,68 @@ TEST(FastPathDiff, SchnorrEngineMatchesFreeFunctions) {
 TEST(FastPathDiff, EngineVerifyMatchesFreeFunctionsWhenQBitsAreNotAMultipleOf8) {
   // Verification walks two 4-bit windows of y per 8-bit window of g. At 97
   // and 100 bits y has one window fewer than twice g's, so the last step has
-  // no odd y window; verdicts must still be the free functions', on both
-  // forms, valid and tampered, fast path on and off.
+  // no odd y window; verdicts must still be the oracle's, on both forms,
+  // valid and tampered.
   const Bytes base_msg = to_bytes("proof of relay, hop 3");
   for (const std::size_t q_bits : {std::size_t{97}, std::size_t{100}}) {
     const SchnorrGroup group = SchnorrGroup::generate(128, q_bits, 0x6732 + q_bits);
     ASSERT_EQ(group.q.bit_length(), q_bits);
     const SchnorrEngine engine(group);
-    for (const bool fast : {true, false}) {
-      const FastPathScope scope(fast);
-      const std::string where = "q bits " + std::to_string(q_bits) + ", fast=" +
-                                std::to_string(fast);
-      Rng rng(q_bits);
-      const SchnorrKeyPair kp = engine.keygen(rng);
-      const SchnorrKeyPair other = engine.keygen(rng);
-      std::size_t top_window_digits = 0;  // e or s reaching y's last window
-      for (std::uint8_t i = 0; i < 16; ++i) {
-        Bytes msg = base_msg;
-        msg.push_back(i);
-        const SchnorrSignature es = engine.sign(kp.secret, msg, rng);
-        const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng);
-        for (const U256& v : {es.e, es.s, rs.s}) {
-          if (v.bit_length() > (q_bits - 1) / 4 * 4) ++top_window_digits;
-        }
-        expect_verdicts_match_free_functions(engine, kp, other.public_key, msg, es, rs, where);
+    const std::string where = "q bits " + std::to_string(q_bits);
+    Rng rng(q_bits);
+    const SchnorrKeyPair kp = engine.keygen(rng);
+    const SchnorrKeyPair other = engine.keygen(rng);
+    std::size_t top_window_digits = 0;  // e or s reaching y's last window
+    for (std::uint8_t i = 0; i < 16; ++i) {
+      Bytes msg = base_msg;
+      msg.push_back(i);
+      const SchnorrSignature es = engine.sign(kp.secret, msg, rng);
+      const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng);
+      for (const U256& v : {es.e, es.s, rs.s}) {
+        if (v.bit_length() > (q_bits - 1) / 4 * 4) ++top_window_digits;
       }
-      EXPECT_GT(top_window_digits, 0u) << where;
+      expect_verdicts_match_oracle(engine, kp, other.public_key, msg, es, rs, where);
     }
+    EXPECT_GT(top_window_digits, 0u) << where;
   }
+}
+
+TEST(FastPathDiff, SchnorrEngineRejectsAnEvenModulus) {
+  // Montgomery reduction needs odd p and q; every generated group has them.
+  SchnorrGroup even = SchnorrGroup::small_group();
+  bool carry = false;
+  even.p = add(even.p, U256(1), carry);
+  EXPECT_THROW(SchnorrEngine{even}, std::invalid_argument);
+  even = SchnorrGroup::small_group();
+  even.q = add(even.q, U256(1), carry);
+  EXPECT_THROW(SchnorrEngine{even}, std::invalid_argument);
+}
+
+// Production suite and oracle suite from the same seed: identical keys and
+// signatures, and each verifies the other's.
+void expect_suite_matches_oracle(const Suite& suite, const Suite& reference) {
+  Rng rng(9);
+  Rng rng_oracle(9);
+  const Bytes msg = to_bytes("por certificate");
+  const KeyPair kp = suite.keygen(rng);
+  const KeyPair kp_oracle = reference.keygen(rng_oracle);
+  EXPECT_EQ(kp.public_key, kp_oracle.public_key);
+  EXPECT_EQ(kp.secret_key, kp_oracle.secret_key);
+  const Bytes sig = suite.sign(kp.secret_key, msg);
+  const Bytes sig_oracle = reference.sign(kp_oracle.secret_key, msg);
+  EXPECT_EQ(sig, sig_oracle);
+  EXPECT_TRUE(reference.verify(kp.public_key, msg, sig));
+  EXPECT_TRUE(suite.verify(kp_oracle.public_key, msg, sig_oracle));
 }
 
 TEST(FastPathDiff, SchnorrSuiteSignaturesIdenticalFastOnAndOff) {
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::small_group());
-  Rng rng_on(9);
-  Rng rng_off(9);
-  KeyPair kp_on;
-  KeyPair kp_off;
-  Bytes sig_on;
-  Bytes sig_off;
-  const Bytes msg = to_bytes("por certificate");
-  {
-    const FastPathScope scope(true);
-    kp_on = suite->keygen(rng_on);
-    sig_on = suite->sign(kp_on.secret_key, msg);
-  }
-  {
-    const FastPathScope scope(false);
-    kp_off = suite->keygen(rng_off);
-    sig_off = suite->sign(kp_off.secret_key, msg);
-  }
-  EXPECT_EQ(kp_on.public_key, kp_off.public_key);
-  EXPECT_EQ(kp_on.secret_key, kp_off.secret_key);
-  EXPECT_EQ(sig_on, sig_off);
-  // Cross-verify: a signature made on one path verifies on the other.
-  {
-    const FastPathScope scope(false);
-    EXPECT_TRUE(suite->verify(kp_on.public_key, msg, sig_on));
-  }
-  {
-    const FastPathScope scope(true);
-    EXPECT_TRUE(suite->verify(kp_off.public_key, msg, sig_off));
-  }
+  const SchnorrGroup& group = SchnorrGroup::small_group();
+  expect_suite_matches_oracle(*make_schnorr_suite(group), *oracle::schnorr_suite(group));
 }
 
 TEST(FastPathDiff, SchnorrRsSuiteSignaturesIdenticalFastOnAndOff) {
-  const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::small_group());
-  Rng rng_on(9);
-  Rng rng_off(9);
-  KeyPair kp_on;
-  KeyPair kp_off;
-  Bytes sig_on;
-  Bytes sig_off;
-  const Bytes msg = to_bytes("por certificate");
-  {
-    const FastPathScope scope(true);
-    kp_on = suite->keygen(rng_on);
-    sig_on = suite->sign(kp_on.secret_key, msg);
-  }
-  {
-    const FastPathScope scope(false);
-    kp_off = suite->keygen(rng_off);
-    sig_off = suite->sign(kp_off.secret_key, msg);
-  }
-  EXPECT_EQ(kp_on.public_key, kp_off.public_key);
-  EXPECT_EQ(sig_on, sig_off);
-  {
-    const FastPathScope scope(false);
-    EXPECT_TRUE(suite->verify(kp_on.public_key, msg, sig_on));
-  }
-  {
-    const FastPathScope scope(true);
-    EXPECT_TRUE(suite->verify(kp_off.public_key, msg, sig_off));
-  }
+  const SchnorrGroup& group = SchnorrGroup::small_group();
+  expect_suite_matches_oracle(*make_schnorr_rs_suite(group), *oracle::schnorr_rs_suite(group));
 }
 
 // -- Montgomery arithmetic vs the classic oracle ------------------------------
@@ -556,22 +533,37 @@ U256 low_ones(std::size_t bits) {
   return out;
 }
 
-// Production moduli (both Schnorr groups' p and q), small odd moduli, and
-// limb-boundary patterns (2^64-1 in various positions, the 2^256-1 maximum).
+// The production moduli, both Schnorr groups' p and q, as constants: the
+// generated groups' own Miller–Rabin and generator search run mont_pow, and
+// a broken kernel would keep them from ever finishing instead of failing a
+// comparison. GroupModuliAreTheGeneratedGroups ties them to the groups.
+const U256 kDefaultP =
+    U256::from_hex("82f6792f278ee695aac599891065ff5ea583e6eebd705e9dac880e2894a17173");
+const U256 kDefaultQ = U256::from_hex("83e805a05c9c4957b2a402232d2979aa334d98e1");
+const U256 kSmallP = U256::from_hex("8e51c621a9ad6af8f5e4fa702cc7e86d");
+const U256 kSmallQ = U256::from_hex("f3079a0b22359fb4cdb2302f");
+
+// Production moduli, small odd moduli, and limb-boundary patterns (2^64-1 in
+// various positions, the 2^256-1 maximum).
 std::vector<U256> corpus_moduli() {
-  const SchnorrGroup& small = SchnorrGroup::small_group();
-  const SchnorrGroup& full = SchnorrGroup::default_group();
   return {
-      full.p,
-      full.q,
-      small.p,
-      small.q,
+      kDefaultP,
+      kDefaultQ,
+      kSmallP,
+      kSmallQ,
       U256(3),
       U256(0xffffffffffffffffULL),  // 2^64 - 1: all carries in limb 0
       U256::from_hex("ffffffffffffffff0000000000000001"),
       U256::from_hex("ffffffffffffffffffffffffffffffffffffffffffffffff"
                      "ffffffffffffffff"),  // 2^256 - 1: the maximum modulus
   };
+}
+
+TEST(MontgomeryDiff, GroupModuliAreTheGeneratedGroups) {
+  EXPECT_EQ(SchnorrGroup::default_group().p, kDefaultP);
+  EXPECT_EQ(SchnorrGroup::default_group().q, kDefaultQ);
+  EXPECT_EQ(SchnorrGroup::small_group().p, kSmallP);
+  EXPECT_EQ(SchnorrGroup::small_group().q, kSmallQ);
 }
 
 TEST(MontgomeryDiff, MontMulMatchesClassicMulModOnSeededRandomSweep) {
@@ -619,15 +611,7 @@ bool is_mont_product(const U256& x, const U256& a, const U256& b,
 
 // corpus_moduli() plus seeded random odd moduli on both sides of each limb
 // boundary, so the kernels' carries are exercised at every top-limb width.
-// The groups are generated on the schoolbook route: with the fast path on
-// their Miller–Rabin runs mont_pow, and a broken kernel would keep the prime
-// search from ever ending instead of failing the comparison.
 std::vector<U256> kernel_moduli() {
-  {
-    const FastPathScope schoolbook(false);
-    (void)SchnorrGroup::default_group();
-    (void)SchnorrGroup::small_group();
-  }
   std::vector<U256> out = corpus_moduli();
   Rng rng(0x4D0D);
   for (const std::size_t bits : {63u, 64u, 65u, 127u, 128u, 129u, 191u, 192u, 193u, 255u, 256u}) {
@@ -741,23 +725,14 @@ TEST(MontgomeryDiff, PowModFastMatchesClassicPowMod) {
     std::vector<U256> exps{U256(0), U256(1), U256(2), m_minus_1, random_below(rng, m)};
     for (const U256& base : bases) {
       for (const U256& e : exps) {
-        const U256 expect = pow_mod(base, e, m);
-        {
-          const FastPathScope scope(true);  // mont_pow
-          EXPECT_EQ(pow_mod_fast(base, e, m), expect)
-              << base.to_hex() << "^" << e.to_hex() << " mod " << m.to_hex();
-        }
-        {
-          const FastPathScope scope(false);  // classic fallback
-          EXPECT_EQ(pow_mod_fast(base, e, m), expect);
-        }
+        EXPECT_EQ(pow_mod_fast(base, e, m), pow_mod(base, e, m))
+            << base.to_hex() << "^" << e.to_hex() << " mod " << m.to_hex();
       }
     }
   }
-  // Even modulus: pow_mod_fast must fall back to the classic route even with
-  // the fast path on (Montgomery requires an odd modulus).
+  // Even modulus: pow_mod_fast must fall back to the classic route
+  // (Montgomery requires an odd modulus).
   const U256 even = U256(1000);
-  const FastPathScope scope(true);
   for (int i = 0; i < 5; ++i) {
     const U256 base = random_u256(rng);
     const U256 e = U256(rng.next() % 1000);
@@ -770,8 +745,7 @@ TEST(MontgomeryDiff, MontPowMatchesClassicForGroupPrimes) {
   // the production moduli: exponents at digit and limb boundaries, with long
   // zero runs, and every digit maximal, on the edge bases too.
   Rng rng(0x1ADDE2);
-  for (const U256& m : {SchnorrGroup::default_group().p, SchnorrGroup::default_group().q,
-                        SchnorrGroup::small_group().p}) {
+  for (const U256& m : {kDefaultP, kDefaultQ, kSmallP}) {
     const MontgomeryParams params = MontgomeryParams::for_modulus(m);
     bool borrow = false;
     std::vector<U256> exps{U256(0),        U256(1),      U256(2),      U256(15),
@@ -842,11 +816,11 @@ TEST(FastPathDiff, FixedBaseTableMatchesPowMod) {
 }
 
 TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
-  // With the fast path off the engine skips its tables: y^e is pow_mod and
-  // a verification's g^s · y^e is mul_mod over two pow_mods. The tables must
-  // reach the same residues whichever way the switch is set, through pow(),
-  // through one accumulator shared by an 8-bit and a 4-bit table (left empty
-  // when both exponents are zero), and through the engine's pow_key.
+  // The tables ("on") must reach the schoolbook residues ("off": y^e as
+  // pow_mod, a verification's g^s · y^e as mul_mod over two pow_mods),
+  // through pow(), through one accumulator shared by an 8-bit and a 4-bit
+  // table (left empty when both exponents are zero), and through the
+  // engine's pow_key.
   Rng rng(0x7AB1E2);
   for (const SchnorrGroup* group : {&SchnorrGroup::small_group(), &SchnorrGroup::default_group()}) {
     const MontgomeryParams params = MontgomeryParams::for_modulus(group->p);
@@ -859,26 +833,21 @@ TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
       // s = e = 0, then s = 0 alone, then e = 0 alone, then both random.
       const U256 s = i <= 1 ? U256{} : random_below(rng, group->q);
       const U256 e = i == 0 || i == 2 ? U256{} : random_below(rng, group->q);
-      const U256 reference =
-          mul_mod(pow_mod(group->g, s, group->p), pow_mod(y, e, group->p), group->p);
-      for (const bool fast : {true, false}) {
-        const FastPathScope scope(fast);
-        const U256 g_s = pow_mod(group->g, s, group->p);
-        const U256 y_e = pow_mod(y, e, group->p);
-        EXPECT_EQ(g_table.pow(s), g_s) << s.to_hex() << ", fast=" << fast;
-        EXPECT_EQ(y_table.pow(e), y_e) << e.to_hex() << ", fast=" << fast;
-        EXPECT_EQ(engine.pow_key(y, e), y_e) << e.to_hex() << ", fast=" << fast;
-        std::optional<U256> acc;
-        g_table.mul_into(acc, s);
-        y_table.mul_into(acc, e);
-        if (s.is_zero() && e.is_zero()) {
-          EXPECT_FALSE(acc.has_value()) << "fast=" << fast;
-          EXPECT_EQ(reference, U256(1));
-        } else {
-          ASSERT_TRUE(acc.has_value()) << "fast=" << fast;
-          EXPECT_EQ(from_mont(*acc, params), reference)
-              << s.to_hex() << ", " << e.to_hex() << ", fast=" << fast;
-        }
+      const U256 g_s = pow_mod(group->g, s, group->p);
+      const U256 y_e = pow_mod(y, e, group->p);
+      const U256 reference = mul_mod(g_s, y_e, group->p);
+      EXPECT_EQ(g_table.pow(s), g_s) << s.to_hex();
+      EXPECT_EQ(y_table.pow(e), y_e) << e.to_hex();
+      EXPECT_EQ(engine.pow_key(y, e), y_e) << e.to_hex();
+      std::optional<U256> acc;
+      g_table.mul_into(acc, s);
+      y_table.mul_into(acc, e);
+      if (s.is_zero() && e.is_zero()) {
+        EXPECT_FALSE(acc.has_value());
+        EXPECT_EQ(reference, U256(1));
+      } else {
+        ASSERT_TRUE(acc.has_value());
+        EXPECT_EQ(from_mont(*acc, params), reference) << s.to_hex() << ", " << e.to_hex();
       }
     }
   }
@@ -926,38 +895,17 @@ TEST(FastPathDiff, ExperimentJsonBitIdenticalWithWarmAndColdKeyMemo) {
   }
 }
 
-TEST(FastPathDiff, ExperimentJsonBitIdenticalWithGlobalFastPathOnAndOff) {
-  std::string fast;
-  std::string reference;
-  {
-    const FastPathScope scope(true);
-    fast = core::to_json(core::run_experiment(diff_config()));
-  }
-  {
-    const FastPathScope scope(false);
-    reference = core::to_json(core::run_experiment(diff_config()));
-  }
-  EXPECT_EQ(fast, reference);
-}
-
-TEST(FastPathDiff, ExperimentJsonBitIdenticalWithRsSuiteFastPathOnAndOff) {
-  // With the fast path on, the (R,s) suite verifies through one Montgomery
-  // accumulator over the g table and the per-key tables, reduces challenges
-  // with mont_reduce and runs DH through mont_pow; off, through pow_mod,
-  // mul_mod and the schoolbook mod. The serialized experiment must not be
-  // able to tell.
+TEST(FastPathDiff, ExperimentJsonBitIdenticalWithRsSuiteAndOracleSuite) {
+  // The production (R,s) suite verifies through one Montgomery accumulator
+  // over the g table and the per-key tables, reduces challenges with
+  // mont_reduce and runs DH through mont_pow; the oracle suite through
+  // pow_mod, mul_mod and the schoolbook mod, hashing on the scalar rounds.
+  // The serialized experiment must not be able to tell.
   const core::ExperimentConfig cfg = rs_config();
-  std::string fast;
-  std::string reference;
-  {
-    const FastPathScope scope(true);
-    fast = core::to_json(core::run_experiment(cfg));
-  }
-  {
-    const FastPathScope scope(false);
-    reference = core::to_json(core::run_experiment(cfg));
-  }
-  EXPECT_EQ(fast, reference);
+  core::ExperimentConfig oracle_cfg = cfg;
+  oracle_cfg.suite = oracle::schnorr_rs_suite(SchnorrGroup::small_group());
+  EXPECT_EQ(core::to_json(core::run_experiment(cfg)),
+            core::to_json(core::run_experiment(oracle_cfg)));
 }
 
 }  // namespace

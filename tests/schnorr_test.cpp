@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/oracle.hpp"
+
 namespace g2g::crypto {
 namespace {
 
+// The scheme as production runs it, through SchnorrEngine; where a test
+// needs a second opinion it asks the schoolbook oracle (tests/oracle/).
 // Tests run on the small group (128-bit p) to stay fast; a few also exercise
 // the default 256-bit group.
 
@@ -43,56 +47,57 @@ TEST(SchnorrGroup, RejectsBadSizes) {
 class SchnorrSmall : public ::testing::Test {
  protected:
   const SchnorrGroup& group_ = SchnorrGroup::small_group();
+  const SchnorrEngine engine_{group_};
   Rng rng_{42};
 };
 
 TEST_F(SchnorrSmall, SignVerifyRoundTrip) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("proof of relay for H(m)");
-  const SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
-  EXPECT_TRUE(schnorr_verify(group_, kp.public_key, msg, sig));
+  const SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
+  EXPECT_TRUE(engine_.verify(kp.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, TamperedMessageRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   Bytes msg = to_bytes("original");
-  const SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
+  const SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
   msg[0] ^= 1;
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, sig));
+  EXPECT_FALSE(engine_.verify(kp.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, WrongKeyRejected) {
-  const SchnorrKeyPair kp1 = schnorr_keygen(group_, rng_);
-  const SchnorrKeyPair kp2 = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp1 = engine_.keygen(rng_);
+  const SchnorrKeyPair kp2 = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  const SchnorrSignature sig = schnorr_sign(group_, kp1.secret, msg, rng_);
-  EXPECT_FALSE(schnorr_verify(group_, kp2.public_key, msg, sig));
+  const SchnorrSignature sig = engine_.sign(kp1.secret, msg, rng_);
+  EXPECT_FALSE(engine_.verify(kp2.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, TamperedSignatureComponentsRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
+  SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
   SchnorrSignature bad_e = sig;
   bad_e.e = add_mod(bad_e.e, U256(1), group_.q);
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, bad_e));
+  EXPECT_FALSE(engine_.verify(kp.public_key, msg, bad_e));
   SchnorrSignature bad_s = sig;
   bad_s.s = add_mod(bad_s.s, U256(1), group_.q);
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, bad_s));
+  EXPECT_FALSE(engine_.verify(kp.public_key, msg, bad_s));
 }
 
 TEST_F(SchnorrSmall, OutOfRangeSignatureRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
+  SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
   sig.s = group_.q;  // == q is out of range
-  EXPECT_FALSE(schnorr_verify(group_, kp.public_key, msg, sig));
+  EXPECT_FALSE(engine_.verify(kp.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, SignatureEncodingRoundTrip) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  const SchnorrSignature sig = schnorr_sign(group_, kp.secret, msg, rng_);
+  const SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
   const SchnorrSignature decoded = SchnorrSignature::decode(sig.encode());
   EXPECT_EQ(decoded.e, sig.e);
   EXPECT_EQ(decoded.s, sig.s);
@@ -100,7 +105,7 @@ TEST_F(SchnorrSmall, SignatureEncodingRoundTrip) {
 }
 
 TEST_F(SchnorrSmall, KeysLieInTheSubgroup) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   EXPECT_FALSE(kp.secret.is_zero());
   EXPECT_LT(kp.secret, group_.q);
   // Public key has order dividing q: y^q == 1.
@@ -109,53 +114,53 @@ TEST_F(SchnorrSmall, KeysLieInTheSubgroup) {
 
 TEST_F(SchnorrSmall, ManyKeysManyMessages) {
   for (int i = 0; i < 10; ++i) {
-    const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+    const SchnorrKeyPair kp = engine_.keygen(rng_);
     Writer w;
     w.u32(static_cast<std::uint32_t>(i));
-    const SchnorrSignature sig = schnorr_sign(group_, kp.secret, w.bytes(), rng_);
-    EXPECT_TRUE(schnorr_verify(group_, kp.public_key, w.bytes(), sig));
+    const SchnorrSignature sig = engine_.sign(kp.secret, w.bytes(), rng_);
+    EXPECT_TRUE(engine_.verify(kp.public_key, w.bytes(), sig));
   }
 }
 
 TEST(SchnorrDh, SharedSecretIsSymmetric) {
-  const SchnorrGroup& g = SchnorrGroup::small_group();
+  const SchnorrEngine engine(SchnorrGroup::small_group());
   Rng rng(9);
-  const SchnorrKeyPair a = schnorr_keygen(g, rng);
-  const SchnorrKeyPair b = schnorr_keygen(g, rng);
-  EXPECT_EQ(dh_shared_secret(g, a.secret, b.public_key),
-            dh_shared_secret(g, b.secret, a.public_key));
+  const SchnorrKeyPair a = engine.keygen(rng);
+  const SchnorrKeyPair b = engine.keygen(rng);
+  EXPECT_EQ(engine.shared_secret(a.secret, b.public_key),
+            engine.shared_secret(b.secret, a.public_key));
 }
 
 TEST(SchnorrDh, DistinctPairsDistinctSecrets) {
-  const SchnorrGroup& g = SchnorrGroup::small_group();
+  const SchnorrEngine engine(SchnorrGroup::small_group());
   Rng rng(10);
-  const SchnorrKeyPair a = schnorr_keygen(g, rng);
-  const SchnorrKeyPair b = schnorr_keygen(g, rng);
-  const SchnorrKeyPair c = schnorr_keygen(g, rng);
-  EXPECT_NE(dh_shared_secret(g, a.secret, b.public_key),
-            dh_shared_secret(g, a.secret, c.public_key));
+  const SchnorrKeyPair a = engine.keygen(rng);
+  const SchnorrKeyPair b = engine.keygen(rng);
+  const SchnorrKeyPair c = engine.keygen(rng);
+  EXPECT_NE(engine.shared_secret(a.secret, b.public_key),
+            engine.shared_secret(a.secret, c.public_key));
 }
 
 TEST_F(SchnorrSmall, RsSignVerifyRoundTrip) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("(R,s)-form proof of relay");
-  const SchnorrSignatureRS sig = schnorr_rs_sign(group_, kp.secret, msg, rng_);
-  EXPECT_TRUE(schnorr_rs_verify(group_, kp.public_key, msg, sig));
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
+  EXPECT_TRUE(engine_.verify_rs(kp.public_key, msg, sig));
   Bytes tampered = msg;
   tampered[0] ^= 1;
-  EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, tampered, sig));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, tampered, sig));
 }
 
 TEST_F(SchnorrSmall, RsAndClassicFormsShareTheTriple) {
   // Same secret and same nonce draws: the (R,s) signature is the same
   // (k, e, s) triple as the (e,s) one — R reconstructed from (e,s) must match
   // the transmitted R, and the hashes of R must match the transmitted e.
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("one triple, two encodings");
   Rng nonce_a(77);
   Rng nonce_b(77);
-  const SchnorrSignature es = schnorr_sign(group_, kp.secret, msg, nonce_a);
-  const SchnorrSignatureRS rs = schnorr_rs_sign(group_, kp.secret, msg, nonce_b);
+  const SchnorrSignature es = engine_.sign(kp.secret, msg, nonce_a);
+  const SchnorrSignatureRS rs = engine_.sign_rs(kp.secret, msg, nonce_b);
   EXPECT_EQ(es.s, rs.s);
   const U256 r_from_es = mul_mod(pow_mod(group_.g, es.s, group_.p),
                                  pow_mod(kp.public_key, es.e, group_.p), group_.p);
@@ -163,29 +168,29 @@ TEST_F(SchnorrSmall, RsAndClassicFormsShareTheTriple) {
 }
 
 TEST_F(SchnorrSmall, RsTamperedAndOutOfRangeRejected) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  const SchnorrSignatureRS sig = schnorr_rs_sign(group_, kp.secret, msg, rng_);
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
   SchnorrSignatureRS bad_r = sig;
   bad_r.r = mul_mod(bad_r.r, group_.g, group_.p);
-  EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, msg, bad_r));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, bad_r));
   SchnorrSignatureRS bad_s = sig;
   bad_s.s = add_mod(bad_s.s, U256(1), group_.q);
-  EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, msg, bad_s));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, bad_s));
   SchnorrSignatureRS oor = sig;
   oor.s = group_.q;
-  EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, msg, oor));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
   oor = sig;
   oor.r = group_.p;
-  EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, msg, oor));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
   oor = sig;
   oor.r = U256(0);
-  EXPECT_FALSE(schnorr_rs_verify(group_, kp.public_key, msg, oor));
+  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
 }
 
 TEST_F(SchnorrSmall, RsEncodingRoundTrip) {
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
-  const SchnorrSignatureRS sig = schnorr_rs_sign(group_, kp.secret, to_bytes("x"), rng_);
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, to_bytes("x"), rng_);
   const Bytes enc = sig.encode();
   EXPECT_EQ(enc.size(), 64u);
   const SchnorrSignatureRS dec = SchnorrSignatureRS::decode(enc);
@@ -195,22 +200,22 @@ TEST_F(SchnorrSmall, RsEncodingRoundTrip) {
 }
 
 TEST_F(SchnorrSmall, EngineRsMatchesFreeFunctions) {
-  const SchnorrEngine engine(group_);
-  const SchnorrKeyPair kp = schnorr_keygen(group_, rng_);
+  // The engine against the oracle's schoolbook free functions.
+  const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("engine vs free fn");
   Rng nonce_a(5);
   Rng nonce_b(5);
-  const SchnorrSignatureRS a = schnorr_rs_sign(group_, kp.secret, msg, nonce_a);
-  const SchnorrSignatureRS b = engine.sign_rs(kp.secret, msg, nonce_b);
+  const SchnorrSignatureRS a = oracle::schnorr_rs_sign(group_, kp.secret, msg, nonce_a);
+  const SchnorrSignatureRS b = engine_.sign_rs(kp.secret, msg, nonce_b);
   EXPECT_EQ(a.r, b.r);
   EXPECT_EQ(a.s, b.s);
-  EXPECT_TRUE(engine.verify_rs(kp.public_key, msg, a));
+  EXPECT_TRUE(engine_.verify_rs(kp.public_key, msg, a));
 }
 
 // Corpora of (R,s) signatures under distinct keys, checked through the
 // engine's per-signer tables. A batch verdict is the AND of per-signature
 // verdicts (Suite::verify_batch is that loop), and each per-signature verdict
-// must equal the free-function reference.
+// must equal the oracle's.
 class SchnorrRsBatch : public ::testing::Test {
  protected:
   struct Signed {
@@ -228,12 +233,12 @@ class SchnorrRsBatch : public ::testing::Test {
     std::vector<Signed> out;
     for (std::size_t i = 0; i < n; ++i) {
       Signed item;
-      item.kp = schnorr_keygen(group_, rng_);
+      item.kp = engine_.keygen(rng_);
       Writer w;
       w.str("batch-msg");
       w.u32(static_cast<std::uint32_t>(i));
       item.msg = std::move(w).take();
-      item.sig = schnorr_rs_sign(group_, item.kp.secret, item.msg, rng_);
+      item.sig = engine_.sign_rs(item.kp.secret, item.msg, rng_);
       out.push_back(std::move(item));
     }
     return out;
@@ -249,7 +254,7 @@ class SchnorrRsBatch : public ::testing::Test {
     bool all = true;
     for (const Item& it : items) {
       const bool ok = engine_.verify_rs(it.public_key, it.message, it.sig);
-      EXPECT_EQ(ok, schnorr_rs_verify(group_, it.public_key, it.message, it.sig));
+      EXPECT_EQ(ok, oracle::schnorr_rs_verify(group_, it.public_key, it.message, it.sig));
       all = all && ok;
     }
     return all;
@@ -319,7 +324,7 @@ TEST_F(SchnorrRsBatch, BatchVerdictMatchesPerSignatureOnRandomCorpora) {
     }
     bool per_sig = true;
     for (const auto& c : corpus) {
-      per_sig = per_sig && schnorr_rs_verify(group_, c.kp.public_key, c.msg, c.sig);
+      per_sig = per_sig && oracle::schnorr_rs_verify(group_, c.kp.public_key, c.msg, c.sig);
     }
     EXPECT_EQ(per_sig, all_valid);
     EXPECT_EQ(verify_all(views(corpus)), all_valid) << "trial " << trial;
@@ -327,15 +332,15 @@ TEST_F(SchnorrRsBatch, BatchVerdictMatchesPerSignatureOnRandomCorpora) {
 }
 
 TEST(SchnorrDefaultGroup, SignVerifyOnDefaultGroup) {
-  const SchnorrGroup& g = SchnorrGroup::default_group();
+  const SchnorrEngine engine(SchnorrGroup::default_group());
   Rng rng(11);
-  const SchnorrKeyPair kp = schnorr_keygen(g, rng);
+  const SchnorrKeyPair kp = engine.keygen(rng);
   const Bytes msg = to_bytes("full-size group check");
-  const SchnorrSignature sig = schnorr_sign(g, kp.secret, msg, rng);
-  EXPECT_TRUE(schnorr_verify(g, kp.public_key, msg, sig));
+  const SchnorrSignature sig = engine.sign(kp.secret, msg, rng);
+  EXPECT_TRUE(engine.verify(kp.public_key, msg, sig));
   Bytes tampered = msg;
   tampered.back() ^= 0x80;
-  EXPECT_FALSE(schnorr_verify(g, kp.public_key, tampered, sig));
+  EXPECT_FALSE(engine.verify(kp.public_key, tampered, sig));
 }
 
 }  // namespace

@@ -5,11 +5,11 @@
 #include <thread>
 #include <vector>
 
-#include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sealed_box.hpp"
+#include "oracle/oracle.hpp"
 
 namespace g2g::crypto {
 namespace {
@@ -26,6 +26,16 @@ class SuiteTest : public ::testing::TestWithParam<const char*> {
       return make_schnorr_rs_suite(SchnorrGroup::small_group());
     }
     return make_fast_suite(0x5eed);
+  }
+  /// The same scheme in the test oracle (tests/oracle/).
+  SuitePtr make_oracle() const {
+    if (std::string(GetParam()) == "schnorr") {
+      return oracle::schnorr_suite(SchnorrGroup::small_group());
+    }
+    if (std::string(GetParam()) == "schnorr-rs") {
+      return oracle::schnorr_rs_suite(SchnorrGroup::small_group());
+    }
+    return oracle::fast_suite(0x5eed);
   }
 };
 
@@ -120,18 +130,18 @@ TEST_P(SuiteTest, DistinctKeygens) {
 
 TEST_P(SuiteTest, ArtifactsAndVerdictsIdenticalWithMontgomeryOnAndOff) {
   // Every suite must produce bit-identical keys, signatures, shared secrets,
-  // and accept/reject verdicts whether the Montgomery fast path answers the
-  // arithmetic or the classic schoolbook oracle does.
-  const SuitePtr suite = make();
+  // and accept/reject verdicts to its oracle. "Montgomery on" is the
+  // production suite (side 0: Montgomery arithmetic, SHA-NI where the CPU
+  // has it), "off" the oracle (side 1: schoolbook arithmetic, scalar rounds).
+  const SuitePtr suites[2] = {make(), make_oracle()};
   KeyPair kp[2];
   KeyPair peer[2];
   Bytes sig[2];
   Bytes secret[2];
   bool verdicts[2][3];
   const Bytes msg = to_bytes("relay proof, epoch 9");
-  for (const bool mont : {true, false}) {
-    const std::size_t side = mont ? 0 : 1;
-    const FastPathScope scope(mont);
+  for (const std::size_t side : {0u, 1u}) {
+    const Suite* suite = suites[side].get();
     Rng rng(11);  // same draws on both sides
     kp[side] = suite->keygen(rng);
     peer[side] = suite->keygen(rng);

@@ -15,6 +15,7 @@ std::string fmt_ratio(double r) {
 
 struct CellView {
   double wall_s = 0.0;
+  long long sim_events = -1;  ///< -1: cell carries no event count
   double events_per_s = 0.0;
   double allocs_per_op = -1.0;  ///< -1: cell carries no allocation telemetry
 };
@@ -58,6 +59,7 @@ std::map<std::string, CellView> cells_of(const tools::Value& report) {
     if (name == nullptr || name->kind != tools::Value::Kind::String) continue;
     CellView v;
     if (const tools::Value* w = cell.find("wall_s")) v.wall_s = w->num_or(0.0);
+    if (const tools::Value* n = cell.find("sim_events")) v.sim_events = n->int_or(-1);
     if (const tools::Value* e = cell.find("events_per_s")) v.events_per_s = e->num_or(0.0);
     if (const tools::Value* a = cell.find("allocs_per_op")) v.allocs_per_op = a->num_or(-1.0);
     out.emplace(name->string, v);
@@ -104,8 +106,11 @@ Comparison compare(const tools::Value& base, const tools::Value& next,
       continue;
     }
     const CellView& n = it->second;
-    // Sub-millisecond cells are noise-dominated; ratios there mean nothing.
-    if (b.wall_s > 1e-3 && n.wall_s > 0.0) {
+    // Wall time is graded only over the same work: a google-benchmark cell
+    // times however many iterations the library chose, and its per-operation
+    // cost is the throughput grade below. Sub-millisecond cells are
+    // noise-dominated; ratios there mean nothing.
+    if (b.sim_events == n.sim_events && b.wall_s > 1e-3 && n.wall_s > 0.0) {
       grade(c, options, name, "wall time", n.wall_s / b.wall_s);
     }
     if (b.events_per_s > 0.0 && n.events_per_s > 0.0) {

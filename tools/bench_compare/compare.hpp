@@ -2,7 +2,9 @@
 //
 // The comparison is per cell (matched by name): a wall-time ratio or a
 // throughput (events_per_s) drop beyond --fail-ratio is a failure, beyond
-// --warn-ratio a warning. Cells present only on one side and counter deltas
+// --warn-ratio a warning. Wall time is graded only between cells that fired
+// the same sim_events; a google-benchmark cell's iteration count is the
+// library's choice, so throughput is its per-operation grade. Cells present only on one side and counter deltas
 // are informational — the sweep shape legitimately changes as the repo
 // grows. CI runs this against the checked-in bench_results/ baseline:
 // warnings are printed but tolerated, failures (>2x by default) gate.

@@ -85,6 +85,23 @@ TEST(BenchCompare, SubMillisecondCellsAreNotGradedOnWallTime) {
   EXPECT_EQ(c.count(Severity::Warning), 0u);
 }
 
+TEST(BenchCompare, WallTimeOfUnequalIterationCountsIsNotGraded) {
+  // A google-benchmark cell's wall_s is the real time of however many
+  // iterations the library chose. BM_PorSignFast once took 1.31x the wall
+  // time while its cost per operation fell from 304 to 265 ns: 1644737
+  // iterations in 0.5 s, then 2471698 in 0.655 s. Only the per-operation
+  // grade, throughput, may speak, and it improved.
+  const tools::Value base = parse(
+      "{\"cells\":[{\"name\":\"BM_PorSignFast\",\"wall_s\":0.5,\"sim_events\":1644737,"
+      "\"events_per_s\":3289474.0}]}");
+  const tools::Value next = parse(
+      "{\"cells\":[{\"name\":\"BM_PorSignFast\",\"wall_s\":0.655,\"sim_events\":2471698,"
+      "\"events_per_s\":3773585.0}]}");
+  const Comparison c = compare(base, next, Options{});
+  EXPECT_EQ(c.count(Severity::Failure), 0u);
+  EXPECT_EQ(c.count(Severity::Warning), 0u);
+}
+
 std::string alloc_report(const std::string& allocs_field) {
   return "{\"cells\":[{\"name\":\"codec\",\"wall_s\":1.0,\"events_per_s\":100.0" +
          allocs_field + "}]}";

@@ -2,11 +2,9 @@
 # Bit-identity gate for protocol refactors. The relay-core contract is that
 # restructuring never changes protocol behaviour: every paper bench's --quick
 # output (fig3, fig4, fig5, fig7, fig8, Table I) must be byte-identical before
-# and after, with the crypto fast path on (G2G_FASTPATH=1) and off (=0) — the
-# fast path is itself bit-exact, so all runs must match the base revision.
-# The paper benches all run the symmetric suite, so one g2gsim run on the real
-# Schnorr suite pins the public-key path's protocol output too (~0.1 s with
-# the fast path on, ~10 s off, in a Release build on a 4-core x86-64 VM).
+# and after. The paper benches all run the symmetric suite, so one g2gsim run
+# on the real Schnorr suite pins the public-key path's protocol output too
+# (~0.1 s in a Release build on a 4-core x86-64 VM).
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -54,15 +52,11 @@ build_and_run() {
   cmake -B "$build" -S "$src" -DCMAKE_BUILD_TYPE=Release >/dev/null
   cmake --build "$build" -j "$jobs" --target "${benches[@]}" g2gsim >/dev/null
   mkdir -p "$out"
-  local b fp
+  local b
   for b in "${benches[@]}"; do
-    for fp in 1 0; do
-      G2G_FASTPATH=$fp "$build/bench/$b" --quick >"$out/$b.fp$fp.txt"
-    done
+    "$build/bench/$b" --quick >"$out/$b.txt"
   done
-  for fp in 1 0; do
-    G2G_FASTPATH=$fp "$build/examples/g2gsim" "${schnorr_run[@]}" >"$out/g2gsim-schnorr.fp$fp.txt"
-  done
+  "$build/examples/g2gsim" "${schnorr_run[@]}" >"$out/g2gsim-schnorr.txt"
 }
 
 echo "== HEAD build + runs =="
@@ -87,4 +81,4 @@ if [[ $fail -ne 0 ]]; then
   echo "bit-identity: FAILED — protocol output changed relative to $base"
   exit 1
 fi
-echo "bit-identity: ok — ${#benches[@]} benches + g2gsim --schnorr x 2 fast-path modes identical"
+echo "bit-identity: ok — ${#benches[@]} benches + g2gsim --schnorr identical"

@@ -73,8 +73,8 @@ const std::set<std::string>& registered_counter_prefixes() {
   // The counter namespace of docs/OBSERVABILITY.md. New areas are added here
   // deliberately, in the same commit that documents them.
   static const std::set<std::string> prefixes = {
-      "buffer.", "detect.", "fastpath.", "g2g.", "hs.",
-      "msg.",    "pom.",    "session.",  "wire.",
+      "buffer.", "detect.", "g2g.",     "hs.",
+      "msg.",    "pom.",    "session.", "wire.",
   };
   return prefixes;
 }
