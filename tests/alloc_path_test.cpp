@@ -6,7 +6,6 @@
 // replaces global operator new/delete with counting wrappers).
 #include <gtest/gtest.h>
 
-#include <array>
 #include <span>
 
 #include "g2g/crypto/hmac.hpp"
@@ -19,6 +18,7 @@
 #include "g2g/util/arena.hpp"
 #include "g2g/util/bytes.hpp"
 #include "g2g/util/rng.hpp"
+#include "oracle/oracle.hpp"
 
 namespace g2g {
 namespace {
@@ -272,18 +272,7 @@ TEST(AllocPath, HmacKeyMacAllocatesNothing) {
   // The scalar finish, which CPUs without SHA-NI run, is pinned by name.
   const Bytes key(32, 0x4b);
   const crypto::HmacKey hmac_key(key);
-  std::array<std::uint8_t, 64> ipad{};
-  std::array<std::uint8_t, 64> opad{};
-  ipad.fill(0x36);
-  opad.fill(0x5c);
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    ipad[i] ^= key[i];
-    opad[i] ^= key[i];
-  }
-  crypto::Sha256State inner = crypto::kSha256InitState;
-  crypto::Sha256State outer = crypto::kSha256InitState;
-  crypto::sha256_compress_scalar(inner, ipad.data(), 1);
-  crypto::sha256_compress_scalar(outer, opad.data(), 1);
+  const auto [inner, outer] = oracle::hmac_midstates(key);
   const Bytes message(200, 0x5a);
   for (const std::size_t n : {0u, 49u, 63u, 91u, 200u}) {
     const BytesView m(message.data(), n);

@@ -55,32 +55,10 @@ std::string hex(const Digest& d) {
   return out;
 }
 
-/// The HMAC midstates of `key` (the chaining values after its ipad and
-/// opad blocks) compressed by the scalar rounds, as HmacKey keeps them.
-std::pair<Sha256State, Sha256State> scalar_midstates(BytesView key) {
-  std::array<std::uint8_t, 64> k{};
-  if (key.size() > k.size()) {
-    const Digest d = oracle::sha256(key);
-    std::copy(d.begin(), d.end(), k.begin());
-  } else {
-    std::copy(key.begin(), key.end(), k.begin());
-  }
-  std::array<std::uint8_t, 64> ipad{};
-  std::array<std::uint8_t, 64> opad{};
-  for (std::size_t i = 0; i < k.size(); ++i) {
-    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-  }
-  std::pair<Sha256State, Sha256State> states{kSha256InitState, kSha256InitState};
-  sha256_compress_scalar(states.first, ipad.data(), 1);
-  sha256_compress_scalar(states.second, opad.data(), 1);
-  return states;
-}
-
 /// HMAC-SHA256 through the scalar finish, called by name: the route every
 /// CPU without SHA-NI runs.
 Digest scalar_hmac(BytesView key, BytesView message) {
-  const auto [inner, outer] = scalar_midstates(key);
+  const auto [inner, outer] = oracle::hmac_midstates(key);
   return hmac_sha256_finish_scalar(inner, outer, message, 64);
 }
 

@@ -25,7 +25,11 @@ Digest sha256(BytesView message) {
   return out;
 }
 
-Digest hmac_sha256(BytesView key, BytesView message) {
+namespace {
+
+/// K ^ pad, one block: K is the key, hashed first when longer than a block,
+/// then zero-padded.
+Bytes padded_key(BytesView key, std::uint8_t pad) {
   std::array<std::uint8_t, 64> k{};
   if (key.size() > k.size()) {
     const Digest d = sha256(key);
@@ -33,14 +37,28 @@ Digest hmac_sha256(BytesView key, BytesView message) {
   } else {
     std::copy(key.begin(), key.end(), k.begin());
   }
-  Bytes inner;
-  for (const std::uint8_t b : k) inner.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+  Bytes out;
+  for (const std::uint8_t b : k) out.push_back(static_cast<std::uint8_t>(b ^ pad));
+  return out;
+}
+
+}  // namespace
+
+Digest hmac_sha256(BytesView key, BytesView message) {
+  Bytes inner = padded_key(key, 0x36);
   inner.insert(inner.end(), message.begin(), message.end());
   const Digest inner_digest = sha256(inner);
-  Bytes outer;
-  for (const std::uint8_t b : k) outer.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+  Bytes outer = padded_key(key, 0x5c);
   outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
   return sha256(outer);
+}
+
+std::pair<crypto::Sha256State, crypto::Sha256State> hmac_midstates(BytesView key) {
+  std::pair<crypto::Sha256State, crypto::Sha256State> states{crypto::kSha256InitState,
+                                                             crypto::kSha256InitState};
+  crypto::sha256_compress_scalar(states.first, padded_key(key, 0x36).data(), 1);
+  crypto::sha256_compress_scalar(states.second, padded_key(key, 0x5c).data(), 1);
+  return states;
 }
 
 Digest heavy_hmac_reference(BytesView message, BytesView seed, std::uint32_t iterations) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sha256.hpp"
@@ -43,6 +44,11 @@ using crypto::U256;
 /// HMAC-SHA256 (RFC 2104) on sha256 above: a key longer than a block is
 /// hashed first, then H((K ^ opad) || H((K ^ ipad) || m)).
 [[nodiscard]] Digest hmac_sha256(BytesView key, BytesView message);
+
+/// The chaining values after HMAC's ipad and opad blocks for `key`, in the
+/// scalar rounds: what HmacKey keeps, for calling hmac_sha256_finish_scalar
+/// by name.
+[[nodiscard]] std::pair<crypto::Sha256State, crypto::Sha256State> hmac_midstates(BytesView key);
 
 /// The storage-proof chain of crypto::heavy_hmac: H_0 = HMAC(s, m),
 /// H_i = HMAC(s, H_{i-1} || SHA-256(m)), each link re-keyed from the seed.
