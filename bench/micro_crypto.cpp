@@ -1,14 +1,12 @@
 // Micro-benchmarks of the cryptographic substrate (google-benchmark):
-// hashing, MACs, the storage-proof heavy HMAC, both signature suites, and
-// the sealed-box message encryption. Owns its main() so `--json-out FILE`
-// can emit BENCH_micro_crypto.json alongside the console table.
+// hashing, MACs, the storage-proof heavy HMAC, the (R,s) Schnorr and fast
+// signature suites, and the sealed-box message encryption. The shared main()
+// (micro_main.hpp) emits BENCH_micro_crypto.json with `--json-out FILE`.
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/montgomery.hpp"
@@ -16,6 +14,7 @@
 #include "g2g/crypto/sealed_box.hpp"
 #include "g2g/crypto/sha256.hpp"
 #include "g2g/crypto/suite.hpp"
+#include "micro_main.hpp"
 
 namespace {
 
@@ -136,25 +135,6 @@ void BM_MulModClassic(benchmark::State& state) {
 }
 BENCHMARK(BM_MulModClassic);
 
-void BM_SchnorrSign(benchmark::State& state) {
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::default_group());
-  Rng rng(1);
-  const KeyPair kp = suite->keygen(rng);
-  const Bytes msg = to_bytes("proof of relay payload");
-  for (auto _ : state) benchmark::DoNotOptimize(suite->sign(kp.secret_key, msg));
-}
-BENCHMARK(BM_SchnorrSign);
-
-void BM_SchnorrVerify(benchmark::State& state) {
-  const SuitePtr suite = make_schnorr_suite(SchnorrGroup::default_group());
-  Rng rng(2);
-  const KeyPair kp = suite->keygen(rng);
-  const Bytes msg = to_bytes("proof of relay payload");
-  const Bytes sig = suite->sign(kp.secret_key, msg);
-  for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
-}
-BENCHMARK(BM_SchnorrVerify);
-
 void BM_SchnorrRsSign(benchmark::State& state) {
   const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::default_group());
   Rng rng(1);
@@ -239,66 +219,6 @@ void BM_DhSharedSecret(benchmark::State& state) {
 }
 BENCHMARK(BM_DhSharedSecret);
 
-/// Console output plus one telemetry cell per benchmark: wall_s is the total
-/// measured real time, sim_events the iteration count, so events_per_s is
-/// iterations per second — raw Run fields only, stable across
-/// google-benchmark versions.
-class CellCollector final : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& report) override {
-    for (const Run& run : report) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      g2g::bench::BenchCell cell;
-      cell.name = run.benchmark_name();
-      cell.runs = 1;
-      cell.wall_s = run.real_accumulated_time;
-      cell.sim_events = static_cast<std::uint64_t>(run.iterations);
-      cells.push_back(std::move(cell));
-    }
-    ConsoleReporter::ReportRuns(report);
-  }
-
-  std::vector<g2g::bench::BenchCell> cells;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip --json-out before google-benchmark parses the argv; probe the path
-  // up front so a bad sink fails before any benchmark runs.
-  std::string json_out;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (!json_out.empty()) {
-    std::FILE* probe = std::fopen(json_out.c_str(), "w");
-    if (probe == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s for writing (--json-out)\n",
-                   json_out.c_str());
-      return 1;
-    }
-    std::fclose(probe);
-  }
-
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) return 1;
-
-  CellCollector reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  if (!json_out.empty()) {
-    g2g::bench::BenchReport report;
-    report.bench = "micro_crypto";
-    report.config = g2g::bench::crypto_kernels();
-    report.cells = std::move(reporter.cells);
-    if (!report.write(json_out)) return 1;
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return g2g::bench::micro_main(argc, argv, "micro_crypto"); }

@@ -1,28 +1,24 @@
 // Micro-benchmarks of the protocol layer: sealed-message creation/opening,
 // PoR/PoM signing and verification, and the relay core's hot paths — wire
-// frame codecs (frames/sec), one full 5-step handshake, and the batched PoM
-// gossip re-verification — with the crypto fast path on and off.
+// frame codecs (frames/sec) and one full 5-step handshake. The shared main()
+// (micro_main.hpp) emits BENCH_micro_proto.json with `--json-out FILE`.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "g2g/util/alloc_probe.hpp"
 #include "g2g/util/arena.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/metrics/collector.hpp"
-#include "g2g/obs/context.hpp"
 #include "g2g/proto/g2g_epidemic.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/network.hpp"
 #include "g2g/proto/relay/frames.hpp"
-#include "g2g/proto/relay/pom.hpp"
 #include "g2g/proto/wire.hpp"
 #include "g2g/trace/contact.hpp"
+#include "micro_main.hpp"
 
 namespace {
 
@@ -62,7 +58,7 @@ Fixture& fast_fixture() {
 }
 
 Fixture& schnorr_fixture() {
-  static Fixture f(crypto::make_schnorr_suite(crypto::SchnorrGroup::small_group()));
+  static Fixture f(crypto::make_schnorr_rs_suite(crypto::SchnorrGroup::small_group()));
   return f;
 }
 
@@ -306,100 +302,6 @@ void BM_HandshakeRelayPass(benchmark::State& state) {
 }
 BENCHMARK(BM_HandshakeRelayPass);
 
-/// Re-verification of one session's gossiped PoMs: dedup by canonical bytes,
-/// structural checks, one Suite::verify_batch over the unique evidence.
-void BM_PomGossipBatchVerify(benchmark::State& state) {
-  RelayWorld world;
-  constexpr std::uint32_t kPoms = 16;
-  G2GEpidemicNode& giver = world.net->node(NodeId(0));
-  G2GEpidemicNode& receiver = world.net->node(NodeId(1));
-  for (std::uint32_t c = 0; c < kPoms; ++c) {
-    const NodeId culprit(2 + c);
-    ProofOfRelay por;
-    por.h.fill(static_cast<std::uint8_t>(c + 1));
-    por.giver = giver.id();
-    por.taker = culprit;
-    por.at = TimePoint::from_seconds(10.0);
-    por.taker_signature = world.net->node(culprit).identity().sign(por.signed_payload());
-    ProofOfMisbehavior pom;
-    pom.kind = ProofOfMisbehavior::Kind::RelayFailure;
-    pom.culprit = culprit;
-    pom.accuser = giver.id();
-    pom.evidence_accepted = std::move(por);
-    giver.pom_ledger().record(std::move(pom));
-  }
-  relay::PomGossipBatch batch;
-  batch.collect(giver, receiver);
-  obs::ProtocolCounters& counters = world.net->obs().counters;
-  const Roster& roster = world.net->roster();
-  const crypto::Suite& suite = giver.identity().suite();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(batch.verify(suite, roster, counters));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_PomGossipBatchVerify);
-
-/// Console output plus one telemetry cell per benchmark; allocs/op rides
-/// along when the bench set an AllocMeter counter.
-class CellCollector final : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& report) override {
-    for (const Run& run : report) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      g2g::bench::BenchCell cell;
-      cell.name = run.benchmark_name();
-      cell.runs = 1;
-      cell.wall_s = run.real_accumulated_time;
-      cell.sim_events = static_cast<std::uint64_t>(run.iterations);
-      const auto it = run.counters.find("allocs_per_op");
-      if (it != run.counters.end()) cell.allocs_per_op = it->second;
-      cells.push_back(std::move(cell));
-    }
-    ConsoleReporter::ReportRuns(report);
-  }
-
-  std::vector<g2g::bench::BenchCell> cells;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip --json-out before google-benchmark parses the argv; probe the path
-  // up front so a bad sink fails before any benchmark runs.
-  std::string json_out;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json-out" && i + 1 < argc) {
-      json_out = argv[++i];
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (!json_out.empty()) {
-    std::FILE* probe = std::fopen(json_out.c_str(), "w");
-    if (probe == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s for writing (--json-out)\n",
-                   json_out.c_str());
-      return 1;
-    }
-    std::fclose(probe);
-  }
-
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) return 1;
-
-  CellCollector reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-
-  if (!json_out.empty()) {
-    g2g::bench::BenchReport report;
-    report.bench = "micro_proto";
-    report.config = g2g::bench::crypto_kernels();
-    report.cells = std::move(reporter.cells);
-    if (!report.write(json_out)) return 1;
-  }
-  return 0;
-}
+int main(int argc, char** argv) { return g2g::bench::micro_main(argc, argv, "micro_proto"); }

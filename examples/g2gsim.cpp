@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   cfg.seed = opt.seed;
   cfg.mean_interarrival = Duration::seconds(opt.interarrival_s);
   if (opt.ttl_min) cfg.delta1_override = Duration::minutes(*opt.ttl_min);
-  if (opt.schnorr) cfg.suite = crypto::make_schnorr_suite();
+  if (opt.schnorr) cfg.suite = crypto::make_schnorr_rs_suite();
 
   std::unique_ptr<obs::JsonlSink> sink;
   if (opt.trace_out) {

@@ -48,18 +48,9 @@ struct SchnorrKeyPair {
   U256 public_key;  ///< y = g^x mod p
 };
 
-struct SchnorrSignature {
-  U256 e;  ///< challenge  e = H(r || m) mod q
-  U256 s;  ///< response   s = (k - x*e) mod q
-
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static SchnorrSignature decode(BytesView b);
-};
-
-/// (R, s)-form Schnorr signature: transmits the commitment R = g^k instead of
-/// the challenge e = H(R || m). Same (k, e, s) triple as SchnorrSignature for
-/// the same secret/nonce — only the wire representation differs; the verifier
-/// checks the group equation g^s * y^e == R directly.
+/// (R, s)-form Schnorr signature: transmits the commitment R = g^k rather
+/// than the challenge e = H(R || m), and the verifier checks the group
+/// equation g^s * y^e == R directly.
 struct SchnorrSignatureRS {
   U256 r;  ///< commitment R = g^k mod p
   U256 s;  ///< response   s = (k - x*e) mod q, with e = H(R || m) mod q
@@ -128,10 +119,6 @@ class SchnorrEngine {
 
   [[nodiscard]] const SchnorrGroup& group() const { return group_; }
   [[nodiscard]] SchnorrKeyPair keygen(Rng& rng) const;
-  [[nodiscard]] SchnorrSignature sign(const U256& secret, BytesView message, Rng& rng) const;
-  [[nodiscard]] bool verify(const U256& public_key, BytesView message,
-                            const SchnorrSignature& sig) const;
-
   [[nodiscard]] SchnorrSignatureRS sign_rs(const U256& secret, BytesView message, Rng& rng) const;
   [[nodiscard]] bool verify_rs(const U256& public_key, BytesView message,
                                const SchnorrSignatureRS& sig) const;

@@ -1,8 +1,8 @@
 // Pluggable signature/key-agreement suite.
 //
 // Two implementations:
-//  * SchnorrSuite — the real public-key path (schnorr.hpp). Used by default in
-//    examples, unit tests and the crypto micro-benches.
+//  * the (R,s) Schnorr suite — the real public-key path (schnorr.hpp), for
+//    unit tests, the crypto micro-benches and `g2gsim --schnorr`.
 //  * FastSuite — a symmetric emulation for large simulation sweeps: a
 //    "signature" is HMAC(K_pub, msg) where K_pub = HMAC(suite_seed, pub) is a
 //    per-key MAC key derivable only through the suite (which plays the role of
@@ -40,7 +40,9 @@ struct KeyPair {
 };
 
 /// One verification job for Suite::verify_batch. The views must stay valid for
-/// the duration of the call.
+/// the duration of the call. No protocol code batches: this type and
+/// verify_batch stay only because perfbench's TimedSuite (perfbench/probes.hpp)
+/// overrides them.
 struct VerifyRequest {
   // g2g-lint: allow(view-escape) -- borrowed for the duration of one verify_batch call
   BytesView public_key;
@@ -63,7 +65,8 @@ class Suite {
   /// `verdicts` must have room for `requests.size()` entries. Every built-in
   /// suite keeps this per-signature loop: with per-signer tables a Schnorr
   /// verification costs less than its share of a randomized batch equation
-  /// (DESIGN.md §5c).
+  /// (DESIGN.md §5c). Nothing under src/ calls it; it stays for perfbench's
+  /// TimedSuite override (see VerifyRequest).
   virtual void verify_batch(std::span<const VerifyRequest> requests, bool* verdicts) const {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       verdicts[i] = verify(requests[i].public_key, requests[i].message,
@@ -82,11 +85,8 @@ using SuitePtr = std::shared_ptr<const Suite>;
 
 struct SchnorrGroup;  // schnorr.hpp
 
-/// Real Schnorr/DH suite over the given group (default_group() if omitted).
-[[nodiscard]] SuitePtr make_schnorr_suite();
-[[nodiscard]] SuitePtr make_schnorr_suite(const SchnorrGroup& group);
-/// (R, s)-form Schnorr/DH suite: same keys, nonces and DH as the classic
-/// suite, but signatures transmit the commitment R instead of the challenge.
+/// Real Schnorr/DH suite over the given group (default_group() if omitted):
+/// (R, s)-form signatures (SchnorrSignatureRS) and static DH.
 [[nodiscard]] SuitePtr make_schnorr_rs_suite();
 [[nodiscard]] SuitePtr make_schnorr_rs_suite(const SchnorrGroup& group);
 /// Symmetric emulation suite; `seed` is the suite-wide MAC-key seed.

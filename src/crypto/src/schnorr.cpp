@@ -31,15 +31,6 @@ U256 challenge_hash(const U256& r, BytesView message) {
   return U256::from_bytes_be(digest_view(d));
 }
 
-/// The 64-byte wire form of both signature forms: two big-endian values.
-Bytes encode_pair(const U256& first, const U256& second) {
-  Bytes out(64);
-  const std::span<std::uint8_t> bytes(out);
-  first.write_be(bytes.first<32>());
-  second.write_be(bytes.subspan<32, 32>());
-  return out;
-}
-
 /// Multiply `factor` into a Montgomery accumulator that stays empty until
 /// its first factor (FixedBaseTable::mul_into); a null factor is a zero digit.
 /// Inlined: the window walks call it once per window.
@@ -109,15 +100,14 @@ bool SchnorrGroup::valid(Rng& rng) const {
   return pow_mod_fast(g, q, p) == U256(1);
 }
 
-Bytes SchnorrSignature::encode() const { return encode_pair(e, s); }
-
-SchnorrSignature SchnorrSignature::decode(BytesView b) {
-  if (b.size() != 64) throw DecodeError("bad Schnorr signature length");
-  return SchnorrSignature{U256::from_bytes_be(b.subspan(0, 32)),
-                          U256::from_bytes_be(b.subspan(32, 32))};
+Bytes SchnorrSignatureRS::encode() const {
+  // The 64-byte wire form: R, then s, each big-endian.
+  Bytes out(64);
+  const std::span<std::uint8_t> bytes(out);
+  r.write_be(bytes.first<32>());
+  s.write_be(bytes.subspan<32, 32>());
+  return out;
 }
-
-Bytes SchnorrSignatureRS::encode() const { return encode_pair(r, s); }
 
 SchnorrSignatureRS SchnorrSignatureRS::decode(BytesView b) {
   if (b.size() != 64) throw DecodeError("bad Schnorr (R,s) signature length");
@@ -224,21 +214,6 @@ SchnorrKeyPair SchnorrEngine::keygen(Rng& rng) const {
   bool borrow = false;
   const U256 x = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
   return SchnorrKeyPair{x, g_table_.pow(x)};
-}
-
-SchnorrSignature SchnorrEngine::sign(const U256& secret, BytesView message, Rng& rng) const {
-  bool borrow = false;
-  const U256 k = add_mod(random_below(rng, sub(group_.q, U256(1), borrow)), U256(1), group_.q);
-  const U256 r = g_table_.pow(k);
-  const U256 e = challenge(r, message);
-  const U256 s = sub_mod(k, mul_q(secret, e), group_.q);
-  return SchnorrSignature{e, s};
-}
-
-bool SchnorrEngine::verify(const U256& public_key, BytesView message,
-                           const SchnorrSignature& sig) const {
-  if (sig.e >= group_.q || sig.s >= group_.q) return false;
-  return challenge(commitment(public_key, sig.s, sig.e), message) == sig.e;
 }
 
 SchnorrSignatureRS SchnorrEngine::sign_rs(const U256& secret, BytesView message, Rng& rng) const {

@@ -12,55 +12,19 @@ namespace g2g::crypto {
 namespace {
 
 // Deterministic nonce derivation (RFC-6979 style): the signing nonce is a PRF
-// of the secret and the message, so signing needs no ambient RNG. Both
-// Schnorr suites draw it this way, so they produce the same (k, e, s) triple
-// for the same key and message — only the transmitted pair differs. The
-// cross-suite differential tests pin this.
+// of the secret and the message, so signing needs no ambient RNG.
 Rng nonce_rng(BytesView secret_key, BytesView message) {
   const Digest nd = hmac_sha256(secret_key, message);
   const U256 seed = U256::from_bytes_be(digest_view(nd));
   return Rng(seed.limb[0] ^ seed.limb[2]);
 }
 
-class SchnorrSuite final : public Suite {
+class SchnorrRSSuite final : public Suite {
  public:
   // The engine carries the per-group fixed-base tables for g; every key,
   // signature, and verdict it produces is byte-identical to the schoolbook
-  // schnorr_* functions of the test oracle (the differential suite pins this
-  // down).
-  explicit SchnorrSuite(const SchnorrGroup& group) : engine_(group) {}
-
-  KeyPair keygen(Rng& rng) const override {
-    const SchnorrKeyPair kp = engine_.keygen(rng);
-    return KeyPair{kp.secret.to_bytes_be(), kp.public_key.to_bytes_be()};
-  }
-
-  Bytes sign(BytesView secret_key, BytesView message) const override {
-    Rng rng = nonce_rng(secret_key, message);
-    return engine_.sign(U256::from_bytes_be(secret_key), message, rng).encode();
-  }
-
-  bool verify(BytesView public_key, BytesView message, BytesView signature) const override {
-    if (signature.size() != 64 || public_key.size() != 32) return false;
-    return engine_.verify(U256::from_bytes_be(public_key), message,
-                          SchnorrSignature::decode(signature));
-  }
-
-  Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {
-    return engine_
-        .shared_secret(U256::from_bytes_be(my_secret_key), U256::from_bytes_be(peer_public_key))
-        .to_bytes_be();
-  }
-
-  std::size_t signature_size() const override { return 64; }
-  std::string name() const override { return "schnorr-zp"; }
-
- private:
-  SchnorrEngine engine_;
-};
-
-class SchnorrRSSuite final : public Suite {
- public:
+  // schnorr_rs_* functions of the test oracle (the differential suite pins
+  // this down).
   explicit SchnorrRSSuite(const SchnorrGroup& group) : engine_(group) {}
 
   KeyPair keygen(Rng& rng) const override {
@@ -166,12 +130,6 @@ class FastSuite final : public Suite {
 };
 
 }  // namespace
-
-SuitePtr make_schnorr_suite() { return make_schnorr_suite(SchnorrGroup::default_group()); }
-
-SuitePtr make_schnorr_suite(const SchnorrGroup& group) {
-  return std::make_shared<SchnorrSuite>(group);
-}
 
 SuitePtr make_schnorr_rs_suite() { return make_schnorr_rs_suite(SchnorrGroup::default_group()); }
 

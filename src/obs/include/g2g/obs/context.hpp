@@ -73,11 +73,8 @@ struct ProtocolCounters {
   Counter* evictions;
 
   // Relay-core mechanism counters ("g2g.*"). They describe how the run was
-  // computed (frame codec traffic, batched PoM re-verification, frames the
-  // relay core refused), not what it computed, so
-  // core::to_json(ExperimentResult) excludes them.
-  Counter* pom_gossip_dup;      ///< gossiped PoMs deduped before re-verification
-  Counter* pom_batch_verified;  ///< unique PoMs re-verified through verify_batch
+  // computed (frame codec traffic, frames the relay core refused), not what
+  // it computed, so core::to_json(ExperimentResult) excludes them.
   Counter* frames_encoded;      ///< handshake/audit frames encoded
   Counter* frames_decoded;      ///< handshake/audit frames decoded
   Counter* relay_replays;       ///< RELAY_DATA for an H(m) already handled, dropped

@@ -31,8 +31,7 @@
 // tools/lint's `span-name-registry` rule, which requires every
 // open_span()/StageTimer name literal in src/ to come from the set:
 //   spans:  msg, relay_session, audit_round, pom_gossip
-//   stages: trace_gen, communities, warm_up, simulation, pom_batch_verify,
-//           extraction
+//   stages: trace_gen, communities, warm_up, simulation, extraction
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,7 @@ namespace g2g::proto {
 struct NetworkConfig {
   NodeConfig node;
   /// Signature suite; the fast symmetric emulation by default (simulation
-  /// sweeps), make_schnorr_suite() for the real public-key path.
+  /// sweeps), make_schnorr_rs_suite() for the real public-key path.
   crypto::SuitePtr suite;
   /// Communities for the "selfish with outsiders" behaviours (typically the
   /// k-clique communities detected on the trace).
@@ -86,9 +86,6 @@ class NetworkBase : public sim::ContactListener, public Env {
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
-  /// Wall-clock seconds spent in batched PoM gossip re-verification
-  /// (relay::PomGossipBatch::verify); feeds the stage profile.
-  [[nodiscard]] double pom_batch_seconds() const { return pom_batch_seconds_; }
   [[nodiscard]] ProtocolNode& base_node(NodeId n) { return *generic_nodes_.at(n.value()); }
 
  protected:
@@ -131,14 +128,9 @@ class NetworkBase : public sim::ContactListener, public Env {
   void on_contact_up(TimePoint t, NodeId a, NodeId b) final {
     contact(t, a, b, Duration::max());
   }
-  /// Sequential fallback of the batched PoM gossip (also the reference
-  /// semantics: the batch must transfer exactly what this would).
-  void gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to);
-
   std::unique_ptr<crypto::Authority> authority_;
   std::vector<ProtocolNode*> generic_nodes_;
   const trace::ContactTrace* trace_;
-  double pom_batch_seconds_ = 0.0;
   /// Private fallback when config.obs is null (counters still collected).
   std::unique_ptr<obs::ObsContext> owned_obs_;
   obs::ObsContext* obs_ = nullptr;

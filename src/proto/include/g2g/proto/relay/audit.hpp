@@ -1,9 +1,9 @@
 // AuditEngine: the (Delta1, Delta2] test-by-sender machinery (Fig. 2).
 //
 // One engine per node owns the pending-test registry and runs both sides of
-// the audit: the source's challenge loop (POR_RQST frames, PoR batch
-// verification through Suite::verify_batch, storage proofs judged at
-// challenge time with crypto::heavy_hmac_equal) and the relay's response
+// the audit: the source's challenge loop (POR_RQST frames, one
+// Suite::verify per presented PoR, storage proofs judged at challenge time
+// with crypto::heavy_hmac_equal) and the relay's response
 // (present PoRs and/or the inputs of its heavy-HMAC storage proof). The two
 // former copies of this loop in the epidemic and delegation nodes differed
 // only in how PoRs are presented (PresentMode) and in two delegation-only

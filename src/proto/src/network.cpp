@@ -1,9 +1,8 @@
 #include "g2g/proto/network.hpp"
 
-#include <chrono>
 #include <stdexcept>
+#include <utility>
 
-#include "g2g/proto/relay/pom.hpp"
 #include "g2g/util/log.hpp"
 
 namespace g2g::proto {
@@ -166,48 +165,31 @@ void NetworkBase::run() {
 bool NetworkBase::open_session(Session& s, ProtocolNode& a, ProtocolNode& b) {
   a.note_encounter(b.id(), now());
   b.note_encounter(a.id(), now());
-  // PoM gossip: accusations spread epidemically at session start. Both
-  // directions are collected side-effect-free, deduped, and re-verified
-  // through one Suite::verify_batch call; the per-receiver accounting then
-  // replays in the exact sequential order with the precomputed verdicts.
-  // Should any PoM fail re-verification (never with conforming nodes, which
-  // only ledger verified or self-issued PoMs), the batch is discarded and
-  // the sequential reference path runs — bit-identical either way.
-  relay::PomGossipBatch batch;
-  batch.collect(a, b);
-  batch.collect(b, a);
-  if (!batch.empty()) {
-    const std::uint64_t span = obs_->tracer.open_span(
-        now(), "pom_gossip", /*parent=*/0, a.id(), b.id());
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool all_ok = batch.verify(a.identity().suite(), roster_, obs_->counters);
-    pom_batch_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (all_ok) {
-      batch.apply(s, *obs_);
-    } else {
-      gossip_poms(s, a, b);
-      gossip_poms(s, b, a);
+  // PoM gossip: accusations spread epidemically at session start, a -> b
+  // then b -> a. Each sender's ledger is walked by reference: learn_pom
+  // appends only to the receiver's ledger. One pom_gossip span covers the
+  // session's gossip, opened at the first PoM that crosses and closed with
+  // the number carried.
+  std::uint64_t span = 0;
+  std::int64_t carried = 0;
+  for (const auto& [from, to] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+    for (const ProofOfMisbehavior& pom : from->known_poms()) {
+      if (to->blacklisted(pom.culprit)) continue;  // peer already knows
+      if (carried++ == 0) {
+        span = obs_->tracer.open_span(now(), "pom_gossip", /*parent=*/0, a.id(), b.id());
+      }
+      s.transfer(*from, pom.wire_size(), obs::WireKind::Pom);
+      obs_->counters.poms_gossiped->add();
+      if (obs_->tracer.enabled()) {
+        obs_->tracer.emit({now(), obs::EventKind::PomGossip, from->id(), to->id(),
+                           pom.culprit.value(), 0});
+      }
+      (void)to->learn_pom(pom);
     }
-    obs_->tracer.close_span(now(), span, static_cast<std::int64_t>(batch.size()));
   }
+  if (carried > 0) obs_->tracer.close_span(now(), span, carried);
   // If gossip revealed the peer is a known misbehaver, cut the session.
   return a.accepts_session_with(b.id()) && b.accepts_session_with(a.id());
-}
-
-void NetworkBase::gossip_poms(Session& s, ProtocolNode& from, ProtocolNode& to) {
-  // Snapshot: learn_pom may append to `to`'s own list, never to `from`'s.
-  const std::vector<ProofOfMisbehavior> known = from.known_poms();
-  for (const auto& pom : known) {
-    if (to.blacklisted(pom.culprit)) continue;  // peer already knows
-    s.transfer(from, pom.wire_size(), obs::WireKind::Pom);
-    obs_->counters.poms_gossiped->add();
-    if (obs_->tracer.enabled()) {
-      obs_->tracer.emit({now(), obs::EventKind::PomGossip, from.id(), to.id(),
-                         pom.culprit.value(), 0});
-    }
-    (void)to.learn_pom(pom);
-  }
 }
 
 }  // namespace g2g::proto

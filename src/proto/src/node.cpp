@@ -85,17 +85,7 @@ bool ProtocolNode::learn_pom(const ProofOfMisbehavior& pom) {
   if (pom.culprit == id()) return false;  // nodes do not blacklist themselves
   if (ledger_.blacklisted(pom.culprit)) return false;
   count_verification();
-  return admit_pom(pom, verify_pom(identity_.suite(), env_.roster(), pom));
-}
-
-bool ProtocolNode::learn_pom_preverified(const ProofOfMisbehavior& pom, bool verified) {
-  if (pom.culprit == id()) return false;  // nodes do not blacklist themselves
-  if (ledger_.blacklisted(pom.culprit)) return false;
-  count_verification();  // the batched re-verification is charged per learner
-  return admit_pom(pom, verified);
-}
-
-bool ProtocolNode::admit_pom(const ProofOfMisbehavior& pom, bool ok) {
+  const bool ok = verify_pom(identity_.suite(), env_.roster(), pom);
   trace_event(obs::EventKind::PomLearned, pom.culprit, 0, ok ? 1 : 0);
   if (!ok) return false;
   counters().poms_learned->add();

@@ -1,7 +1,6 @@
 #include "g2g/proto/relay/audit.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 
 #include "g2g/crypto/hmac.hpp"
@@ -65,38 +64,21 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
 
     // Either two valid PoRs...
     if (resp.pors.size() >= host_.config().relay_fanout) {
-      // Audit the chain through one verify_batch call: structurally broken
-      // PoRs are rejected up front, the rest go to the suite together, which
-      // checks them one signature at a time (DESIGN.md §5c). Verdicts,
-      // counters, and trace order are identical to a per-PoR verify loop.
-      // Signed payloads are built in the arena and stay valid through the
-      // batch call (no reset until the next challenge).
-      std::vector<crypto::VerifyRequest> requests;
-      std::vector<std::size_t> request_of(resp.pors.size(), SIZE_MAX);
-      requests.reserve(resp.pors.size());
-      for (std::size_t i = 0; i < resp.pors.size(); ++i) {
-        const auto& por = resp.pors[i];
+      // Each PoR must name this message and this relay as its giver, and
+      // carry the taker's signature. Signed payloads are built in the arena
+      // (no reset until the next challenge).
+      bool all_ok = true;
+      for (const auto& por : resp.pors) {
         host_.count_verification();
         const auto* cert = host_.env_.roster().find(por.taker);
-        if (por.h == t.h && por.giver == peer.id() && cert != nullptr) {
-          request_of[i] = requests.size();
+        bool ok = por.h == t.h && por.giver == peer.id() && cert != nullptr;
+        if (ok) {
           const std::span<std::uint8_t> payload = s.arena().alloc(por.signed_payload_size());
           SpanWriter pw(payload);
           por.signed_payload_into(pw);
           pw.expect_full();
-          requests.push_back({BytesView(cert->public_key),
-                              BytesView(payload.data(), payload.size()),
-                              BytesView(por.taker_signature)});
+          ok = host_.identity().suite().verify(cert->public_key, payload, por.taker_signature);
         }
-      }
-      const auto verdicts = std::make_unique<bool[]>(requests.size());
-      host_.identity().suite().verify_batch(
-          std::span<const crypto::VerifyRequest>(requests.data(), requests.size()),
-          verdicts.get());
-      bool all_ok = true;
-      for (std::size_t i = 0; i < resp.pors.size(); ++i) {
-        const auto& por = resp.pors[i];
-        const bool ok = request_of[i] != SIZE_MAX && verdicts[request_of[i]];
         host_.trace_event(obs::EventKind::PorVerified, por.taker, ref, ok ? 1 : 0);
         if (ok) host_.counters().pors_verified->add();
         else all_ok = false;

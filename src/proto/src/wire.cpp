@@ -276,16 +276,12 @@ std::size_t ProofOfMisbehavior::wire_size() const {
   return size;
 }
 
-bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& pom,
-                              std::deque<Bytes>& payloads,
-                              std::vector<crypto::VerifyRequest>& requests) {
-  const auto add_por = [&](const ProofOfRelay& por) {
+bool verify_pom(const crypto::Suite& suite, const Roster& roster,
+                const ProofOfMisbehavior& pom) {
+  const auto por_verifies = [&](const ProofOfRelay& por) {
     const auto* cert = roster.find(por.taker);
-    if (cert == nullptr) return false;
-    payloads.push_back(por.signed_payload());
-    requests.push_back({BytesView(cert->public_key), BytesView(payloads.back()),
-                        BytesView(por.taker_signature)});
-    return true;
+    return cert != nullptr &&
+           suite.verify(cert->public_key, por.signed_payload(), por.taker_signature);
   };
 
   switch (pom.kind) {
@@ -295,7 +291,7 @@ bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& po
       return pom.evidence_accepted.has_value() &&
              pom.evidence_accepted->taker == pom.culprit &&
              pom.evidence_accepted->giver == pom.accuser &&
-             add_por(*pom.evidence_accepted);
+             por_verifies(*pom.evidence_accepted);
 
     case ProofOfMisbehavior::Kind::QualityLie: {
       // Signed declaration by the culprit; the destination attests the
@@ -305,11 +301,9 @@ bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& po
         return false;
       }
       const auto* cert = roster.find(pom.culprit);
-      if (cert == nullptr) return false;
-      payloads.push_back(pom.evidence_declaration->signed_payload());
-      requests.push_back({BytesView(cert->public_key), BytesView(payloads.back()),
-                          BytesView(pom.evidence_declaration->signature)});
-      return true;
+      return cert != nullptr &&
+             suite.verify(cert->public_key, pom.evidence_declaration->signed_payload(),
+                          pom.evidence_declaration->signature);
     }
 
     case ProofOfMisbehavior::Kind::ChainCheat: {
@@ -329,21 +323,10 @@ bool pom_collect_verification(const Roster& roster, const ProofOfMisbehavior& po
       if (!in.delegation || !out.delegation) return false;
       // The cheat: quality attached on forward differs from quality accepted.
       if (std::abs(out.msg_quality - in.taker_quality) <= 1e-9) return false;
-      return add_por(in) && add_por(out);
+      return por_verifies(in) && por_verifies(out);
     }
   }
   return false;
-}
-
-bool verify_pom(const crypto::Suite& suite, const Roster& roster,
-                const ProofOfMisbehavior& pom) {
-  std::deque<Bytes> payloads;
-  std::vector<crypto::VerifyRequest> requests;
-  if (!pom_collect_verification(roster, pom, payloads, requests)) return false;
-  for (const auto& rq : requests) {
-    if (!suite.verify(rq.public_key, rq.message, rq.signature)) return false;
-  }
-  return true;
 }
 
 }  // namespace g2g::proto

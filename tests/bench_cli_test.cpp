@@ -6,8 +6,9 @@
 // exits 1. g2gsim: a malformed or out-of-range numeric flag must print the
 // usage text and exit 2. g2g-bench-compare: a bad ratio flag exits 2, and
 // the checked-in fig4 baseline grades clean against itself but fails against
-// a copy with one cell 2.5x slower. None may run with a misparsed value or
-// die by a signal.
+// a copy with one cell 2.5x slower. micro_crypto: a run with stdout
+// redirected to a file writes its table without colour escapes. None may run
+// with a misparsed value or die by a signal.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,8 +22,9 @@
 namespace {
 
 // Exit code of a shell command, or -1 when the child did not exit normally.
-int run(const std::string& command) {
-  const int status = std::system((command + " >/dev/null 2>&1").c_str());
+// Its stdout goes to `stdout_path`, its stderr nowhere.
+int run(const std::string& command, const std::string& stdout_path = "/dev/null") {
+  const int status = std::system((command + " >" + stdout_path + " 2>/dev/null").c_str());
   if (status == -1) return -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -32,6 +34,7 @@ const std::string kFig4 = G2G_BENCH_FIG4;
 const std::string kTable1 = G2G_BENCH_TABLE1;
 const std::string kG2gsim = G2G_G2GSIM;
 const std::string kBenchCompare = G2G_BENCH_COMPARE;
+const std::string kMicroCrypto = G2G_BENCH_MICRO_CRYPTO;
 const std::string kFig4Baseline = std::string(G2G_BENCH_RESULTS) + "/BENCH_fig4.json";
 
 // `text` with the number after the first `key` multiplied by `factor`.
@@ -91,6 +94,40 @@ TEST(BenchCli, JsonOutHoldsTheReport) {
   const g2g::tools::Value* wall = cells->array[0].find("wall_s");
   ASSERT_NE(wall, nullptr);
   EXPECT_GT(wall->num_or(0.0), 0.0);
+}
+
+TEST(BenchCli, RedirectedMicroBenchWritesPlainTextAndItsReport) {
+  // A file is not a terminal, so the console table carries no ANSI colour
+  // escapes, and --json-out still holds the report. Files land in the test's
+  // working directory (the build tree).
+  const std::string table = "bench_cli_micro_crypto.txt";
+  const std::string json = "bench_cli_micro_crypto.json";
+  ASSERT_EQ(run(kMicroCrypto + " '--benchmark_filter=^BM_HmacSha256$' --benchmark_min_time=0.01"
+                " --json-out " + json,
+                table),
+            0);
+  std::stringstream text;
+  text << std::ifstream(table).rdbuf();
+  std::stringstream report_text;
+  report_text << std::ifstream(json).rdbuf();
+  std::remove(table.c_str());
+  std::remove(json.c_str());
+  EXPECT_NE(text.str().find("BM_HmacSha256"), std::string::npos) << text.str();
+  EXPECT_EQ(text.str().find('\x1b'), std::string::npos) << text.str();
+
+  const g2g::tools::ParseResult report = g2g::tools::parse_json(report_text.str());
+  ASSERT_TRUE(report.ok) << report.error;
+  const g2g::tools::Value* bench = report.value.find("bench");
+  ASSERT_NE(bench, nullptr);
+  EXPECT_EQ(bench->str_or(""), "micro_crypto");
+  const g2g::tools::Value* cells = report.value.find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->array.size(), 1u);
+  const g2g::tools::Value* name = cells->array[0].find("name");
+  ASSERT_NE(name, nullptr);
+  EXPECT_EQ(name->str_or(""), "BM_HmacSha256");
+  // No bench here sets allocs/op, so the cell has no such field.
+  EXPECT_EQ(cells->array[0].find("allocs_per_op"), nullptr);
 }
 
 TEST(BenchCompareCli, RejectsBadRatioValues) {

@@ -311,12 +311,11 @@ TEST(FastPathDiff, HeavyHmacEqualMatchesReferenceDigestComparison) {
 
 // -- Schnorr: fixed-base tables and the engine --------------------------------
 
-// Honest and tampered inputs, each through both forms: the engine's verdict
-// must equal the oracle's schoolbook one, and the expected one.
+// Honest and tampered inputs: the engine's verdict must equal the oracle's
+// schoolbook one, and the expected one.
 void expect_verdicts_match_oracle(const SchnorrEngine& engine, const SchnorrKeyPair& kp,
                                   const U256& other_key, const Bytes& msg,
-                                  const SchnorrSignature& es, const SchnorrSignatureRS& rs,
-                                  const std::string& where) {
+                                  const SchnorrSignatureRS& rs, const std::string& where) {
   const SchnorrGroup& group = engine.group();
   Bytes flipped = msg;
   flipped[0] ^= 1;
@@ -326,25 +325,18 @@ void expect_verdicts_match_oracle(const SchnorrEngine& engine, const SchnorrKeyP
     const char* name;
     const U256& key;
     const Bytes& message;
-    SchnorrSignature es;
     SchnorrSignatureRS rs;
     bool expect;
   } cases[] = {
-      {"honest", kp.public_key, msg, es, rs, true},
-      {"s + 1", kp.public_key, msg, {es.e, add(es.s, one, carry)},
-       {rs.r, add(rs.s, one, carry)}, false},
-      {"changed e / R", kp.public_key, msg, {add(es.e, one, carry), es.s},
-       {add(rs.r, one, carry), rs.s}, false},
-      {"flipped message byte", kp.public_key, flipped, es, rs, false},
-      {"another signer's key", other_key, msg, es, rs, false},
-      {"s = 0", kp.public_key, msg, {es.e, U256{}}, {rs.r, U256{}}, false},
-      {"e = s = 0 / R = 1, s = 0", kp.public_key, msg, {U256{}, U256{}}, {one, U256{}}, false},
+      {"honest", kp.public_key, msg, rs, true},
+      {"s + 1", kp.public_key, msg, {rs.r, add(rs.s, one, carry)}, false},
+      {"changed R", kp.public_key, msg, {add(rs.r, one, carry), rs.s}, false},
+      {"flipped message byte", kp.public_key, flipped, rs, false},
+      {"another signer's key", other_key, msg, rs, false},
+      {"s = 0", kp.public_key, msg, {rs.r, U256{}}, false},
+      {"R = 1, s = 0", kp.public_key, msg, {one, U256{}}, false},
   };
   for (const auto& c : cases) {
-    const bool es_verdict = engine.verify(c.key, c.message, c.es);
-    EXPECT_EQ(es_verdict, oracle::schnorr_verify(group, c.key, c.message, c.es))
-        << c.name << ", " << where;
-    EXPECT_EQ(es_verdict, c.expect) << c.name << ", " << where;
     const bool rs_verdict = engine.verify_rs(c.key, c.message, c.rs);
     EXPECT_EQ(rs_verdict, oracle::schnorr_rs_verify(group, c.key, c.message, c.rs))
         << c.name << ", " << where;
@@ -368,16 +360,12 @@ TEST(FastPathDiff, SchnorrEngineMatchesFreeFunctions) {
     const SchnorrKeyPair other = engine.keygen(rng_a);
     EXPECT_EQ(other.public_key, oracle::schnorr_keygen(*group, rng_b).public_key) << where;
 
-    const SchnorrSignature es = engine.sign(kp.secret, msg, rng_a);
-    const SchnorrSignature es_oracle = oracle::schnorr_sign(*group, kp.secret, msg, rng_b);
-    EXPECT_EQ(es.e, es_oracle.e) << where;
-    EXPECT_EQ(es.s, es_oracle.s) << where;
     const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng_a);
     const SchnorrSignatureRS rs_oracle = oracle::schnorr_rs_sign(*group, kp.secret, msg, rng_b);
     EXPECT_EQ(rs.r, rs_oracle.r) << where;
     EXPECT_EQ(rs.s, rs_oracle.s) << where;
 
-    expect_verdicts_match_oracle(engine, kp, other.public_key, msg, es, rs, where);
+    expect_verdicts_match_oracle(engine, kp, other.public_key, msg, rs, where);
     EXPECT_EQ(engine.shared_secret(kp.secret, other.public_key),
               oracle::dh_shared_secret(*group, kp.secret, other.public_key))
         << where;
@@ -417,8 +405,8 @@ TEST(FastPathDiff, SchnorrEngineMatchesFreeFunctions) {
 TEST(FastPathDiff, EngineVerifyMatchesFreeFunctionsWhenQBitsAreNotAMultipleOf8) {
   // Verification walks two 4-bit windows of y per 8-bit window of g. At 97
   // and 100 bits y has one window fewer than twice g's, so the last step has
-  // no odd y window; verdicts must still be the oracle's, on both forms,
-  // valid and tampered.
+  // no odd y window; verdicts must still be the oracle's, valid and
+  // tampered.
   const Bytes base_msg = to_bytes("proof of relay, hop 3");
   for (const std::size_t q_bits : {std::size_t{97}, std::size_t{100}}) {
     const SchnorrGroup group = SchnorrGroup::generate(128, q_bits, 0x6732 + q_bits);
@@ -432,12 +420,16 @@ TEST(FastPathDiff, EngineVerifyMatchesFreeFunctionsWhenQBitsAreNotAMultipleOf8) 
     for (std::uint8_t i = 0; i < 16; ++i) {
       Bytes msg = base_msg;
       msg.push_back(i);
-      const SchnorrSignature es = engine.sign(kp.secret, msg, rng);
       const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng);
-      for (const U256& v : {es.e, es.s, rs.s}) {
+      // e = H(R || m) mod q, the exponent that walks y's table.
+      Bytes challenge_input = rs.r.to_bytes_be();
+      challenge_input.insert(challenge_input.end(), msg.begin(), msg.end());
+      const U256 e = mod(U256::from_bytes_be(digest_view(oracle::sha256(challenge_input))),
+                         group.q);
+      for (const U256& v : {e, rs.s}) {
         if (v.bit_length() > (q_bits - 1) / 4 * 4) ++top_window_digits;
       }
-      expect_verdicts_match_oracle(engine, kp, other.public_key, msg, es, rs, where);
+      expect_verdicts_match_oracle(engine, kp, other.public_key, msg, rs, where);
     }
     EXPECT_GT(top_window_digits, 0u) << where;
   }
@@ -469,11 +461,6 @@ void expect_suite_matches_oracle(const Suite& suite, const Suite& reference) {
   EXPECT_EQ(sig, sig_oracle);
   EXPECT_TRUE(reference.verify(kp.public_key, msg, sig));
   EXPECT_TRUE(suite.verify(kp_oracle.public_key, msg, sig_oracle));
-}
-
-TEST(FastPathDiff, SchnorrSuiteSignaturesIdenticalFastOnAndOff) {
-  const SchnorrGroup& group = SchnorrGroup::small_group();
-  expect_suite_matches_oracle(*make_schnorr_suite(group), *oracle::schnorr_suite(group));
 }
 
 TEST(FastPathDiff, SchnorrRsSuiteSignaturesIdenticalFastOnAndOff) {

@@ -82,7 +82,7 @@ TEST(Network, DefaultSuiteIsFastSuite) {
 
 TEST(Network, RunsOnSchnorrSuiteEndToEnd) {
   auto cfg = World<G2GEpidemicNode>::default_config();
-  cfg.suite = crypto::make_schnorr_suite(crypto::SchnorrGroup::small_group());
+  cfg.suite = crypto::make_schnorr_rs_suite(crypto::SchnorrGroup::small_group());
   World<G2GEpidemicNode> w(make_trace(4, {{0, 1, 100, 110}, {1, 2, 500, 510}}), cfg);
   const MessageId id = w.send(0, 2, 50);
   w.run();

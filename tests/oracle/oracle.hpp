@@ -31,7 +31,6 @@ namespace g2g::oracle {
 using crypto::Digest;
 using crypto::SchnorrGroup;
 using crypto::SchnorrKeyPair;
-using crypto::SchnorrSignature;
 using crypto::SchnorrSignatureRS;
 using crypto::U256;
 
@@ -60,14 +59,8 @@ using crypto::U256;
 /// x uniform in [1, q), y = g^x mod p; the same RNG draws as
 /// SchnorrEngine::keygen.
 [[nodiscard]] SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng);
-/// (e, s) with k drawn as keygen draws x, r = g^k, e = H(r || m) mod q,
+/// (R, s) with k drawn as keygen draws x, R = g^k, e = H(R || m) mod q,
 /// s = k - x·e mod q.
-[[nodiscard]] SchnorrSignature schnorr_sign(const SchnorrGroup& group, const U256& secret,
-                                            BytesView message, Rng& rng);
-/// e, s < q and H(g^s · y^e || m) mod q == e.
-[[nodiscard]] bool schnorr_verify(const SchnorrGroup& group, const U256& public_key,
-                                  BytesView message, const SchnorrSignature& sig);
-/// (R, s): the same draws and (k, e, s) triple as schnorr_sign, R = g^k.
 [[nodiscard]] SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
                                                  BytesView message, Rng& rng);
 /// s < q, 0 < R < p and g^s · y^e == R with e = H(R || m) mod q.
@@ -79,8 +72,6 @@ using crypto::U256;
 
 // -- Suites ---------------------------------------------------------------------
 
-/// crypto::make_schnorr_suite(group) on the functions above.
-[[nodiscard]] crypto::SuitePtr schnorr_suite(const SchnorrGroup& group);
 /// crypto::make_schnorr_rs_suite(group) on the functions above.
 [[nodiscard]] crypto::SuitePtr schnorr_rs_suite(const SchnorrGroup& group);
 /// crypto::make_fast_suite(seed) on hmac_sha256 above.

@@ -27,20 +27,6 @@ U256 commitment(const SchnorrGroup& group, const U256& public_key, const U256& s
   return mul_mod(pow_mod(group.g, s, group.p), pow_mod(public_key, e, group.p), group.p);
 }
 
-/// The (k, R, e, s) of one signature, shared by both forms.
-struct Triple {
-  U256 r;
-  U256 e;
-  U256 s;
-};
-
-Triple sign_triple(const SchnorrGroup& group, const U256& secret, BytesView message, Rng& rng) {
-  const U256 k = draw_exponent(group, rng);
-  const U256 r = pow_mod(group.g, k, group.p);
-  const U256 e = challenge(group, r, message);
-  return Triple{r, e, sub_mod(k, mul_mod(secret, e, group.q), group.q)};
-}
-
 /// The production suites' signing nonce: an Rng seeded from
 /// HMAC(secret key, message), limbs 0 and 2 of the digest read big-endian.
 Rng nonce_rng(BytesView secret_key, BytesView message) {
@@ -48,10 +34,10 @@ Rng nonce_rng(BytesView secret_key, BytesView message) {
   return Rng(seed.limb[0] ^ seed.limb[2]);
 }
 
-/// Both Schnorr forms over the functions above.
+/// The (R,s) Schnorr suite over the functions above.
 class SchnorrOracleSuite final : public crypto::Suite {
  public:
-  SchnorrOracleSuite(const SchnorrGroup& group, bool rs) : group_(group), rs_(rs) {}
+  explicit SchnorrOracleSuite(const SchnorrGroup& group) : group_(group) {}
 
   crypto::KeyPair keygen(Rng& rng) const override {
     const SchnorrKeyPair kp = schnorr_keygen(group_, rng);
@@ -60,18 +46,13 @@ class SchnorrOracleSuite final : public crypto::Suite {
 
   Bytes sign(BytesView secret_key, BytesView message) const override {
     Rng rng = nonce_rng(secret_key, message);
-    const U256 secret = U256::from_bytes_be(secret_key);
-    if (rs_) return schnorr_rs_sign(group_, secret, message, rng).encode();
-    return schnorr_sign(group_, secret, message, rng).encode();
+    return schnorr_rs_sign(group_, U256::from_bytes_be(secret_key), message, rng).encode();
   }
 
   bool verify(BytesView public_key, BytesView message, BytesView signature) const override {
     if (signature.size() != 64 || public_key.size() != 32) return false;
-    const U256 key = U256::from_bytes_be(public_key);
-    if (rs_) {
-      return schnorr_rs_verify(group_, key, message, SchnorrSignatureRS::decode(signature));
-    }
-    return schnorr_verify(group_, key, message, SchnorrSignature::decode(signature));
+    return schnorr_rs_verify(group_, U256::from_bytes_be(public_key), message,
+                             SchnorrSignatureRS::decode(signature));
   }
 
   Bytes shared_secret(BytesView my_secret_key, BytesView peer_public_key) const override {
@@ -81,11 +62,10 @@ class SchnorrOracleSuite final : public crypto::Suite {
   }
 
   std::size_t signature_size() const override { return 64; }
-  std::string name() const override { return rs_ ? "oracle-schnorr-zp-rs" : "oracle-schnorr-zp"; }
+  std::string name() const override { return "oracle-schnorr-zp-rs"; }
 
  private:
   SchnorrGroup group_;
-  bool rs_;
 };
 
 /// The FastSuite's symmetric emulation: K_pub = HMAC(seed, pub), a
@@ -144,22 +124,12 @@ SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng) {
   return SchnorrKeyPair{x, pow_mod(group.g, x, group.p)};
 }
 
-SchnorrSignature schnorr_sign(const SchnorrGroup& group, const U256& secret, BytesView message,
-                              Rng& rng) {
-  const Triple t = sign_triple(group, secret, message, rng);
-  return SchnorrSignature{t.e, t.s};
-}
-
-bool schnorr_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
-                    const SchnorrSignature& sig) {
-  if (sig.e >= group.q || sig.s >= group.q) return false;
-  return challenge(group, commitment(group, public_key, sig.s, sig.e), message) == sig.e;
-}
-
 SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
                                    BytesView message, Rng& rng) {
-  const Triple t = sign_triple(group, secret, message, rng);
-  return SchnorrSignatureRS{t.r, t.s};
+  const U256 k = draw_exponent(group, rng);
+  const U256 r = pow_mod(group.g, k, group.p);
+  const U256 e = challenge(group, r, message);
+  return SchnorrSignatureRS{r, sub_mod(k, mul_mod(secret, e, group.q), group.q)};
 }
 
 bool schnorr_rs_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
@@ -172,12 +142,8 @@ U256 dh_shared_secret(const SchnorrGroup& group, const U256& my_secret, const U2
   return pow_mod(peer_public, my_secret, group.p);
 }
 
-crypto::SuitePtr schnorr_suite(const SchnorrGroup& group) {
-  return std::make_shared<SchnorrOracleSuite>(group, false);
-}
-
 crypto::SuitePtr schnorr_rs_suite(const SchnorrGroup& group) {
-  return std::make_shared<SchnorrOracleSuite>(group, true);
+  return std::make_shared<SchnorrOracleSuite>(group);
 }
 
 crypto::SuitePtr fast_suite(std::uint64_t seed) { return std::make_shared<FastOracleSuite>(seed); }

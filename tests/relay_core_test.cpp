@@ -1,10 +1,13 @@
-// The relay core's accusation layer: PomLedger, the batched PoM gossip
-// (dedup + one verify_batch re-verification per session), the preverified
-// learn path it drives, and the storage-proof verdict that must never let a
+// The relay core's accusation layer: PomLedger, PoM gossip at session start
+// (NetworkBase::open_session, one learn_pom per PoM that crosses), the
+// learn_pom gates, and the storage-proof verdict that must never let a
 // tampered hold pass, on both G2G protocols.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "g2g/obs/context.hpp"
 #include "g2g/proto/g2g_delegation.hpp"
@@ -30,15 +33,53 @@ ProofOfMisbehavior relay_failure_pom(std::uint32_t culprit, std::uint32_t accuse
   por.h.fill(0x5A);
   por.giver = NodeId(accuser);
   por.taker = NodeId(culprit);
-  por.taker_signature = Bytes(32, 0x42);  // junk: fails re-verification
+  por.taker_signature = Bytes(32, 0x42);  // junk: fails verification
   pom.evidence_accepted = por;
   return pom;
 }
 
-TEST(PomGossipBatch, DropperRunReVerifiesGossipThroughTheBatch) {
+/// The same PoM with the culprit's real signature on a PoR for the message
+/// whose H(m) is all `fill` bytes.
+ProofOfMisbehavior signed_relay_failure_pom(G2GWorld& w, std::uint32_t culprit,
+                                            std::uint32_t accuser, std::uint8_t fill = 0x5A) {
+  ProofOfMisbehavior pom = relay_failure_pom(culprit, accuser);
+  ProofOfRelay& por = *pom.evidence_accepted;
+  por.h.fill(fill);
+  por.taker_signature = w.node(culprit).identity().sign(por.signed_payload());
+  return pom;
+}
+
+/// File `pom` in `node`'s ledger as issue_pom and learn_pom do: the culprit
+/// is blacklisted and the PoM kept for gossip.
+void hold(ProtocolNode& node, const ProofOfMisbehavior& pom) {
+  node.pom_ledger().blacklist(pom.culprit);
+  node.pom_ledger().record(pom);
+}
+
+/// Nodes 0 and 1 meet once, at t=100, with no messages: past the certificate
+/// check every session charges, the session's only work is the PoM gossip.
+struct GossipRun {
+  obs::ObsContext obs;
+  std::unique_ptr<G2GWorld> world;
+
+  explicit GossipRun(std::initializer_list<testutil::Contact> contacts = {{0, 1, 100, 110}}) {
+    NetworkConfig cfg = G2GWorld::default_config();
+    cfg.obs = &obs;
+    world = std::make_unique<G2GWorld>(make_trace(5, contacts), std::move(cfg));
+  }
+  [[nodiscard]] std::uint64_t counter(const char* name) const {
+    return obs.registry.value(name);
+  }
+  /// Verifications charged to node `n` beyond one certificate per session.
+  [[nodiscard]] std::uint64_t gossip_verifications(std::uint32_t n) const {
+    const metrics::NodeCosts& c = world->collector().costs(NodeId(n));
+    return c.verifications - c.sessions;
+  }
+};
+
+TEST(PomGossip, DropperRunSpreadsThePomByGossip) {
   // Node 1 drops; the source detects it on re-meet and then gossips the PoM
-  // to node 2. The gossip must flow through the batched verify_batch path:
-  // the g2g.pom.batch_verified counter ticks and node 2 still learns/evicts.
+  // to node 2, which verifies it and evicts node 1.
   obs::ObsContext obs;
   NetworkConfig cfg = G2GWorld::default_config();
   cfg.obs = &obs;
@@ -50,86 +91,123 @@ TEST(PomGossipBatch, DropperRunReVerifiesGossipThroughTheBatch) {
   w.run();
 
   ASSERT_EQ(w.collector().detections().size(), 1u);
-  EXPECT_GE(obs.counters.pom_batch_verified->value(), 1u);
-  EXPECT_GE(obs.counters.poms_gossiped->value(), 1u);
-  EXPECT_GE(obs.counters.poms_learned->value(), 1u);
+  EXPECT_EQ(obs.counters.poms_gossiped->value(), 1u);
+  EXPECT_EQ(obs.counters.poms_learned->value(), 1u);
   EXPECT_TRUE(w.node(2).blacklisted(NodeId(1)));
 }
 
-TEST(PomGossipBatch, DuplicateGossipIsDedupedBeforeReVerification) {
-  // Two byte-identical PoMs in one session verify once. Duplicates can only
-  // reach the batch when the culprit IS the receiver (a receiver never
-  // blacklists itself, so the sequential path re-transfers such a PoM every
-  // contact); any other culprit is suppressed after the first item exactly
-  // like the receiver's blacklist would.
-  G2GWorld w(make_trace(4, {{0, 1, 100, 110}}));
-  Network<G2GEpidemicNode>& net = w.network();
-  const ProofOfMisbehavior pom = relay_failure_pom(/*culprit=*/1, /*accuser=*/0);
-  w.node(0).pom_ledger().record(pom);
-  w.node(0).pom_ledger().record(pom);
+TEST(PomGossip, JunkPomCrossesButOnlyTheValidOneIsLearned) {
+  // Node 0's ledger holds a junk-signed PoM about node 2 ahead of a validly
+  // signed one about node 3. Both cross; node 1 verifies each, learns only
+  // the valid one, and has nothing node 0 lacks to send back.
+  GossipRun run;
+  G2GWorld& w = *run.world;
+  hold(w.node(0), relay_failure_pom(/*culprit=*/2, /*accuser=*/0));
+  hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/3, /*accuser=*/0));
+  w.run();
 
-  relay::PomGossipBatch batch;
-  batch.collect(w.node(0), w.node(1));
-  batch.collect(w.node(1), w.node(0));
-  ASSERT_EQ(batch.size(), 2u);
-
-  obs::ObsContext& obs = net.obs();
-  const bool all_ok =
-      batch.verify(w.node(0).identity().suite(), net.roster(), obs.counters);
-  // The junk signature fails re-verification, but a PoM naming the receiver
-  // itself is never judged (learn_pom discards it first) — no fallback.
-  EXPECT_TRUE(all_ok);
-  EXPECT_EQ(obs.counters.pom_gossip_dup->value(), 1u);
-  EXPECT_EQ(obs.counters.pom_batch_verified->value(), 1u);  // one unique PoM
-
-  Session s(net, w.node(0), w.node(1));
-  batch.apply(s, obs);
-  EXPECT_EQ(obs.counters.poms_gossiped->value(), 2u);  // both items accounted
-  EXPECT_FALSE(w.node(1).blacklisted(NodeId(1)));      // self-culprit: ignored
+  EXPECT_EQ(run.counter("pom.gossiped"), 2u);
+  EXPECT_EQ(run.counter("wire.pom.msgs"), 2u);
+  EXPECT_EQ(run.counter("pom.learned"), 1u);
+  EXPECT_FALSE(w.node(1).blacklisted(NodeId(2)));
+  EXPECT_TRUE(w.node(1).blacklisted(NodeId(3)));
+  EXPECT_EQ(run.gossip_verifications(1), 2u);
+  EXPECT_EQ(run.gossip_verifications(0), 0u);
 }
 
-TEST(PomGossipBatch, DistinctCulpritsSuppressLikeTheSequentialBlacklist) {
-  // Two PoMs about the same (third-party) culprit: the second never enters
-  // the batch, because the receiver would have blacklisted the culprit when
-  // learning the first — the speculative blacklist mirrors that.
-  G2GWorld w(make_trace(4, {{0, 1, 100, 110}}));
-  const ProofOfMisbehavior pom = relay_failure_pom(/*culprit=*/2, /*accuser=*/0);
-  w.node(0).pom_ledger().record(pom);
-  w.node(0).pom_ledger().record(pom);
+TEST(PomGossip, PomNamingTheReceiverCrossesUnjudged) {
+  // A node holding a PoM about a peer blacklists it and refuses the session,
+  // so this ledger is built by hand: the PoM about node 1 is kept without
+  // the blacklist entry. It crosses, but node 1 never judges an accusation
+  // against itself: no verification is charged and nothing is blacklisted.
+  GossipRun run;
+  G2GWorld& w = *run.world;
+  w.node(0).pom_ledger().record(signed_relay_failure_pom(w, /*culprit=*/1, /*accuser=*/0));
+  w.run();
 
-  relay::PomGossipBatch batch;
-  batch.collect(w.node(0), w.node(1));
-  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(run.counter("pom.gossiped"), 1u);
+  EXPECT_EQ(run.counter("pom.learned"), 0u);
+  EXPECT_EQ(run.gossip_verifications(1), 0u);
+  EXPECT_FALSE(w.node(1).blacklisted(NodeId(1)));
 }
 
-TEST(PomGossipBatch, FailedReVerificationOfAJudgedPomForcesFallback) {
-  // A junk-signed PoM about a third party fails the batch re-verification,
-  // and the receiver WOULD judge it — verify() must demand the sequential
-  // fallback.
-  G2GWorld w(make_trace(4, {{0, 1, 100, 110}}));
-  Network<G2GEpidemicNode>& net = w.network();
-  w.node(0).pom_ledger().record(relay_failure_pom(/*culprit=*/2, /*accuser=*/0));
+TEST(PomGossip, SecondPomAboutALearnedCulpritIsNotSent) {
+  // Two validly signed PoMs about node 2, for different messages: once node
+  // 1 has learned the first, the second does not cross.
+  GossipRun run;
+  G2GWorld& w = *run.world;
+  hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/2, /*accuser=*/0, 0x11));
+  hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/2, /*accuser=*/0, 0x22));
+  w.run();
 
-  relay::PomGossipBatch batch;
-  batch.collect(w.node(0), w.node(1));
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_FALSE(batch.verify(w.node(0).identity().suite(), net.roster(), net.obs().counters));
+  EXPECT_EQ(run.counter("pom.gossiped"), 1u);
+  EXPECT_EQ(run.counter("wire.pom.msgs"), 1u);
+  EXPECT_EQ(run.counter("pom.learned"), 1u);
+  EXPECT_TRUE(w.node(1).blacklisted(NodeId(2)));
+  EXPECT_EQ(run.gossip_verifications(1), 1u);
 }
 
-TEST(ProtocolNode, PreverifiedVerdictGatesTheBlacklist) {
+/// Keeps every span record.
+class SpanLog final : public obs::EventSink {
+ public:
+  void on_event(const obs::Event& /*e*/) override {}
+  void on_span(const obs::SpanRecord& s) override { spans.push_back(s); }
+  std::vector<obs::SpanRecord> spans;
+};
+
+TEST(PomGossip, OneSpanPerSessionThatCarriedPoms) {
+  // The first session carries two PoMs, the second none (node 1 knows them
+  // by then): one pom_gossip span, opened and closed at the first session,
+  // with the count as its value.
+  GossipRun run({{0, 1, 100, 110}, {0, 1, 200, 210}});
+  G2GWorld& w = *run.world;
+  SpanLog log;
+  run.obs.tracer.add_sink(&log);
+  hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/2, /*accuser=*/0));
+  hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/3, /*accuser=*/0));
+  w.run();
+
+  ASSERT_EQ(run.counter("session.opened"), 2u);
+  EXPECT_EQ(run.counter("pom.gossiped"), 2u);
+  std::vector<obs::SpanRecord> opens;
+  for (const obs::SpanRecord& s : log.spans) {
+    if (!s.close && std::string(s.name) == "pom_gossip") opens.push_back(s);
+  }
+  ASSERT_EQ(opens.size(), 1u);
+  EXPECT_EQ(opens[0].at, TimePoint::from_seconds(100));
+  EXPECT_EQ(opens[0].parent, 0u);
+  EXPECT_EQ(opens[0].a, NodeId(0));
+  EXPECT_EQ(opens[0].b, NodeId(1));
+  std::size_t closes = 0;
+  for (const obs::SpanRecord& s : log.spans) {
+    if (!s.close || s.id != opens[0].id) continue;
+    ++closes;
+    EXPECT_EQ(s.at, TimePoint::from_seconds(100));
+    EXPECT_EQ(s.value, 2);
+  }
+  EXPECT_EQ(closes, 1u);
+}
+
+TEST(ProtocolNode, LearnPomGatesTheBlacklist) {
   G2GWorld w(make_trace(4, {{0, 1, 100, 110}}));
-  const ProofOfMisbehavior bad = relay_failure_pom(/*culprit=*/2, /*accuser=*/1);
-  // A false verdict is recorded (trace) but never learned.
-  EXPECT_FALSE(w.node(0).learn_pom_preverified(bad, false));
+  const auto verifications = [&] { return w.collector().costs(NodeId(0)).verifications; };
+  // Junk evidence is verified (and charged) but never learned.
+  EXPECT_FALSE(w.node(0).learn_pom(relay_failure_pom(/*culprit=*/2, /*accuser=*/1)));
   EXPECT_FALSE(w.node(0).blacklisted(NodeId(2)));
-  // A true verdict is trusted: the evidence is not re-checked here.
-  EXPECT_TRUE(w.node(0).learn_pom_preverified(bad, true));
+  EXPECT_EQ(verifications(), 1u);
+  // Valid evidence is learned: the culprit is blacklisted and the PoM kept.
+  const ProofOfMisbehavior good = signed_relay_failure_pom(w, /*culprit=*/2, /*accuser=*/1);
+  EXPECT_TRUE(w.node(0).learn_pom(good));
   EXPECT_TRUE(w.node(0).blacklisted(NodeId(2)));
-  // Already blacklisted: nothing new to learn.
-  EXPECT_FALSE(w.node(0).learn_pom_preverified(bad, true));
-  // A node never learns accusations against itself.
-  EXPECT_FALSE(w.node(0).learn_pom_preverified(relay_failure_pom(0, 1), true));
+  EXPECT_EQ(w.node(0).known_poms().size(), 1u);
+  EXPECT_EQ(verifications(), 2u);
+  // Already blacklisted: nothing new to learn, nothing verified.
+  EXPECT_FALSE(w.node(0).learn_pom(good));
+  // A node never learns accusations against itself, whatever the evidence.
+  EXPECT_FALSE(w.node(0).learn_pom(signed_relay_failure_pom(w, /*culprit=*/0, /*accuser=*/1)));
   EXPECT_FALSE(w.node(0).blacklisted(NodeId(0)));
+  EXPECT_EQ(verifications(), 2u);
+  EXPECT_EQ(w.node(0).known_poms().size(), 1u);
 }
 
 /// Node 0 relays one message to node 1 and tests it on re-meet after Delta1.

@@ -51,57 +51,12 @@ class SchnorrSmall : public ::testing::Test {
   Rng rng_{42};
 };
 
-TEST_F(SchnorrSmall, SignVerifyRoundTrip) {
-  const SchnorrKeyPair kp = engine_.keygen(rng_);
-  const Bytes msg = to_bytes("proof of relay for H(m)");
-  const SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
-  EXPECT_TRUE(engine_.verify(kp.public_key, msg, sig));
-}
-
-TEST_F(SchnorrSmall, TamperedMessageRejected) {
-  const SchnorrKeyPair kp = engine_.keygen(rng_);
-  Bytes msg = to_bytes("original");
-  const SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
-  msg[0] ^= 1;
-  EXPECT_FALSE(engine_.verify(kp.public_key, msg, sig));
-}
-
 TEST_F(SchnorrSmall, WrongKeyRejected) {
   const SchnorrKeyPair kp1 = engine_.keygen(rng_);
   const SchnorrKeyPair kp2 = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
-  const SchnorrSignature sig = engine_.sign(kp1.secret, msg, rng_);
-  EXPECT_FALSE(engine_.verify(kp2.public_key, msg, sig));
-}
-
-TEST_F(SchnorrSmall, TamperedSignatureComponentsRejected) {
-  const SchnorrKeyPair kp = engine_.keygen(rng_);
-  const Bytes msg = to_bytes("msg");
-  SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
-  SchnorrSignature bad_e = sig;
-  bad_e.e = add_mod(bad_e.e, U256(1), group_.q);
-  EXPECT_FALSE(engine_.verify(kp.public_key, msg, bad_e));
-  SchnorrSignature bad_s = sig;
-  bad_s.s = add_mod(bad_s.s, U256(1), group_.q);
-  EXPECT_FALSE(engine_.verify(kp.public_key, msg, bad_s));
-}
-
-TEST_F(SchnorrSmall, OutOfRangeSignatureRejected) {
-  const SchnorrKeyPair kp = engine_.keygen(rng_);
-  const Bytes msg = to_bytes("msg");
-  SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
-  sig.s = group_.q;  // == q is out of range
-  EXPECT_FALSE(engine_.verify(kp.public_key, msg, sig));
-}
-
-TEST_F(SchnorrSmall, SignatureEncodingRoundTrip) {
-  const SchnorrKeyPair kp = engine_.keygen(rng_);
-  const Bytes msg = to_bytes("msg");
-  const SchnorrSignature sig = engine_.sign(kp.secret, msg, rng_);
-  const SchnorrSignature decoded = SchnorrSignature::decode(sig.encode());
-  EXPECT_EQ(decoded.e, sig.e);
-  EXPECT_EQ(decoded.s, sig.s);
-  EXPECT_THROW((void)SchnorrSignature::decode(Bytes(63, 0)), DecodeError);
+  const SchnorrSignatureRS sig = engine_.sign_rs(kp1.secret, msg, rng_);
+  EXPECT_FALSE(engine_.verify_rs(kp2.public_key, msg, sig));
 }
 
 TEST_F(SchnorrSmall, KeysLieInTheSubgroup) {
@@ -117,8 +72,8 @@ TEST_F(SchnorrSmall, ManyKeysManyMessages) {
     const SchnorrKeyPair kp = engine_.keygen(rng_);
     Writer w;
     w.u32(static_cast<std::uint32_t>(i));
-    const SchnorrSignature sig = engine_.sign(kp.secret, w.bytes(), rng_);
-    EXPECT_TRUE(engine_.verify(kp.public_key, w.bytes(), sig));
+    const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, w.bytes(), rng_);
+    EXPECT_TRUE(engine_.verify_rs(kp.public_key, w.bytes(), sig));
   }
 }
 
@@ -151,22 +106,6 @@ TEST_F(SchnorrSmall, RsSignVerifyRoundTrip) {
   EXPECT_FALSE(engine_.verify_rs(kp.public_key, tampered, sig));
 }
 
-TEST_F(SchnorrSmall, RsAndClassicFormsShareTheTriple) {
-  // Same secret and same nonce draws: the (R,s) signature is the same
-  // (k, e, s) triple as the (e,s) one — R reconstructed from (e,s) must match
-  // the transmitted R, and the hashes of R must match the transmitted e.
-  const SchnorrKeyPair kp = engine_.keygen(rng_);
-  const Bytes msg = to_bytes("one triple, two encodings");
-  Rng nonce_a(77);
-  Rng nonce_b(77);
-  const SchnorrSignature es = engine_.sign(kp.secret, msg, nonce_a);
-  const SchnorrSignatureRS rs = engine_.sign_rs(kp.secret, msg, nonce_b);
-  EXPECT_EQ(es.s, rs.s);
-  const U256 r_from_es = mul_mod(pow_mod(group_.g, es.s, group_.p),
-                                 pow_mod(kp.public_key, es.e, group_.p), group_.p);
-  EXPECT_EQ(r_from_es, rs.r);
-}
-
 TEST_F(SchnorrSmall, RsTamperedAndOutOfRangeRejected) {
   const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
@@ -186,6 +125,9 @@ TEST_F(SchnorrSmall, RsTamperedAndOutOfRangeRejected) {
   oor = sig;
   oor.r = U256(0);
   EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
+  // The zero public key: y^e is 0 for every e > 0, so no commitment matches.
+  EXPECT_FALSE(engine_.verify_rs(U256(0), msg, sig));
+  EXPECT_FALSE(oracle::schnorr_rs_verify(group_, U256(0), msg, sig));
 }
 
 TEST_F(SchnorrSmall, RsEncodingRoundTrip) {
@@ -212,135 +154,16 @@ TEST_F(SchnorrSmall, EngineRsMatchesFreeFunctions) {
   EXPECT_TRUE(engine_.verify_rs(kp.public_key, msg, a));
 }
 
-// Corpora of (R,s) signatures under distinct keys, checked through the
-// engine's per-signer tables. A batch verdict is the AND of per-signature
-// verdicts (Suite::verify_batch is that loop), and each per-signature verdict
-// must equal the oracle's.
-class SchnorrRsBatch : public ::testing::Test {
- protected:
-  struct Signed {
-    SchnorrKeyPair kp;
-    Bytes msg;
-    SchnorrSignatureRS sig;
-  };
-  struct Item {
-    U256 public_key;
-    Bytes message;
-    SchnorrSignatureRS sig;
-  };
-
-  std::vector<Signed> make_corpus(std::size_t n) {
-    std::vector<Signed> out;
-    for (std::size_t i = 0; i < n; ++i) {
-      Signed item;
-      item.kp = engine_.keygen(rng_);
-      Writer w;
-      w.str("batch-msg");
-      w.u32(static_cast<std::uint32_t>(i));
-      item.msg = std::move(w).take();
-      item.sig = engine_.sign_rs(item.kp.secret, item.msg, rng_);
-      out.push_back(std::move(item));
-    }
-    return out;
-  }
-
-  static std::vector<Item> views(const std::vector<Signed>& corpus) {
-    std::vector<Item> items;
-    for (const auto& c : corpus) items.push_back(Item{c.kp.public_key, c.msg, c.sig});
-    return items;
-  }
-
-  bool verify_all(const std::vector<Item>& items) const {
-    bool all = true;
-    for (const Item& it : items) {
-      const bool ok = engine_.verify_rs(it.public_key, it.message, it.sig);
-      EXPECT_EQ(ok, oracle::schnorr_rs_verify(group_, it.public_key, it.message, it.sig));
-      all = all && ok;
-    }
-    return all;
-  }
-
-  const SchnorrGroup& group_ = SchnorrGroup::small_group();
-  SchnorrEngine engine_{group_};
-  Rng rng_{0xba7c4};
-};
-
-TEST_F(SchnorrRsBatch, AllValidBatchesVerify) {
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{16}}) {
-    const auto corpus = make_corpus(n);
-    EXPECT_TRUE(verify_all(views(corpus))) << "n=" << n;
-  }
-}
-
-TEST_F(SchnorrRsBatch, AnySingleForgeryRejectsTheBatch) {
-  const auto corpus = make_corpus(6);
-  for (std::size_t bad = 0; bad < corpus.size(); ++bad) {
-    auto items = views(corpus);
-    SchnorrSignatureRS forged = items[bad].sig;
-    forged.s = add_mod(forged.s, U256(1), group_.q);
-    items[bad].sig = forged;
-    EXPECT_FALSE(verify_all(items)) << "forged index " << bad;
-  }
-}
-
-TEST_F(SchnorrRsBatch, SwappedMessagesRejectTheBatch) {
-  auto corpus = make_corpus(4);
-  auto items = views(corpus);
-  std::swap(items[1].message, items[2].message);
-  EXPECT_FALSE(verify_all(items));
-}
-
-TEST_F(SchnorrRsBatch, StructurallyInvalidItemsRejectTheBatch) {
-  auto corpus = make_corpus(3);
-  {
-    auto items = views(corpus);
-    items[1].sig.s = group_.q;
-    EXPECT_FALSE(verify_all(items));
-  }
-  {
-    auto items = views(corpus);
-    items[2].sig.r = U256(0);
-    EXPECT_FALSE(verify_all(items));
-  }
-  {
-    auto items = views(corpus);
-    items[0].public_key = U256(0);
-    EXPECT_FALSE(verify_all(items));
-  }
-}
-
-TEST_F(SchnorrRsBatch, BatchVerdictMatchesPerSignatureOnRandomCorpora) {
-  // Randomly corrupt some items; the batch must accept iff every item
-  // verifies individually.
-  for (int trial = 0; trial < 10; ++trial) {
-    auto corpus = make_corpus(5);
-    bool all_valid = true;
-    for (auto& c : corpus) {
-      if (rng_.next() % 3 == 0) {
-        c.sig.s = add_mod(c.sig.s, U256(1 + rng_.next() % 5), group_.q);
-        all_valid = false;
-      }
-    }
-    bool per_sig = true;
-    for (const auto& c : corpus) {
-      per_sig = per_sig && oracle::schnorr_rs_verify(group_, c.kp.public_key, c.msg, c.sig);
-    }
-    EXPECT_EQ(per_sig, all_valid);
-    EXPECT_EQ(verify_all(views(corpus)), all_valid) << "trial " << trial;
-  }
-}
-
 TEST(SchnorrDefaultGroup, SignVerifyOnDefaultGroup) {
   const SchnorrEngine engine(SchnorrGroup::default_group());
   Rng rng(11);
   const SchnorrKeyPair kp = engine.keygen(rng);
   const Bytes msg = to_bytes("full-size group check");
-  const SchnorrSignature sig = engine.sign(kp.secret, msg, rng);
-  EXPECT_TRUE(engine.verify(kp.public_key, msg, sig));
+  const SchnorrSignatureRS sig = engine.sign_rs(kp.secret, msg, rng);
+  EXPECT_TRUE(engine.verify_rs(kp.public_key, msg, sig));
   Bytes tampered = msg;
   tampered.back() ^= 0x80;
-  EXPECT_FALSE(engine.verify(kp.public_key, tampered, sig));
+  EXPECT_FALSE(engine.verify_rs(kp.public_key, tampered, sig));
 }
 
 }  // namespace

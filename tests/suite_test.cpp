@@ -19,9 +19,6 @@ namespace {
 class SuiteTest : public ::testing::TestWithParam<const char*> {
  protected:
   SuitePtr make() const {
-    if (std::string(GetParam()) == "schnorr") {
-      return make_schnorr_suite(SchnorrGroup::small_group());
-    }
     if (std::string(GetParam()) == "schnorr-rs") {
       return make_schnorr_rs_suite(SchnorrGroup::small_group());
     }
@@ -29,9 +26,6 @@ class SuiteTest : public ::testing::TestWithParam<const char*> {
   }
   /// The same scheme in the test oracle (tests/oracle/).
   SuitePtr make_oracle() const {
-    if (std::string(GetParam()) == "schnorr") {
-      return oracle::schnorr_suite(SchnorrGroup::small_group());
-    }
     if (std::string(GetParam()) == "schnorr-rs") {
       return oracle::schnorr_rs_suite(SchnorrGroup::small_group());
     }
@@ -169,7 +163,7 @@ TEST_P(SuiteTest, ArtifactsAndVerdictsIdenticalWithMontgomeryOnAndOff) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSuites, SuiteTest,
-                         ::testing::Values("schnorr", "schnorr-rs", "fast"),
+                         ::testing::Values("schnorr-rs", "fast"),
                          [](const auto& info) {
                            std::string name(info.param);
                            for (auto& c : name) {
