@@ -18,7 +18,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "g2g/proto/message.hpp"
 #include "g2g/util/time.hpp"

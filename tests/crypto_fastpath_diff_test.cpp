@@ -421,11 +421,8 @@ TEST(FastPathDiff, EngineVerifyMatchesFreeFunctionsWhenQBitsAreNotAMultipleOf8) 
       Bytes msg = base_msg;
       msg.push_back(i);
       const SchnorrSignatureRS rs = engine.sign_rs(kp.secret, msg, rng);
-      // e = H(R || m) mod q, the exponent that walks y's table.
-      Bytes challenge_input = rs.r.to_bytes_be();
-      challenge_input.insert(challenge_input.end(), msg.begin(), msg.end());
-      const U256 e = mod(U256::from_bytes_be(digest_view(oracle::sha256(challenge_input))),
-                         group.q);
+      // s walks g's table; e, recomputed from R, walks y's.
+      const U256 e = oracle::schnorr_challenge(group, rs.r, msg);
       for (const U256& v : {e, rs.s}) {
         if (v.bit_length() > (q_bits - 1) / 4 * 4) ++top_window_digits;
       }

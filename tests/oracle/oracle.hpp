@@ -59,6 +59,8 @@ using crypto::U256;
 /// x uniform in [1, q), y = g^x mod p; the same RNG draws as
 /// SchnorrEngine::keygen.
 [[nodiscard]] SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng);
+/// The challenge e = H(R || m) mod q, R as 32 big-endian bytes.
+[[nodiscard]] U256 schnorr_challenge(const SchnorrGroup& group, const U256& r, BytesView message);
 /// (R, s) with k drawn as keygen draws x, R = g^k, e = H(R || m) mod q,
 /// s = k - x·e mod q.
 [[nodiscard]] SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,

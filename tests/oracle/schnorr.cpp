@@ -15,13 +15,6 @@ U256 draw_exponent(const SchnorrGroup& group, Rng& rng) {
   return add_mod(random_below(rng, sub(group.q, U256(1), borrow)), U256(1), group.q);
 }
 
-/// e = H(r || m) mod q, r as 32 big-endian bytes.
-U256 challenge(const SchnorrGroup& group, const U256& r, BytesView message) {
-  Bytes input = r.to_bytes_be();
-  input.insert(input.end(), message.begin(), message.end());
-  return mod(U256::from_bytes_be(crypto::digest_view(sha256(input))), group.q);
-}
-
 /// g^s · y^e mod p.
 U256 commitment(const SchnorrGroup& group, const U256& public_key, const U256& s, const U256& e) {
   return mul_mod(pow_mod(group.g, s, group.p), pow_mod(public_key, e, group.p), group.p);
@@ -124,18 +117,24 @@ SchnorrKeyPair schnorr_keygen(const SchnorrGroup& group, Rng& rng) {
   return SchnorrKeyPair{x, pow_mod(group.g, x, group.p)};
 }
 
+U256 schnorr_challenge(const SchnorrGroup& group, const U256& r, BytesView message) {
+  Bytes input = r.to_bytes_be();
+  input.insert(input.end(), message.begin(), message.end());
+  return mod(U256::from_bytes_be(crypto::digest_view(sha256(input))), group.q);
+}
+
 SchnorrSignatureRS schnorr_rs_sign(const SchnorrGroup& group, const U256& secret,
                                    BytesView message, Rng& rng) {
   const U256 k = draw_exponent(group, rng);
   const U256 r = pow_mod(group.g, k, group.p);
-  const U256 e = challenge(group, r, message);
+  const U256 e = schnorr_challenge(group, r, message);
   return SchnorrSignatureRS{r, sub_mod(k, mul_mod(secret, e, group.q), group.q)};
 }
 
 bool schnorr_rs_verify(const SchnorrGroup& group, const U256& public_key, BytesView message,
                        const SchnorrSignatureRS& sig) {
   if (sig.s >= group.q || sig.r >= group.p || sig.r.is_zero()) return false;
-  return commitment(group, public_key, sig.s, challenge(group, sig.r, message)) == sig.r;
+  return commitment(group, public_key, sig.s, schnorr_challenge(group, sig.r, message)) == sig.r;
 }
 
 U256 dh_shared_secret(const SchnorrGroup& group, const U256& my_secret, const U256& peer_public) {

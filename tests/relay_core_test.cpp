@@ -156,19 +156,21 @@ class SpanLog final : public obs::EventSink {
 };
 
 TEST(PomGossip, OneSpanPerSessionThatCarriedPoms) {
-  // The first session carries two PoMs, the second none (node 1 knows them
-  // by then): one pom_gossip span, opened and closed at the first session,
-  // with the count as its value.
+  // The first session carries one PoM each way, the second none (each side
+  // knows both by then): one pom_gossip span, opened and closed at the
+  // first session, with the count as its value.
   GossipRun run({{0, 1, 100, 110}, {0, 1, 200, 210}});
   G2GWorld& w = *run.world;
   SpanLog log;
   run.obs.tracer.add_sink(&log);
   hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/2, /*accuser=*/0));
-  hold(w.node(0), signed_relay_failure_pom(w, /*culprit=*/3, /*accuser=*/0));
+  hold(w.node(1), signed_relay_failure_pom(w, /*culprit=*/3, /*accuser=*/1));
   w.run();
 
   ASSERT_EQ(run.counter("session.opened"), 2u);
   EXPECT_EQ(run.counter("pom.gossiped"), 2u);
+  EXPECT_TRUE(w.node(1).blacklisted(NodeId(2)));
+  EXPECT_TRUE(w.node(0).blacklisted(NodeId(3)));
   std::vector<obs::SpanRecord> opens;
   for (const obs::SpanRecord& s : log.spans) {
     if (!s.close && std::string(s.name) == "pom_gossip") opens.push_back(s);
