@@ -139,7 +139,7 @@ void BM_PorEncodeDecode(benchmark::State& state) {
   Fixture& f = fast_fixture();
   const ProofOfRelay por = make_por(f);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ProofOfRelay::decode(por.encode()));
+    benchmark::DoNotOptimize(ProofOfRelay::decode(encode_exact(por)));
   }
 }
 BENCHMARK(BM_PorEncodeDecode);
@@ -172,10 +172,10 @@ void BM_FrameSmallRoundTrips(benchmark::State& state) {
   stored.digest.fill(0x0D);
   AllocMeter allocs;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(relay::RelayRqstFrame::decode(relay::RelayRqstFrame{h}.encode()));
-    benchmark::DoNotOptimize(relay::KeyRevealFrame::decode(key.encode()));
-    benchmark::DoNotOptimize(relay::PorRqstFrame::decode(rqst.encode()));
-    benchmark::DoNotOptimize(relay::StoredRespFrame::decode(stored.encode()));
+    benchmark::DoNotOptimize(relay::RelayRqstFrame::decode(encode_exact(relay::RelayRqstFrame{h})));
+    benchmark::DoNotOptimize(relay::KeyRevealFrame::decode(encode_exact(key)));
+    benchmark::DoNotOptimize(relay::PorRqstFrame::decode(encode_exact(rqst)));
+    benchmark::DoNotOptimize(relay::StoredRespFrame::decode(encode_exact(stored)));
   }
   allocs.report(state);
   state.SetItemsProcessed(state.iterations() * 4);
@@ -192,7 +192,7 @@ void BM_FrameRelayDataRoundTrip(benchmark::State& state) {
   frame.attachments.push_back(make_declaration(f, 2, 4.0));
   AllocMeter allocs;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(relay::RelayDataFrame::decode(frame.encode()));
+    benchmark::DoNotOptimize(relay::RelayDataFrame::decode(encode_exact(frame)));
   }
   allocs.report(state);
   state.SetItemsProcessed(state.iterations());
@@ -208,7 +208,7 @@ void BM_FrameCodecArenaPath(benchmark::State& state) {
   Fixture& f = fast_fixture();
   const SealedMessage msg = make_message(f.identities[0], f.roster.get(NodeId(1)),
                                          MessageId(88), Bytes(64, 0x42), f.rng);
-  const Bytes msg_wire = msg.encode();
+  const Bytes msg_wire = encode_exact(msg);
   const MessageHash h = msg.hash();
   ProofOfRelay por;
   por.h = h;

@@ -2,14 +2,13 @@
 //
 // Individual experiments are strictly single-threaded and deterministic; a
 // sweep over configurations (a figure's x axis, a seed ensemble) is
-// embarrassingly parallel. The pool shards the index space into contiguous
-// per-worker slices with atomic cursors; a worker that drains its own shard
-// steals from the most-loaded remaining shard (ties broken by a per-shard
-// RNG stream), so a handful of slow cells cannot idle the rest of the
+// embarrassingly parallel. Each index is a whole experiment, so the pool is
+// one shared claim cursor: every worker takes the next unclaimed index until
+// none is left, and a handful of slow cells cannot idle the rest of the
 // machine. Reduction is chunked: each run is folded into a compact summary
 // as soon as it finishes, and summaries are reduced sequentially in index
-// order — results are bit-identical regardless of the steal pattern, and a
-// million-run sweep never holds a million full ExperimentResults.
+// order — results are bit-identical regardless of which worker ran what,
+// and a million-run sweep never holds a million full ExperimentResults.
 //
 // Failure semantics: a throwing run never abandons work. Every index is
 // still executed (claimed indices are always run — the pre-2 behaviour of
@@ -28,11 +27,11 @@
 namespace g2g::core {
 
 /// Run body(i) for every i in [0, count) on up to `threads` workers
-/// (0 = hardware concurrency) using the work-stealing shard pool. All
+/// (0 = hardware concurrency) claiming indices from one shared cursor. All
 /// indices run even if some throw; afterwards the exception with the lowest
 /// index is rethrown on the calling thread.
-void sharded_for(std::size_t count, std::size_t threads,
-                 const std::function<void(std::size_t)>& body);
+void parallel_for(std::size_t count, std::size_t threads,
+                  const std::function<void(std::size_t)>& body);
 
 /// Run every config; results are positionally aligned with `configs`.
 /// All configs run even if some throw; the lowest-index error is rethrown.

@@ -66,12 +66,12 @@ void run_network(const trace::ContactTrace& window, proto::NetworkConfig net_con
                  obs::StageProfile& stages) {
   proto::Network<NodeT> network(window, std::move(net_config), *in.behaviors, collector);
   {
-    obs::StageTimer timer(stages, "warm_up");
+    obs::StageTimer timer(stages, obs::StageKind::WarmUp);
     if (in.full_trace != nullptr) network.warm_up(in.full_trace->events(), in.window_start);
     network.schedule_traffic(*in.demands);
   }
   {
-    obs::StageTimer timer(stages, "simulation");
+    obs::StageTimer timer(stages, obs::StageKind::Simulation);
     network.run();
   }
 }
@@ -88,7 +88,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   if (config.trace_ring > 0) obs.tracer.enable_ring(config.trace_ring);
 
   // 1. The trace substrate (full multi-day trace).
-  obs::StageTimer trace_timer(result.stages, "trace_gen");
+  obs::StageTimer trace_timer(result.stages, obs::StageKind::TraceGen);
   trace::SyntheticConfig trace_config = config.scenario.trace_config;
   trace_config.seed = trace_config.seed * 1000003ULL + config.seed;
   const trace::SyntheticTrace synthetic = trace::generate_trace(trace_config);
@@ -96,7 +96,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // 2. Community detection on the full trace (k-clique percolation, as the
   //    paper does with the Palla et al. algorithm).
-  obs::StageTimer community_timer(result.stages, "communities");
+  obs::StageTimer community_timer(result.stages, obs::StageKind::Communities);
   const community::ContactGraph graph(
       synthetic.trace,
       community::ContactGraphConfig::for_span(synthetic.trace.end_time() -
@@ -178,7 +178,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   // 8. Extract.
-  obs::StageTimer extract_timer(result.stages, "extraction");
+  obs::StageTimer extract_timer(result.stages, obs::StageKind::Extraction);
   result.generated = result.collector.generated_count();
   result.delivered = result.collector.delivered_count();
   result.success_rate = result.collector.success_rate();

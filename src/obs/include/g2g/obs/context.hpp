@@ -37,9 +37,6 @@ enum class WireKind : std::uint8_t {
 inline constexpr std::size_t kWireKindCount =
     static_cast<std::size_t>(WireKind::Other) + 1;
 
-/// Stable snake_case name ("relay_rqst", ...) used in counter names.
-[[nodiscard]] const char* to_string(WireKind kind);
-
 /// Handles into a Registry for every counter the protocol layers drive.
 /// Counter names are "area.metric" (see docs/OBSERVABILITY.md for the list).
 struct ProtocolCounters {

@@ -8,14 +8,49 @@
 // end-of-run snapshot lands in core::ExperimentResult.
 //
 // Like the tracer, a Registry belongs to one single-threaded simulation run.
+//
+// Every counter and histogram name starts with a registered area
+// (kCounterAreas); CounterName checks that at compile time, so a name in an
+// unregistered area does not build.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace g2g::obs {
+
+/// The counter namespace of docs/OBSERVABILITY.md. A new area is added here
+/// deliberately, in the same commit that documents it.
+inline constexpr std::array<std::string_view, 8> kCounterAreas = {
+    "buffer.", "detect.", "g2g.", "hs.", "msg.", "pom.", "session.", "wire.",
+};
+
+/// Reached only when a CounterName literal has no registered area; being
+/// non-constexpr, the call makes that literal a compile error.
+inline void counter_name_area_is_not_registered() {}
+
+/// A counter or histogram name whose area is in kCounterAreas. The consteval
+/// constructor runs at compile time, so only a checked literal converts
+/// (implicitly, so call sites pass the literal as they always did).
+class CounterName {
+ public:
+  consteval CounterName(const char* name) : name_(name) {
+    bool registered = false;
+    for (const std::string_view area : kCounterAreas) {
+      registered = registered || std::string_view(name).starts_with(area);
+    }
+    if (!registered) counter_name_area_is_not_registered();
+  }
+
+  [[nodiscard]] constexpr const char* c_str() const { return name_; }
+
+ private:
+  const char* name_;
+};
 
 class Counter {
  public:
@@ -56,10 +91,9 @@ class Registry {
  public:
   /// Get or create; the returned reference stays valid for the registry's
   /// lifetime (and is invalidated by copying only on the copy's side).
-  [[nodiscard]] Counter& counter(const std::string& name);
+  [[nodiscard]] Counter& counter(CounterName name);
   /// Get or create; `edges` is used only on first creation.
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     std::vector<double> edges);
+  [[nodiscard]] Histogram& histogram(CounterName name, std::vector<double> edges);
 
   /// Counter value by name, 0 if the counter was never created.
   [[nodiscard]] std::uint64_t value(const std::string& name) const;

@@ -26,26 +26,35 @@
 // profiling runs only — they are the one non-deterministic field, off by
 // default.
 //
-// The registered span-name set lives in three deliberately-synced places:
-// this comment, docs/OBSERVABILITY.md ("Spans & causal tracing"), and
-// tools/lint's `span-name-registry` rule, which requires every
-// open_span()/StageTimer name literal in src/ to come from the set:
-//   spans:  msg, relay_session, audit_round, pom_gossip
-//   stages: trace_gen, communities, warm_up, simulation, extraction
+// The span names are SpanKind's table below: open_span() takes the enum, so
+// a name outside the table does not compile. docs/OBSERVABILITY.md ("Spans &
+// causal tracing") documents them.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "g2g/util/ids.hpp"
 #include "g2g/util/time.hpp"
 
 namespace g2g::obs {
 
+/// The span kinds of the model above.
+enum class SpanKind : std::uint8_t { Msg, RelaySession, AuditRound, PomGossip };
+
+/// The JSONL name of a span kind ("msg", "relay_session", ...).
+[[nodiscard]] constexpr const char* to_string(SpanKind kind) {
+  constexpr const char* kNames[] = {"msg", "relay_session", "audit_round", "pom_gossip"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(SpanKind::PomGossip) + 1);
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
 struct SpanRecord {
   TimePoint at;                ///< sim-time stamp of the open or close
   std::uint64_t id = 0;        ///< deterministic, 1-based, emission order
   std::uint64_t parent = 0;    ///< parent span id; 0 = root
-  const char* name = nullptr;  ///< registered span name; nullptr on close
+  const char* name = nullptr;  ///< to_string(SpanKind) on open; nullptr on close
   bool close = false;
   NodeId a;                    ///< primary actor (giver / source / gossiper)
   NodeId b;                    ///< counterparty (may be invalid())

@@ -59,8 +59,8 @@ class Tracer {
   // a no-op, so call sites stay branch-free.
 
   /// Open a child span; returns its id (0 when tracing is disabled).
-  std::uint64_t open_span(TimePoint at, const char* name, std::uint64_t parent,
-                          NodeId a, NodeId b, std::uint64_t ref = 0);
+  std::uint64_t open_span(TimePoint at, SpanKind kind, std::uint64_t parent, NodeId a,
+                          NodeId b, std::uint64_t ref = 0);
   /// Close a span opened by open_span; `value` is the outcome.
   void close_span(TimePoint at, std::uint64_t id, std::int64_t value = 0);
 

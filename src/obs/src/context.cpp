@@ -1,28 +1,36 @@
 #include "g2g/obs/context.hpp"
 
-#include <string>
+#include <iterator>
 
 namespace g2g::obs {
 
-const char* to_string(WireKind kind) {
-  switch (kind) {
-    case WireKind::Certificate: return "certificate";
-    case WireKind::SummaryVector: return "summary_vector";
-    case WireKind::Payload: return "payload";
-    case WireKind::RelayRqst: return "relay_rqst";
-    case WireKind::RelayOk: return "relay_ok";
-    case WireKind::RelayData: return "relay_data";
-    case WireKind::KeyReveal: return "key_reveal";
-    case WireKind::PorRqst: return "por_rqst";
-    case WireKind::StoredResp: return "stored_resp";
-    case WireKind::FqRqst: return "fq_rqst";
-    case WireKind::QualityDecl: return "quality_decl";
-    case WireKind::Por: return "por";
-    case WireKind::Pom: return "pom";
-    case WireKind::Other: return "other";
-  }
-  return "unknown";
-}
+namespace {
+
+/// The per-kind wire counter names, indexed by WireKind.
+struct WireCounterNames {
+  CounterName bytes;
+  CounterName msgs;
+};
+
+constexpr WireCounterNames kWireCounterNames[] = {
+    {"wire.certificate.bytes", "wire.certificate.msgs"},
+    {"wire.summary_vector.bytes", "wire.summary_vector.msgs"},
+    {"wire.payload.bytes", "wire.payload.msgs"},
+    {"wire.relay_rqst.bytes", "wire.relay_rqst.msgs"},
+    {"wire.relay_ok.bytes", "wire.relay_ok.msgs"},
+    {"wire.relay_data.bytes", "wire.relay_data.msgs"},
+    {"wire.key_reveal.bytes", "wire.key_reveal.msgs"},
+    {"wire.por_rqst.bytes", "wire.por_rqst.msgs"},
+    {"wire.stored_resp.bytes", "wire.stored_resp.msgs"},
+    {"wire.fq_rqst.bytes", "wire.fq_rqst.msgs"},
+    {"wire.quality_decl.bytes", "wire.quality_decl.msgs"},
+    {"wire.por.bytes", "wire.por.msgs"},
+    {"wire.pom.bytes", "wire.pom.msgs"},
+    {"wire.other.bytes", "wire.other.msgs"},
+};
+static_assert(std::size(kWireCounterNames) == kWireKindCount);
+
+}  // namespace
 
 ProtocolCounters::ProtocolCounters(Registry& r)
     : contacts(&r.counter("session.contacts")),
@@ -64,10 +72,8 @@ ProtocolCounters::ProtocolCounters(Registry& r)
           "session.contact_duration_s",
           {1.0, 10.0, 30.0, 60.0, 120.0, 300.0, 600.0, 1800.0})) {
   for (std::size_t i = 0; i < kWireKindCount; ++i) {
-    const std::string base =
-        std::string("wire.") + to_string(static_cast<WireKind>(i));
-    wire_bytes[i] = &r.counter(base + ".bytes");
-    wire_msgs[i] = &r.counter(base + ".msgs");
+    wire_bytes[i] = &r.counter(kWireCounterNames[i].bytes);
+    wire_msgs[i] = &r.counter(kWireCounterNames[i].msgs);
   }
 }
 

@@ -22,12 +22,12 @@ void Histogram::observe(double v) {
   sum_ += v;
 }
 
-Counter& Registry::counter(const std::string& name) { return counters_[name]; }
+Counter& Registry::counter(CounterName name) { return counters_[name.c_str()]; }
 
-Histogram& Registry::histogram(const std::string& name, std::vector<double> edges) {
-  const auto it = histograms_.find(name);
+Histogram& Registry::histogram(CounterName name, std::vector<double> edges) {
+  const auto it = histograms_.find(name.c_str());
   if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(edges))).first->second;
+  return histograms_.emplace(name.c_str(), Histogram(std::move(edges))).first->second;
 }
 
 std::uint64_t Registry::value(const std::string& name) const {

@@ -66,15 +66,14 @@ void Tracer::record_span(const SpanRecord& s) {
   for (EventSink* sink : sinks_) sink->on_span(s);
 }
 
-std::uint64_t Tracer::open_span(TimePoint at, const char* name,
-                                std::uint64_t parent, NodeId a, NodeId b,
-                                std::uint64_t ref) {
+std::uint64_t Tracer::open_span(TimePoint at, SpanKind kind, std::uint64_t parent,
+                                NodeId a, NodeId b, std::uint64_t ref) {
   if (!enabled_) return 0;
   SpanRecord s;
   s.at = at;
   s.id = next_span_id_++;
   s.parent = parent;
-  s.name = name;
+  s.name = to_string(kind);
   s.a = a;
   s.b = b;
   s.ref = ref;
@@ -107,7 +106,7 @@ void Tracer::open_message_span(TimePoint at, std::uint64_t ref, NodeId src,
   if (!enabled_) return;
   MsgSpan& m = msg_spans_[ref];
   if (m.id != 0) return;  // regenerated ref: keep the original span
-  m.id = open_span(at, "msg", /*parent=*/0, src, dst, ref);
+  m.id = open_span(at, SpanKind::Msg, /*parent=*/0, src, dst, ref);
 }
 
 std::uint64_t Tracer::message_span(std::uint64_t ref) const {

@@ -43,7 +43,6 @@ struct SealedMessage {
   /// H(m): the identifier relays, PoRs and PoMs use.
   [[nodiscard]] MessageHash hash() const;
   /// Canonical wire bytes (what gets shipped in the RELAY step).
-  [[nodiscard]] Bytes encode() const;
   void encode_into(SpanWriter& w) const;
   /// Strict decode of exactly one message: rejects trailing bytes.
   [[nodiscard]] static SealedMessage decode(BytesView b);

@@ -42,7 +42,7 @@ struct NetworkConfig {
   obs::ObsContext* obs = nullptr;
 };
 
-class NetworkBase : public sim::ContactListener, public Env {
+class NetworkBase : public Env {
  public:
   NetworkBase(const trace::ContactTrace& trace, NetworkConfig config,
               metrics::Collector& collector);
@@ -69,9 +69,6 @@ class NetworkBase : public sim::ContactListener, public Env {
   void notify_detection(NodeId culprit, NodeId detector, metrics::DetectionMethod method,
                         Duration after_delta1) final;
   void broadcast_pom(const ProofOfMisbehavior& pom) final;
-
-  // ContactListener ------------------------------------------------------------
-  void on_contact_down(TimePoint, NodeId, NodeId) final {}
 
   /// Feed pre-window contact history into the nodes' encounter tables, with
   /// timestamps rebased so the window start is t=0 (history is negative).
@@ -123,11 +120,6 @@ class NetworkBase : public sim::ContactListener, public Env {
   std::vector<BehaviorConfig> behaviors_;
 
  private:
-  // Contacts are scheduled internally with their durations; the
-  // ContactListener entry points remain for API compatibility.
-  void on_contact_up(TimePoint t, NodeId a, NodeId b) final {
-    contact(t, a, b, Duration::max());
-  }
   std::unique_ptr<crypto::Authority> authority_;
   std::vector<ProtocolNode*> generic_nodes_;
   const trace::ContactTrace* trace_;

@@ -1,4 +1,4 @@
-// Signed protocol artefacts and control-message sizing.
+// Signed protocol artefacts and the certificate exchange's size.
 //
 // Three artefacts outlive the session that produced them and therefore need
 // real signatures and canonical encodings:
@@ -12,9 +12,8 @@
 //   * ProofOfMisbehavior — PoM, gossiped network-wide; whoever verifies it
 //     blacklists the culprit.
 //
-// Transient handshake steps (RELAY_RQST, RELAY_OK, KEY, ...) are not
-// materialized as structs; their wire cost is accounted via the size helpers
-// at the bottom.
+// Transient handshake steps (RELAY_RQST, RELAY_OK, KEY, ...) are the frames
+// of relay/frames.hpp; a session charges each frame's wire_size().
 #pragma once
 
 #include <optional>
@@ -53,7 +52,6 @@ struct QualityDeclaration {
   [[nodiscard]] Bytes signed_payload() const;
   [[nodiscard]] std::size_t signed_payload_size() const;
   void signed_payload_into(SpanWriter& w) const;
-  [[nodiscard]] Bytes encode() const;
   void encode_into(SpanWriter& w) const;
   /// Strict decode of exactly one declaration: rejects trailing bytes.
   [[nodiscard]] static QualityDeclaration decode(BytesView b);
@@ -81,7 +79,6 @@ struct ProofOfRelay {
   [[nodiscard]] Bytes signed_payload() const;
   [[nodiscard]] std::size_t signed_payload_size() const;
   void signed_payload_into(SpanWriter& w) const;
-  [[nodiscard]] Bytes encode() const;
   void encode_into(SpanWriter& w) const;
   /// Strict decode of exactly one PoR: rejects trailing bytes.
   [[nodiscard]] static ProofOfRelay decode(BytesView b);
@@ -139,9 +136,8 @@ struct ProofOfMisbehavior {
   /// QualityLie: the culprit's signed declaration.
   std::optional<QualityDeclaration> evidence_declaration;
 
-  [[nodiscard]] Bytes encode() const;
   void encode_into(SpanWriter& w) const;
-  /// Strict inverse of encode(): rejects unknown kinds, non-boolean presence
+  /// Strict inverse of encode_into(): rejects unknown kinds, non-boolean presence
   /// flags, trailing bytes, and evidence that does not match the claimed kind
   /// (e.g. a RelayFailure without the accepted PoR). Throws DecodeError.
   [[nodiscard]] static ProofOfMisbehavior decode(BytesView b);
@@ -155,20 +151,9 @@ struct ProofOfMisbehavior {
 [[nodiscard]] bool verify_pom(const crypto::Suite& suite, const Roster& roster,
                               const ProofOfMisbehavior& pom);
 
-/// Approximate wire sizes of transient handshake steps, for cost accounting.
+/// Wire size of the session-start certificate exchange, for cost accounting.
 /// `sig` is the suite's signature size.
 namespace wire {
-[[nodiscard]] constexpr std::size_t relay_rqst(std::size_t sig) { return 1 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t relay_ok(std::size_t sig) { return 1 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t relay_data(std::size_t sig, std::size_t msg_bytes) {
-  return 1 + 32 + 8 + msg_bytes + sig;
-}
-[[nodiscard]] constexpr std::size_t key_reveal(std::size_t sig) { return 1 + 32 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t por_rqst(std::size_t sig) { return 1 + 32 + 32 + sig; }
-[[nodiscard]] constexpr std::size_t stored_resp(std::size_t sig) {
-  return 1 + 32 + 32 + 32 + sig;
-}
-[[nodiscard]] constexpr std::size_t fq_rqst(std::size_t sig) { return 1 + 32 + 4 + sig; }
 [[nodiscard]] constexpr std::size_t certificate(std::size_t sig) { return 4 + 32 + sig; }
 }  // namespace wire
 

@@ -25,15 +25,13 @@ const crypto::Certificate& Roster::get(NodeId n) const {
   return *cert;
 }
 
-MessageHash SealedMessage::hash() const { return crypto::sha256(encode()); }
+MessageHash SealedMessage::hash() const { return crypto::sha256(encode_exact(*this)); }
 
 void SealedMessage::encode_into(SpanWriter& w) const {
   w.u32(dst.value());
   w.blob(box.ephemeral_public);
   w.blob(box.ciphertext);
 }
-
-Bytes SealedMessage::encode() const { return encode_exact(*this); }
 
 SealedMessage SealedMessage::decode(BytesView b) {
   Reader r(b);

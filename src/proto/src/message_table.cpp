@@ -5,7 +5,7 @@
 namespace g2g::proto {
 
 MessageRef MessageTable::intern(const SealedMessage& m, MessageId id) {
-  Bytes wire = m.encode();
+  Bytes wire = encode_exact(m);
   const MessageHash h = crypto::sha256(wire);
   const MessageRef known = index_.find(h);
   if (known != kNoMessage) return known;

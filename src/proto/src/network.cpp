@@ -43,8 +43,8 @@ NetworkBase::NetworkBase(const trace::ContactTrace& trace, NetworkConfig config,
 
   Rng auth_rng = rng_.fork(0xA117);
   authority_ = std::make_unique<crypto::Authority>(config_.suite, auth_rng);
-  // Schedule contacts directly (rather than via sim::schedule_trace) so the
-  // contact duration reaches the session for bandwidth budgeting.
+  // One callback per contact, carrying its duration so the session can
+  // budget bandwidth.
   for (const auto& e : trace.events()) {
     sim_.at(e.start, [this, e] { contact(e.start, e.a, e.b, e.duration()); });
   }
@@ -176,7 +176,8 @@ bool NetworkBase::open_session(Session& s, ProtocolNode& a, ProtocolNode& b) {
     for (const ProofOfMisbehavior& pom : from->known_poms()) {
       if (to->blacklisted(pom.culprit)) continue;  // peer already knows
       if (carried++ == 0) {
-        span = obs_->tracer.open_span(now(), "pom_gossip", /*parent=*/0, a.id(), b.id());
+        span = obs_->tracer.open_span(now(), obs::SpanKind::PomGossip, /*parent=*/0, a.id(),
+                                        b.id());
       }
       s.transfer(*from, pom.wire_size(), obs::WireKind::Pom);
       obs_->counters.poms_gossiped->add();

@@ -33,7 +33,7 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
     // span; the close value mirrors the TestBySender event (0 fail, 1 PoRs
     // ok, 2 storage proof ok, 3 inconclusive).
     const std::uint64_t span = tracer.open_span(
-        now, "audit_round", tracer.message_span(ref), host_.id(), peer.id(), ref);
+        now, obs::SpanKind::AuditRound, tracer.message_span(ref), host_.id(), peer.id(), ref);
     // The challenge crosses the session as a POR_RQST frame carrying a fresh
     // 32-byte seed; the responder answers from the decoded bytes.
     PorRqstFrame challenge;

@@ -38,8 +38,6 @@ void RelayRqstFrame::encode_into(SpanWriter& w) const {
   put_hash(w, h);
 }
 
-Bytes RelayRqstFrame::encode() const { return encode_exact(*this); }
-
 RelayRqstFrame RelayRqstFrame::decode(BytesView b) {
   Reader r(b);
   take_tag(r, FrameTag::RelayRqst);
@@ -55,8 +53,6 @@ void RelayOkFrame::encode_into(SpanWriter& w) const {
   put_tag(w, accept ? FrameTag::RelayOk : FrameTag::RelayDecline);
   put_hash(w, h);
 }
-
-Bytes RelayOkFrame::encode() const { return encode_exact(*this); }
 
 RelayOkFrame RelayOkFrame::decode(BytesView b) {
   Reader r(b);
@@ -80,10 +76,8 @@ std::size_t RelayDataFrame::wire_size() const {
 
 void RelayDataFrame::encode_into(SpanWriter& w) const {
   // The owning frame (codec tests, fuzzing) encodes its message first.
-  relay_data_encode_into(w, h, msg.encode(), attachments);
+  relay_data_encode_into(w, h, encode_exact(msg), attachments);
 }
-
-Bytes RelayDataFrame::encode() const { return encode_exact(*this); }
 
 RelayDataFrame RelayDataFrame::decode(BytesView b) {
   Reader r(b);
@@ -168,8 +162,6 @@ void KeyRevealFrame::encode_into(SpanWriter& w) const {
   w.raw(BytesView(key.data(), key.size()));
 }
 
-Bytes KeyRevealFrame::encode() const { return encode_exact(*this); }
-
 KeyRevealFrame KeyRevealFrame::decode(BytesView b) {
   Reader r(b);
   take_tag(r, FrameTag::KeyReveal);
@@ -187,8 +179,6 @@ void PorRqstFrame::encode_into(SpanWriter& w) const {
   put_hash(w, h);
   w.raw(BytesView(seed.data(), seed.size()));
 }
-
-Bytes PorRqstFrame::encode() const { return encode_exact(*this); }
 
 PorRqstFrame PorRqstFrame::decode(BytesView b) {
   Reader r(b);
@@ -209,8 +199,6 @@ void StoredRespFrame::encode_into(SpanWriter& w) const {
   w.raw(BytesView(digest.data(), digest.size()));
 }
 
-Bytes StoredRespFrame::encode() const { return encode_exact(*this); }
-
 StoredRespFrame StoredRespFrame::decode(BytesView b) {
   Reader r(b);
   take_tag(r, FrameTag::StoredResp);
@@ -230,8 +218,6 @@ void FqRqstFrame::encode_into(SpanWriter& w) const {
   put_hash(w, h);
   w.u32(dst.value());
 }
-
-Bytes FqRqstFrame::encode() const { return encode_exact(*this); }
 
 FqRqstFrame FqRqstFrame::decode(BytesView b) {
   Reader r(b);

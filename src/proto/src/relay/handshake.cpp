@@ -148,7 +148,7 @@ void HandshakeEngine::giver_pass(Session& s, RelayNode& taker) {
     // span; closed 0 on decline/abort, 1 when the relay completes.
     const std::uint64_t ref = host_.trace_ref(h);
     const std::uint64_t span = tracer.open_span(
-        now, "relay_session", tracer.message_span(ref), host_.id(), taker.id(), ref);
+        now, obs::SpanKind::RelaySession, tracer.message_span(ref), host_.id(), taker.id(), ref);
 
     // Steps 1-4: policy-specific (epidemic offer vs. delegation negotiation).
     auto out = host_.relay_attempt(s, taker, h, hold);

@@ -58,8 +58,6 @@ void QualityDeclaration::encode_into(SpanWriter& w) const {
   w.blob(signature);
 }
 
-Bytes QualityDeclaration::encode() const { return encode_exact(*this); }
-
 QualityDeclaration QualityDeclaration::decode(BytesView b) {
   Reader r(b);
   QualityDeclaration d = decode(r);
@@ -157,8 +155,6 @@ void ProofOfRelay::encode_into(SpanWriter& w) const {
   w.blob(taker_signature);
 }
 
-Bytes ProofOfRelay::encode() const { return encode_exact(*this); }
-
 ProofOfRelay ProofOfRelay::decode(BytesView b) {
   Reader r(b);
   ProofOfRelay p = decode(r);
@@ -228,8 +224,6 @@ void ProofOfMisbehavior::encode_into(SpanWriter& w) const {
   w.u8(evidence_declaration.has_value() ? 1 : 0);
   if (evidence_declaration) nested(*evidence_declaration);
 }
-
-Bytes ProofOfMisbehavior::encode() const { return encode_exact(*this); }
 
 ProofOfMisbehavior ProofOfMisbehavior::decode(BytesView b) {
   Reader r(b);

@@ -1,9 +1,9 @@
 // Discrete-event simulation core.
 //
 // A Simulator is a deterministic time-ordered callback queue: events
-// scheduled at equal timestamps fire in scheduling order. Contact traces are
-// fed in through schedule_trace(), which turns every ContactEvent into an
-// up/down callback pair on a ContactListener (the protocol Network).
+// scheduled at equal timestamps fire in scheduling order. The protocol
+// network schedules one callback per contact of its trace (with the
+// contact's duration) through at().
 #pragma once
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <queue>
 #include <vector>
 
-#include "g2g/trace/contact.hpp"
 #include "g2g/util/time.hpp"
 
 namespace g2g::sim {
@@ -55,18 +54,5 @@ class Simulator {
   bool stopped_ = false;
   std::priority_queue<Item, std::vector<Item>, Later> queue_;
 };
-
-/// Receiver of trace-driven radio events.
-class ContactListener {
- public:
-  virtual ~ContactListener() = default;
-  virtual void on_contact_up(TimePoint t, NodeId a, NodeId b) = 0;
-  virtual void on_contact_down(TimePoint t, NodeId a, NodeId b) = 0;
-};
-
-/// Schedule every contact of a finalized trace onto the simulator.
-/// The listener must outlive the run.
-void schedule_trace(Simulator& sim, const trace::ContactTrace& trace,
-                    ContactListener& listener);
 
 }  // namespace g2g::sim

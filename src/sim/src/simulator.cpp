@@ -26,13 +26,4 @@ std::size_t Simulator::run() {
   return fired;
 }
 
-void schedule_trace(Simulator& sim, const trace::ContactTrace& trace,
-                    ContactListener& listener) {
-  if (!trace.finalized()) throw std::invalid_argument("trace must be finalized");
-  for (const auto& e : trace.events()) {
-    sim.at(e.start, [&listener, e, &sim] { listener.on_contact_up(sim.now(), e.a, e.b); });
-    sim.at(e.end, [&listener, e, &sim] { listener.on_contact_down(sim.now(), e.a, e.b); });
-  }
-}
-
 }  // namespace g2g::sim

@@ -85,9 +85,9 @@ class Arena {
 };
 
 /// Encode `v` into an exactly-reserved arena span. The returned view stays
-/// valid until the arena's next reset(). Verifies the encode()/wire_size()
+/// valid until the arena's next reset(). Verifies the encode_into()/wire_size()
 /// contract: anything but an exact fill throws EncodeError.
-template <typename T>
+template <WireCodec T>
 [[nodiscard]] BytesView arena_encode(Arena& arena, const T& v) {
   const std::span<std::uint8_t> out = arena.alloc(v.wire_size());
   SpanWriter w(out);

@@ -5,6 +5,8 @@
 // little-endian byte encoding produced by Writer and consumed by Reader.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -78,7 +80,7 @@ class Writer {
 /// output to Writer, but never allocates and never grows: running past the
 /// end of the span throws EncodeError, and expect_full() verifies the encode
 /// filled the reservation exactly — together they pin the
-/// encode()/wire_size() contract at the seam for every wire type.
+/// encode_into()/wire_size() contract at the seam for every wire type.
 class SpanWriter {
  public:
   explicit SpanWriter(std::span<std::uint8_t> out) : out_(out) {}
@@ -192,11 +194,22 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Owning encode through the exactly-reserved SpanWriter seam: allocates
-/// wire_size() bytes once, encodes in place, verifies the exact fill. Every
-/// wire type's owning encode() delegates here, so the encode()/wire_size()
-/// contract is asserted on all paths, arena and owning alike.
+/// A wire type: an arithmetic wire_size(), an encode into an exactly-reserved
+/// SpanWriter, and a strict static decode of one whole encoding. Only wire
+/// types can be encoded (encode_exact, arena_encode), so a type that can be
+/// written but not read back does not compile.
 template <typename T>
+concept WireCodec = requires(const T& v, SpanWriter& w, BytesView b) {
+  { v.wire_size() } -> std::same_as<std::size_t>;
+  v.encode_into(w);
+  { T::decode(b) } -> std::same_as<T>;
+};
+
+/// Owning encode through the exactly-reserved SpanWriter seam: allocates
+/// wire_size() bytes once, encodes in place, verifies the exact fill. With
+/// arena_encode (arena.hpp) it is the only encoder, so the
+/// encode_into()/wire_size() contract is asserted on every path.
+template <WireCodec T>
 [[nodiscard]] Bytes encode_exact(const T& v) {
   Bytes out(v.wire_size());
   SpanWriter w(std::span<std::uint8_t>(out.data(), out.size()));

@@ -92,9 +92,9 @@ TEST(SpanWriter, OverflowAndUnderfillThrowEncodeError) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena encodes must be byte-identical to the owning encodes, and every
-// encode() must fill exactly wire_size() bytes (the SpanWriter seam enforces
-// it; these pins keep the two paths from drifting).
+// The borrowed-parts RELAY_DATA writer must be byte-identical to the owning
+// frame encode (arena_encode against encode_exact runs for every wire type
+// in tests/wire_codec_test.cpp).
 // ---------------------------------------------------------------------------
 
 struct WireFixture {
@@ -105,7 +105,7 @@ struct WireFixture {
     }
     msg = proto::make_message(ids[0], roster.get(NodeId(1)), MessageId(1), Bytes(64, 0x42),
                               rng);
-    msg_wire = msg.encode();
+    msg_wire = encode_exact(msg);
     h = msg.hash();
     por.h = h;
     por.giver = NodeId(0);
@@ -132,52 +132,6 @@ struct WireFixture {
   proto::QualityDeclaration decl;
 };
 
-TEST(ArenaEncode, MatchesOwningEncodeForEveryWireType) {
-  WireFixture f;
-  Arena arena;
-  const auto check = [&](const auto& v) {
-    const Bytes owned = v.encode();
-    EXPECT_EQ(owned.size(), v.wire_size());
-    const BytesView b = arena_encode(arena, v);
-    EXPECT_EQ(Bytes(b.begin(), b.end()), owned);
-  };
-  check(proto::relay::RelayRqstFrame{f.h});
-  check(proto::relay::RelayOkFrame{f.h, true});
-  check(proto::relay::RelayOkFrame{f.h, false});
-  proto::relay::KeyRevealFrame key;
-  key.h = f.h;
-  key.key.fill(0x07);
-  check(key);
-  proto::relay::PorRqstFrame rqst;
-  rqst.h = f.h;
-  rqst.seed.fill(0x0B);
-  check(rqst);
-  proto::relay::StoredRespFrame stored;
-  stored.h = f.h;
-  stored.seed.fill(0x0C);
-  stored.digest.fill(0x0D);
-  check(stored);
-  proto::relay::FqRqstFrame fq;
-  fq.h = f.h;
-  fq.dst = NodeId(1);
-  check(fq);
-  check(f.msg);
-  check(f.decl);
-  check(f.por);
-  proto::ProofOfRelay delegated = f.por;
-  delegated.delegation = true;
-  delegated.declared_dst = NodeId(1);
-  delegated.msg_quality = 1.5;
-  delegated.taker_quality = 2.0;
-  check(delegated);
-  proto::ProofOfMisbehavior pom;
-  pom.kind = proto::ProofOfMisbehavior::Kind::RelayFailure;
-  pom.culprit = NodeId(1);
-  pom.accuser = NodeId(0);
-  pom.evidence_accepted = f.por;
-  check(pom);
-}
-
 TEST(ArenaEncode, RelayDataBorrowedPartsMatchFrameEncode) {
   WireFixture f;
   Arena arena;
@@ -185,7 +139,7 @@ TEST(ArenaEncode, RelayDataBorrowedPartsMatchFrameEncode) {
   frame.h = f.h;
   frame.msg = f.msg;
   frame.attachments.push_back(f.decl);
-  const Bytes owned = frame.encode();
+  const Bytes owned = encode_exact(frame);
   const std::span<const proto::QualityDeclaration> attachments(frame.attachments);
   EXPECT_EQ(proto::relay::relay_data_wire_size(f.msg_wire.size(), attachments),
             frame.wire_size());

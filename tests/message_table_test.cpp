@@ -37,11 +37,11 @@ class MessageTableTest : public ::testing::Test {
 TEST_F(MessageTableTest, InternStoresTheEncodingItsHashAndTheId) {
   const SealedMessage m = message(4);
   const MessageRef r = table_.intern(m, MessageId(4));
-  const Bytes wire = m.encode();
+  const Bytes wire = encode_exact(m);
   EXPECT_EQ(table_.find(crypto::sha256(wire)), r);
   EXPECT_EQ(table_.hash(r), crypto::sha256(wire));
   EXPECT_EQ(Bytes(table_.wire(r).begin(), table_.wire(r).end()), wire);
-  EXPECT_EQ(table_.body(r).encode(), wire);
+  EXPECT_EQ(encode_exact(table_.body(r)), wire);
   EXPECT_EQ(table_.id(r), MessageId(4));
   EXPECT_EQ(table_.size(), 1u);
   // Interning the same bytes again keeps the entry.
@@ -52,7 +52,7 @@ TEST_F(MessageTableTest, InternStoresTheEncodingItsHashAndTheId) {
 TEST_F(MessageTableTest, AdmitMatchesTheClaimOnlyOnEqualBytes) {
   const SealedMessage m = message(1);
   const MessageRef r = table_.intern(m, MessageId(1));
-  const Bytes wire = m.encode();
+  const Bytes wire = encode_exact(m);
   const MessageHash h = table_.hash(r);
 
   // Byte-identical bytes under the right claim: the same entry.
@@ -72,7 +72,7 @@ TEST_F(MessageTableTest, AdmitMatchesTheClaimOnlyOnEqualBytes) {
   EXPECT_EQ(table_.hash(t), crypto::sha256(flipped));
   EXPECT_EQ(table_.find(crypto::sha256(flipped)), t);
   EXPECT_EQ(Bytes(table_.wire(t).begin(), table_.wire(t).end()), flipped);
-  EXPECT_EQ(table_.body(t).encode(), flipped);
+  EXPECT_EQ(encode_exact(table_.body(t)), flipped);
   EXPECT_FALSE(table_.id(t).valid());
   // The original entry is untouched, and admitting the flipped bytes again
   // finds their entry.
@@ -82,7 +82,7 @@ TEST_F(MessageTableTest, AdmitMatchesTheClaimOnlyOnEqualBytes) {
 }
 
 TEST_F(MessageTableTest, AdmitRejectsBytesThatAreNotOneMessage) {
-  const Bytes wire = message(2).encode();
+  const Bytes wire = encode_exact(message(2));
   const Bytes truncated(wire.begin(), wire.end() - 1);
   EXPECT_THROW((void)table_.admit(truncated, crypto::sha256(truncated)), DecodeError);
   EXPECT_EQ(table_.size(), 0u);
@@ -95,11 +95,11 @@ TEST_F(MessageTableTest, RefsAndEntryReferencesSurviveThousandsOfInserts) {
   const MessageHash& hash = table_.hash(r);
   const SealedMessage& body = table_.body(r);
   const BytesView wire = table_.wire(r);
-  const MessageHash expected = crypto::sha256(first.encode());
+  const MessageHash expected = crypto::sha256(encode_exact(first));
 
   // 3000 distinct messages: one of the last 16 ciphertext bytes of the first
   // message, flipped by a distinct mask.
-  const Bytes base = first.encode();
+  const Bytes base = encode_exact(first);
   for (std::uint32_t i = 0; i < 3000; ++i) {
     Bytes other = base;
     other[other.size() - 1 - (i % 16)] ^= static_cast<std::uint8_t>(1 + i / 16);
@@ -110,7 +110,7 @@ TEST_F(MessageTableTest, RefsAndEntryReferencesSurviveThousandsOfInserts) {
   EXPECT_EQ(&table_.body(r), &body);
   EXPECT_EQ(table_.wire(r).data(), wire.data());
   EXPECT_EQ(hash, expected);
-  EXPECT_EQ(body.encode(), base);
+  EXPECT_EQ(encode_exact(body), base);
   EXPECT_EQ(Bytes(wire.begin(), wire.end()), base);
   EXPECT_EQ(table_.find(expected), r);
   EXPECT_EQ(table_.id(r), MessageId(1));

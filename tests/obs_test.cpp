@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "g2g/core/experiment.hpp"
@@ -91,7 +92,7 @@ TEST(Registry, CounterAccumulates) {
 
 TEST(Registry, HistogramBucketEdgesAreInclusiveUpperBounds) {
   obs::Registry reg;
-  obs::Histogram& h = reg.histogram("delay", {1.0, 10.0});
+  obs::Histogram& h = reg.histogram("msg.delay_s", {1.0, 10.0});
   h.observe(0.5);    // <= 1        -> bucket 0
   h.observe(1.0);    // == edge     -> bucket 0 (inclusive)
   h.observe(1.0001); // just above  -> bucket 1
@@ -108,17 +109,17 @@ TEST(Registry, HistogramBucketEdgesAreInclusiveUpperBounds) {
 
 TEST(Registry, HistogramRejectsNonAscendingEdges) {
   obs::Registry reg;
-  EXPECT_THROW((void)reg.histogram("bad", {1.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW((void)reg.histogram("bad2", {2.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW((void)reg.histogram("msg.equal_edges", {1.0, 1.0}), std::invalid_argument);
+  EXPECT_THROW((void)reg.histogram("msg.descending_edges", {2.0, 1.0}), std::invalid_argument);
 }
 
 TEST(Registry, CopySnapshotsValues) {
   obs::Registry reg;
-  reg.counter("a").add(7);
+  reg.counter("msg.generated").add(7);
   obs::Registry snapshot = reg;
-  reg.counter("a").add(1);
-  EXPECT_EQ(snapshot.value("a"), 7u);
-  EXPECT_EQ(reg.value("a"), 8u);
+  reg.counter("msg.generated").add(1);
+  EXPECT_EQ(snapshot.value("msg.generated"), 7u);
+  EXPECT_EQ(reg.value("msg.generated"), 8u);
 }
 
 TEST(JsonlSink, WritesOneParseableLinePerEvent) {
@@ -158,7 +159,8 @@ struct SpanRecordingSink final : obs::EventSink {
 
 TEST(Spans, DisabledTracerReturnsZeroAndIgnoresCloses) {
   obs::Tracer t;
-  EXPECT_EQ(t.open_span(TimePoint::from_seconds(1.0), "msg", 0, NodeId(0), NodeId(1)), 0u);
+  EXPECT_EQ(t.open_span(TimePoint::from_seconds(1.0), obs::SpanKind::Msg, 0, NodeId(0), NodeId(1)),
+            0u);
   t.close_span(TimePoint::from_seconds(2.0), 0);  // must be a no-op
   t.open_message_span(TimePoint::from_seconds(1.0), 7, NodeId(0), NodeId(1));
   EXPECT_EQ(t.message_span(7), 0u);
@@ -170,8 +172,8 @@ TEST(Spans, IdsAreSequentialAndRecordsKeepEmissionOrder) {
   SpanRecordingSink sink;
   t.add_sink(&sink);
   const TimePoint at = TimePoint::from_seconds(5.0);
-  const std::uint64_t a = t.open_span(at, "msg", 0, NodeId(0), NodeId(3), 42);
-  const std::uint64_t b = t.open_span(at, "relay_session", a, NodeId(0), NodeId(1), 42);
+  const std::uint64_t a = t.open_span(at, obs::SpanKind::Msg, 0, NodeId(0), NodeId(3), 42);
+  const std::uint64_t b = t.open_span(at, obs::SpanKind::RelaySession, a, NodeId(0), NodeId(1), 42);
   t.close_span(at, b, 1);
   t.close_span(at, a, 0);
   EXPECT_EQ(a, 1u);
@@ -220,7 +222,7 @@ TEST(Spans, WallProfilingStampsCloseRecords) {
   t.add_sink(&sink);
   t.enable_wall_profiling();
   const std::uint64_t id =
-      t.open_span(TimePoint::from_seconds(1.0), "msg", 0, NodeId(0), NodeId(1));
+      t.open_span(TimePoint::from_seconds(1.0), obs::SpanKind::Msg, 0, NodeId(0), NodeId(1));
   t.close_span(TimePoint::from_seconds(2.0), id);
   ASSERT_EQ(sink.spans.size(), 2u);
   EXPECT_GE(sink.spans[1].wall_ns, 0);
@@ -234,7 +236,7 @@ TEST(JsonlSink, SpanLinesAreGolden) {
     obs::Tracer t;
     t.add_sink(&sink);
     const std::uint64_t id =
-        t.open_span(TimePoint::from_seconds(1.5), "msg", 0, NodeId(3), NodeId(7), 42);
+        t.open_span(TimePoint::from_seconds(1.5), obs::SpanKind::Msg, 0, NodeId(3), NodeId(7), 42);
     t.close_span(TimePoint::from_seconds(2.0), id, 1);
     EXPECT_EQ(sink.lines_written(), 2u);
   }
@@ -253,13 +255,14 @@ TEST(JsonlSink, SpanLinesAreGolden) {
 TEST(StageProfile, RecordsAndSums) {
   obs::StageProfile profile;
   {
-    obs::StageTimer t(profile, "a");
+    obs::StageTimer t(profile, obs::StageKind::WarmUp);
   }
-  profile.add("b", 1.5);
-  profile.add("a", 0.5);
+  profile.add(obs::StageKind::Simulation, 1.5);
+  profile.add(obs::StageKind::WarmUp, 0.5);
   EXPECT_EQ(profile.stages().size(), 3u);
-  EXPECT_GE(profile.seconds("a"), 0.5);  // timer adds >= 0 on top
-  EXPECT_DOUBLE_EQ(profile.seconds("b"), 1.5);
+  EXPECT_STREQ(profile.stages()[0].name, "warm_up");
+  EXPECT_GE(profile.seconds("warm_up"), 0.5);  // timer adds >= 0 on top
+  EXPECT_DOUBLE_EQ(profile.seconds("simulation"), 1.5);
   EXPECT_GE(profile.total(), 2.0);
 }
 
@@ -385,7 +388,7 @@ TEST(ObsExperiment, StageProfileCoversThePipeline) {
   for (const char* stage : {"trace_gen", "communities", "warm_up", "simulation",
                             "extraction"}) {
     bool found = false;
-    for (const auto& s : r.stages.stages()) found |= s.name == stage;
+    for (const auto& s : r.stages.stages()) found |= std::string_view(s.name) == stage;
     EXPECT_TRUE(found) << "missing stage " << stage;
   }
   EXPECT_GT(r.stages.total(), 0.0);

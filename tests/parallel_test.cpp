@@ -72,20 +72,20 @@ TEST(Parallel, PropagatesExceptions) {
 // innocent configs; and "first error wins" depended on thread timing.
 TEST(Parallel, FailingConfigDoesNotAbandonOtherIndices) {
   std::atomic<int> executed{0};
-  EXPECT_THROW(sharded_for(16, 4,
-                           [&executed](std::size_t i) {
-                             executed.fetch_add(1);
-                             if (i % 5 == 2) throw std::runtime_error("boom");
-                           }),
+  EXPECT_THROW(parallel_for(16, 4,
+                            [&executed](std::size_t i) {
+                              executed.fetch_add(1);
+                              if (i % 5 == 2) throw std::runtime_error("boom");
+                            }),
                std::runtime_error);
-  // Every index ran, including the ones after a failure in the same shard.
+  // Every index ran, including the ones a worker claimed after its failure.
   EXPECT_EQ(executed.load(), 16);
 }
 
 TEST(Parallel, LowestIndexErrorIsRethrownDeterministically) {
   for (int trial = 0; trial < 10; ++trial) {
     try {
-      sharded_for(12, 4, [](std::size_t i) {
+      parallel_for(12, 4, [](std::size_t i) {
         if (i == 3 || i == 7 || i == 11) {
           throw std::runtime_error("fail at " + std::to_string(i));
         }
@@ -123,12 +123,11 @@ TEST(Parallel, SweepPropagatesLowestCellError) {
   EXPECT_THROW((void)run_sweep(cells, 3), std::invalid_argument);
 }
 
-// TSan-targeted contention stress (ISSUE 5): thousands of near-empty work
-// items force the owned shards to drain almost immediately, so most of the
-// run is workers racing through the steal path — victim scans, cursor
-// fetch_adds, lost claim races — while failures land under the error mutex.
-// The pool contract must survive untouched: every index executes exactly
-// once (drain-all), and the lowest-index error is the one rethrown no matter
+// TSan-targeted contention stress: thousands of near-empty work items keep
+// every worker racing on the shared claim cursor — back-to-back fetch_adds,
+// claims past the end — while failures land under the error mutex. The pool
+// contract must survive untouched: every index executes exactly once
+// (drain-all), and the lowest-index error is the one rethrown no matter
 // which worker hit its failure first. Runs in the normal suite too; under
 // `tools/check.sh --tsan` the same interleavings are race-checked.
 TEST(Parallel, ContentionStressDrainsAllAndRethrowsLowest) {
@@ -138,12 +137,12 @@ TEST(Parallel, ContentionStressDrainsAllAndRethrowsLowest) {
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<std::atomic<std::uint8_t>> executions(kIndices);
     try {
-      sharded_for(kIndices, kThreads, [&executions](std::size_t i) {
+      parallel_for(kIndices, kThreads, [&executions](std::size_t i) {
         executions[i].fetch_add(1);
-        // Uneven spin: make some cells slower so shard drain rates diverge
-        // and thieves pile onto the loaded shards.
+        // Uneven spin: some cells run slower, so workers fall out of step
+        // and their claims interleave irregularly.
         volatile std::size_t sink = 0;
-        for (std::size_t k = 0; k < (i % 7) * 50; ++k) sink += k;
+        for (std::size_t k = 0; k < (i % 7) * 50; ++k) sink = sink + k;
         if (i % 97 == kFirstFailure % 97 && i >= kFirstFailure) {
           throw std::runtime_error("fail at " + std::to_string(i));
         }

@@ -1,7 +1,7 @@
 // Property tests for the discrete-event core: the simulator's ordering
 // contract ((t, seq) — equal timestamps fire in scheduling order), the
-// horizon guarantee (schedule_trace never delivers a callback after the
-// horizon), and whole-pipeline seed replay (the same config twice yields a
+// horizon guarantee (a contact trace scheduled through at() never fires a
+// callback after the horizon), and whole-pipeline seed replay (the same config twice yields a
 // byte-identical serialized result). These are the assumptions every other
 // determinism test in the repo quietly leans on.
 #include <gtest/gtest.h>
@@ -72,21 +72,6 @@ TEST(SimProperty, NestedSchedulingAtNowFiresAfterCurrentEvent) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
 }
 
-class RecordingListener final : public ContactListener {
- public:
-  void on_contact_up(TimePoint t, NodeId a, NodeId b) override {
-    events.emplace_back(t, true);
-    (void)a;
-    (void)b;
-  }
-  void on_contact_down(TimePoint t, NodeId a, NodeId b) override {
-    events.emplace_back(t, false);
-    (void)a;
-    (void)b;
-  }
-  std::vector<std::pair<TimePoint, bool>> events;
-};
-
 TEST(SimProperty, ScheduledTraceNeverFiresPastTheHorizon) {
   Rng rng(0x40A1);
   for (int trial = 0; trial < 30; ++trial) {
@@ -107,20 +92,24 @@ TEST(SimProperty, ScheduledTraceNeverFiresPastTheHorizon) {
     }
     trace.finalize();
 
+    // One callback at each contact's start and end, as a protocol network
+    // schedules them; each records the time it fired at.
     Simulator sim(horizon);
-    RecordingListener listener;
-    schedule_trace(sim, trace, listener);
+    std::vector<std::pair<TimePoint, bool>> fired;
+    for (const auto& e : trace.events()) {
+      sim.at(e.start, [&sim, &fired] { fired.emplace_back(sim.now(), true); });
+      sim.at(e.end, [&sim, &fired] { fired.emplace_back(sim.now(), false); });
+    }
     sim.run();
 
-    for (const auto& [t, up] : listener.events) {
+    for (const auto& [t, up] : fired) {
       EXPECT_LE(t, horizon) << "trial " << trial << (up ? " up" : " down");
     }
     EXPECT_LE(sim.now(), horizon) << "trial " << trial;
     // finalize() may coalesce overlapping intervals, so `within` is only an
     // upper bound on the callbacks that survive the horizon cut.
-    EXPECT_LE(listener.events.size(), static_cast<std::size_t>(2 * contacts))
-        << "trial " << trial;
-    EXPECT_LE(listener.events.size(), within) << "trial " << trial;
+    EXPECT_LE(fired.size(), static_cast<std::size_t>(2 * contacts)) << "trial " << trial;
+    EXPECT_LE(fired.size(), within) << "trial " << trial;
   }
 }
 

@@ -75,53 +75,6 @@ TEST(Simulator, StopHaltsImmediately) {
   EXPECT_EQ(fired, 2);
 }
 
-class RecordingListener final : public ContactListener {
- public:
-  struct Event {
-    bool up;
-    TimePoint t;
-    NodeId a;
-    NodeId b;
-  };
-  std::vector<Event> events;
-
-  void on_contact_up(TimePoint t, NodeId a, NodeId b) override {
-    events.push_back({true, t, a, b});
-  }
-  void on_contact_down(TimePoint t, NodeId a, NodeId b) override {
-    events.push_back({false, t, a, b});
-  }
-};
-
-TEST(ScheduleTrace, DeliversUpDownPairs) {
-  trace::ContactTrace t;
-  t.add(NodeId(0), NodeId(1), at(10), at(20));
-  t.add(NodeId(1), NodeId(2), at(15), at(25));
-  t.finalize();
-
-  Simulator sim;
-  RecordingListener listener;
-  schedule_trace(sim, t, listener);
-  sim.run();
-
-  ASSERT_EQ(listener.events.size(), 4u);
-  EXPECT_TRUE(listener.events[0].up);
-  EXPECT_EQ(listener.events[0].t, at(10));
-  EXPECT_TRUE(listener.events[1].up);
-  EXPECT_EQ(listener.events[1].t, at(15));
-  EXPECT_FALSE(listener.events[2].up);  // down of (0,1) at 20
-  EXPECT_EQ(listener.events[2].t, at(20));
-  EXPECT_FALSE(listener.events[3].up);
-}
-
-TEST(ScheduleTrace, RequiresFinalizedTrace) {
-  trace::ContactTrace t;
-  t.add(NodeId(0), NodeId(1), at(0), at(1));
-  Simulator sim;
-  RecordingListener listener;
-  EXPECT_THROW(schedule_trace(sim, t, listener), std::invalid_argument);
-}
-
 TEST(Traffic, WindowAndEndpointInvariants) {
   TrafficConfig cfg;
   cfg.start = at(100);

@@ -52,7 +52,7 @@ class WireTest : public ::testing::Test {
 
 TEST_F(WireTest, PorEncodingRoundTrip) {
   const ProofOfRelay por = make_por(0, 1, true, 2.0, 5.0);
-  const ProofOfRelay decoded = ProofOfRelay::decode(por.encode());
+  const ProofOfRelay decoded = ProofOfRelay::decode(encode_exact(por));
   EXPECT_EQ(decoded.h, por.h);
   EXPECT_EQ(decoded.giver, por.giver);
   EXPECT_EQ(decoded.taker, por.taker);
@@ -67,7 +67,7 @@ TEST_F(WireTest, PorEncodingRoundTrip) {
 
 TEST_F(WireTest, DeclarationEncodingRoundTrip) {
   const QualityDeclaration d = make_decl(2, 3, 7.5);
-  const QualityDeclaration decoded = QualityDeclaration::decode(d.encode());
+  const QualityDeclaration decoded = QualityDeclaration::decode(encode_exact(d));
   EXPECT_EQ(decoded.declarer, d.declarer);
   EXPECT_EQ(decoded.dst, d.dst);
   EXPECT_DOUBLE_EQ(decoded.value, d.value);
@@ -208,43 +208,9 @@ TEST_F(WireTest, PomEncodingProducesReasonableSizes) {
   pom.accuser = NodeId(0);
   pom.evidence_accepted = make_por(0, 1, true);
   pom.evidence_forwarded = make_por(1, 2, true);
-  EXPECT_EQ(pom.wire_size(), pom.encode().size());
+  EXPECT_EQ(pom.wire_size(), encode_exact(pom).size());
   EXPECT_GT(pom.wire_size(), 2 * 64u);
   EXPECT_LT(pom.wire_size(), 1024u);
-}
-
-TEST_F(WireTest, WireSizeMatchesEncodedSizeForAllArtefacts) {
-  // wire_size() is computed arithmetically (no throwaway encode); it must
-  // agree with the actual encoding for every artefact shape.
-  const QualityDeclaration decl = make_decl(2, 3, 7.5);
-  EXPECT_EQ(decl.wire_size(), decl.encode().size());
-
-  for (const bool delegation : {false, true}) {
-    const ProofOfRelay por = make_por(0, 1, delegation, 2.0, 5.0);
-    EXPECT_EQ(por.wire_size(), por.encode().size()) << "delegation=" << delegation;
-  }
-
-  ProofOfMisbehavior relay_failure;
-  relay_failure.kind = ProofOfMisbehavior::Kind::RelayFailure;
-  relay_failure.culprit = NodeId(1);
-  relay_failure.accuser = NodeId(0);
-  relay_failure.evidence_accepted = make_por(0, 1);
-  EXPECT_EQ(relay_failure.wire_size(), relay_failure.encode().size());
-
-  ProofOfMisbehavior quality_lie;
-  quality_lie.kind = ProofOfMisbehavior::Kind::QualityLie;
-  quality_lie.culprit = NodeId(2);
-  quality_lie.accuser = NodeId(3);
-  quality_lie.evidence_declaration = make_decl(2, 3, 0.0);
-  EXPECT_EQ(quality_lie.wire_size(), quality_lie.encode().size());
-
-  ProofOfMisbehavior chain_cheat;
-  chain_cheat.kind = ProofOfMisbehavior::Kind::ChainCheat;
-  chain_cheat.culprit = NodeId(1);
-  chain_cheat.accuser = NodeId(0);
-  chain_cheat.evidence_accepted = make_por(0, 1, true, 2.0, 5.0);
-  chain_cheat.evidence_forwarded = make_por(1, 2, true, 0.0, 7.0);
-  EXPECT_EQ(chain_cheat.wire_size(), chain_cheat.encode().size());
 }
 
 TEST_F(WireTest, PorWireSizeConditionalOnDelegation) {
@@ -254,14 +220,15 @@ TEST_F(WireTest, PorWireSizeConditionalOnDelegation) {
   const ProofOfRelay epidemic = make_por(0, 1, false);
   const ProofOfRelay delegation = make_por(0, 1, true, 2.0, 5.0);
   ASSERT_EQ(epidemic.taker_signature.size(), 32u);
-  EXPECT_EQ(epidemic.encode().size(), 85u);
-  EXPECT_EQ(delegation.encode().size(), 113u);
-  EXPECT_EQ(delegation.encode().size() - epidemic.encode().size(), 4u + 8u + 8u + 8u);
+  EXPECT_EQ(encode_exact(epidemic).size(), 85u);
+  EXPECT_EQ(encode_exact(delegation).size(), 113u);
+  EXPECT_EQ(encode_exact(delegation).size() - encode_exact(epidemic).size(),
+            4u + 8u + 8u + 8u);
 }
 
 TEST_F(WireTest, EpidemicPorRoundTripDropsNoFields) {
   const ProofOfRelay por = make_por(2, 3, false);
-  const ProofOfRelay decoded = ProofOfRelay::decode(por.encode());
+  const ProofOfRelay decoded = ProofOfRelay::decode(encode_exact(por));
   EXPECT_EQ(decoded.h, por.h);
   EXPECT_EQ(decoded.giver, por.giver);
   EXPECT_EQ(decoded.taker, por.taker);
@@ -300,12 +267,12 @@ TEST_F(WireTest, PomDecodeRoundTripsAllKinds) {
   chain_cheat.evidence_forwarded = make_por(1, 2, true, 0.0, 7.0);
 
   for (const auto* pom : {&relay_failure, &quality_lie, &chain_cheat}) {
-    const ProofOfMisbehavior decoded = ProofOfMisbehavior::decode(pom->encode());
+    const ProofOfMisbehavior decoded = ProofOfMisbehavior::decode(encode_exact(*pom));
     EXPECT_EQ(decoded.kind, pom->kind);
     EXPECT_EQ(decoded.culprit, pom->culprit);
     EXPECT_EQ(decoded.accuser, pom->accuser);
     EXPECT_EQ(decoded.at, pom->at);
-    EXPECT_EQ(decoded.encode(), pom->encode());
+    EXPECT_EQ(encode_exact(decoded), encode_exact(*pom));
     // Decoded accusations still verify: decode loses no signed material.
     EXPECT_EQ(verify_pom(*suite_, roster_, decoded), verify_pom(*suite_, roster_, *pom));
   }
@@ -317,7 +284,7 @@ TEST_F(WireTest, PomDecodeRejectsMalformedAccusations) {
   pom.culprit = NodeId(1);
   pom.accuser = NodeId(0);
   pom.evidence_accepted = make_por(0, 1);
-  const Bytes good = pom.encode();
+  const Bytes good = encode_exact(pom);
   ASSERT_NO_THROW((void)ProofOfMisbehavior::decode(good));
 
   // Unknown kind byte.
@@ -340,7 +307,7 @@ TEST_F(WireTest, PomDecodeRejectsMalformedAccusations) {
   // carry exactly the accepted PoR.
   ProofOfMisbehavior wrong_shape = pom;
   wrong_shape.evidence_declaration = make_decl(2, 3, 0.0);
-  EXPECT_THROW((void)ProofOfMisbehavior::decode(wrong_shape.encode()), DecodeError);
+  EXPECT_THROW((void)ProofOfMisbehavior::decode(encode_exact(wrong_shape)), DecodeError);
 
   ProofOfMisbehavior missing_evidence;
   missing_evidence.kind = ProofOfMisbehavior::Kind::ChainCheat;
@@ -348,7 +315,7 @@ TEST_F(WireTest, PomDecodeRejectsMalformedAccusations) {
   missing_evidence.accuser = NodeId(0);
   missing_evidence.evidence_accepted = make_por(0, 1, true);
   // ChainCheat without the forwarded PoR.
-  EXPECT_THROW((void)ProofOfMisbehavior::decode(missing_evidence.encode()), DecodeError);
+  EXPECT_THROW((void)ProofOfMisbehavior::decode(encode_exact(missing_evidence)), DecodeError);
 }
 
 TEST_F(WireTest, MinQualityOrdering) {

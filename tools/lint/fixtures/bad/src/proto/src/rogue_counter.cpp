@@ -1,21 +1,11 @@
-// Fixture: counter hygiene — an unregistered counter name and an ad-hoc
-// atomic tally outside src/obs.
+// Fixture: counter hygiene — an ad-hoc atomic tally outside src/obs.
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 namespace fixture {
 
-struct FakeRegistry {
-  int& counter(const std::string&) { return slot; }
-  int slot = 0;
-};
-
 std::atomic<std::uint64_t> g_relay_tally{0};  // no-adhoc-atomic
 
-void bump(FakeRegistry& reg) {
-  reg.counter("relay_tally_total") += 1;  // counter-name-prefix
-  g_relay_tally.fetch_add(1);
-}
+void bump() { g_relay_tally.fetch_add(1); }
 
 }  // namespace fixture

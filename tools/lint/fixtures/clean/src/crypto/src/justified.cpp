@@ -7,11 +7,6 @@
 
 namespace fixture {
 
-struct FakeRegistry {
-  int& counter(const std::string& name) { return slots[name]; }
-  std::map<std::string, int> slots;
-};
-
 // g2g-lint: allow(no-getenv) -- process-level feature toggle read once at
 // startup; never consulted during a run, so replays are unaffected.
 const char* feature_toggle() { return std::getenv("FIXTURE_TOGGLE"); }
@@ -20,25 +15,9 @@ const char* feature_toggle() { return std::getenv("FIXTURE_TOGGLE"); }
 // protocol counter; results are reduced in index order regardless.
 std::atomic<int> g_cursor{0};
 
-void bump(FakeRegistry& reg) {
-  reg.counter("g2g.fixture.bumps") += 1;  // registered prefix: clean
-  std::map<std::string, int> ordered;     // ordered container: iteration is fine
+void iterate() {
+  std::map<std::string, int> ordered;  // ordered container: iteration is fine
   for (const auto& kv : ordered) (void)kv;
-}
-
-struct FakeTracer {
-  unsigned open_span(int t, const char* name, unsigned parent) {
-    (void)t;
-    (void)name;
-    return parent + 1;
-  }
-};
-
-void trace(FakeTracer& tracer) {
-  tracer.open_span(0, "audit_round", 0);  // registered span name: clean
-  // g2g-lint: allow(span-name-registry) -- fixture-local experiment span,
-  // deliberately outside the registered set to exercise the escape hatch.
-  tracer.open_span(0, "fixture_experiment", 0);
 }
 
 }  // namespace fixture

@@ -1,7 +1,7 @@
 // g2g-lint v2 driver: one lexical pass per file (lexer.cpp) feeds the scope
 // tracker (scope.cpp), the pragma table (pragma.cpp), and every per-file
 // rule (rules_text.cpp, rules_semantic.cpp, rules_include.cpp); the
-// whole-repo coverage rules (rules_repo.cpp) run once at the end.
+// whole-repo coverage rule (rules_repo.cpp) runs once at the end.
 #include "lint.hpp"
 
 #include <algorithm>
@@ -89,14 +89,13 @@ const std::vector<std::string>& rule_ids() {
       "no-rand", "no-random-device", "no-wall-clock", "no-getenv",
       "no-unordered-iter",
       // wire
-      "wire-encode-triple", "frame-fuzz-coverage", "mod-param-diff-coverage",
-      "no-owning-buffer-hot-path",
+      "mod-param-diff-coverage", "no-owning-buffer-hot-path",
       // lifetime
       "view-escape", "arena-reset-safety",
       // layering
       "include-layering",
-      // counters & tracing
-      "counter-name-prefix", "span-name-registry", "no-adhoc-atomic",
+      // counters
+      "no-adhoc-atomic",
       // pragma hygiene
       "allow-without-justification", "allow-unknown-rule",
   };
@@ -125,16 +124,12 @@ Report run_report(const Options& options) {
     li::Sink sink(rel, pragmas, report.findings, report.suppressed);
     li::scan_tokens(ctx, sink);
     li::scan_unordered_iteration(ctx, sink);
-    li::scan_wire_triple(ctx, sink);
-    li::scan_counters(ctx, sink);
-    li::scan_span_names(ctx, sink);
     li::scan_adhoc_atomics(ctx, sink);
     li::scan_owning_buffer_hot_path(ctx, sink);
     li::scan_view_escape(ctx, sink);
     li::scan_arena_reset_safety(ctx, sink);
     li::scan_include_layering(ctx, sink);
   }
-  li::scan_frame_fuzz_coverage(root, report.findings);
   li::scan_mod_param_diff_coverage(root, report.findings);
 
   sort_records(report.findings);

@@ -3,16 +3,18 @@
 // v2 engine: one lexical pass per file produces a token stream plus
 // per-line comment/code/blanked projections (lexer.hpp); a brace/paren
 // scope tracker classifies every scope (scope.hpp); rules run over
-// whichever representation fits. Four rule families
+// whichever representation fits. Five rule families
 // (docs/STATIC_ANALYSIS.md is the user-facing catalogue):
 //
 //   determinism   no-rand, no-random-device, no-wall-clock, no-getenv,
 //                 no-unordered-iter
-//   wire          wire-encode-triple, frame-fuzz-coverage,
-//                 no-owning-buffer-hot-path, mod-param-diff-coverage
+//   wire          no-owning-buffer-hot-path, mod-param-diff-coverage
 //   lifetime      view-escape, arena-reset-safety
 //   layering      include-layering
-//   counters      counter-name-prefix, span-name-registry, no-adhoc-atomic
+//   counters      no-adhoc-atomic
+//
+// Span, stage and counter names and the wire codec contract are not lint
+// rules: types hold them (docs/STATIC_ANALYSIS.md, "Held by the compiler").
 //
 // A finding is suppressed by a justified pragma on the same line or the
 // line directly above:

@@ -47,9 +47,6 @@ class Sink {
 // rules_text.cpp — the ported v1 line rules.
 void scan_tokens(const FileContext& ctx, Sink& sink);
 void scan_unordered_iteration(const FileContext& ctx, Sink& sink);
-void scan_wire_triple(const FileContext& ctx, Sink& sink);
-void scan_counters(const FileContext& ctx, Sink& sink);
-void scan_span_names(const FileContext& ctx, Sink& sink);
 void scan_adhoc_atomics(const FileContext& ctx, Sink& sink);
 void scan_owning_buffer_hot_path(const FileContext& ctx, Sink& sink);
 
@@ -60,9 +57,7 @@ void scan_arena_reset_safety(const FileContext& ctx, Sink& sink);
 // rules_include.cpp — include-graph layering.
 void scan_include_layering(const FileContext& ctx, Sink& sink);
 
-// rules_repo.cpp — whole-repo coverage rules (no per-line pragma context).
-void scan_frame_fuzz_coverage(const std::filesystem::path& root,
-                              std::vector<Finding>& out);
+// rules_repo.cpp — the whole-repo coverage rule (no per-line pragma context).
 void scan_mod_param_diff_coverage(const std::filesystem::path& root,
                                   std::vector<Finding>& out);
 

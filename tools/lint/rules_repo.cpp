@@ -1,7 +1,7 @@
-// Whole-repo coverage rules: these check cross-file invariants (a frame
-// catalogue against its fuzz suite, modulus-taking kernels against the
-// differential corpus), so they read the relevant files directly rather
-// than running per scanned file. Ported behavior-identical from v1.
+// Whole-repo coverage rule: it checks a cross-file invariant (modulus-taking
+// kernels against the differential corpus), so it reads the relevant files
+// directly rather than running per scanned file. Ported behavior-identical
+// from v1.
 #include <algorithm>
 #include <fstream>
 #include <regex>
@@ -26,33 +26,6 @@ std::string slurp(const fs::path& path) {
 }
 
 }  // namespace
-
-// Frame catalogue completeness: every struct *Frame in relay/frames.hpp must
-// be exercised by the decoder fuzz suite.
-void scan_frame_fuzz_coverage(const fs::path& root, std::vector<Finding>& out) {
-  const fs::path frames = root / "src/proto/include/g2g/proto/relay/frames.hpp";
-  if (!fs::exists(frames)) return;  // repo layout without a relay layer
-  const std::string text = slurp(frames);
-
-  std::string fuzz_text;
-  const fs::path fuzz = root / "tests/fuzz_decode_test.cpp";
-  if (fs::exists(fuzz)) fuzz_text = slurp(fuzz);
-
-  static const std::regex kFrame(R"(struct\s+(\w+Frame)\b)");
-  for (auto it = std::sregex_iterator(text.begin(), text.end(), kFrame);
-       it != std::sregex_iterator(); ++it) {
-    const std::string name = (*it)[1].str();
-    if (fuzz_text.find(name) != std::string::npos) continue;
-    const auto line = static_cast<std::size_t>(
-                          std::count(text.begin(), text.begin() + it->position(), '\n')) +
-                      1;
-    out.push_back({"src/proto/include/g2g/proto/relay/frames.hpp", line,
-                   "frame-fuzz-coverage",
-                   "frame '" + name +
-                       "' is not exercised by tests/fuzz_decode_test.cpp; every "
-                       "decoder must survive the fuzz corpus"});
-  }
-}
 
 // Differential-oracle completeness: every function declared in a src/crypto
 // header that takes a modulus parameter (`const U256& m`/`modulus` or
