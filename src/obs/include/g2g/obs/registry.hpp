@@ -34,8 +34,8 @@ inline constexpr std::array<std::string_view, 8> kCounterAreas = {
 inline void counter_name_area_is_not_registered() {}
 
 /// A counter or histogram name whose area is in kCounterAreas. The consteval
-/// constructor runs at compile time, so only a checked literal converts
-/// (implicitly, so call sites pass the literal as they always did).
+/// constructor runs at compile time, so only a checked literal converts; the
+/// conversion is implicit, so a call site passes the literal itself.
 class CounterName {
  public:
   consteval CounterName(const char* name) : name_(name) {
