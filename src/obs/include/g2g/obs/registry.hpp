@@ -25,9 +25,9 @@ namespace g2g::obs {
 
 /// The counter namespace of docs/OBSERVABILITY.md. A new area is added here
 /// deliberately, in the same commit that documents it.
-inline constexpr std::array<std::string_view, 8> kCounterAreas = {
+inline constexpr auto kCounterAreas = std::to_array<std::string_view>({
     "buffer.", "detect.", "g2g.", "hs.", "msg.", "pom.", "session.", "wire.",
-};
+});
 
 /// Reached only when a CounterName literal has no registered area; being
 /// non-constexpr, the call makes that literal a compile error.
