@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "g2g/crypto/hmac.hpp"
-#include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/montgomery.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sealed_box.hpp"
@@ -135,12 +134,15 @@ void BM_MulModClassic(benchmark::State& state) {
 }
 BENCHMARK(BM_MulModClassic);
 
+// The sign and verify rows time the calls the protocol makes: through keys
+// prepared once, as a NodeIdentity and the roster hold them.
 void BM_SchnorrRsSign(benchmark::State& state) {
   const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::default_group());
   Rng rng(1);
   const KeyPair kp = suite->keygen(rng);
+  const SigningKeyPtr signer = suite->prepare_signing_key(kp.secret_key);
   const Bytes msg = to_bytes("proof of relay payload");
-  for (auto _ : state) benchmark::DoNotOptimize(suite->sign(kp.secret_key, msg));
+  for (auto _ : state) benchmark::DoNotOptimize(signer->sign(msg));
 }
 BENCHMARK(BM_SchnorrRsSign);
 
@@ -148,31 +150,24 @@ void BM_SchnorrRsVerify(benchmark::State& state) {
   const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::default_group());
   Rng rng(2);
   const KeyPair kp = suite->keygen(rng);
+  const PublicKeyPtr key = suite->prepare_public_key(kp.public_key);
   const Bytes msg = to_bytes("proof of relay payload");
-  const Bytes sig = suite->sign(kp.secret_key, msg);
-  for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
+  const Signature sig = suite->prepare_signing_key(kp.secret_key)->sign(msg);
+  for (auto _ : state) benchmark::DoNotOptimize(key->verify(msg, sig.view()));
 }
 BENCHMARK(BM_SchnorrRsVerify);
 
-// First verification under a key the suite has never seen: the signer's
-// window table is built, then used once. Cycling through twice the memo
-// bound makes every iteration a miss, so the difference to BM_SchnorrRsVerify
-// (warm table) is the per-signer build cost.
+// A key's first verification: prepare it (build the signer's window table),
+// then verify once. The difference to BM_SchnorrRsVerify is the per-signer
+// build cost, which a roster pays once per key and run.
 void BM_SchnorrRsVerifyFreshKey(benchmark::State& state) {
   const SuitePtr suite = make_schnorr_rs_suite(SchnorrGroup::default_group());
   Rng rng(8);
-  const std::size_t n = 2 * KeyMemo<FixedBaseTable>::kMaxKeys;
-  std::vector<KeyPair> keys;
-  std::vector<Bytes> sigs;
+  const KeyPair kp = suite->keygen(rng);
   const Bytes msg = to_bytes("proof of relay payload");
-  for (std::size_t i = 0; i < n; ++i) {
-    keys.push_back(suite->keygen(rng));
-    sigs.push_back(suite->sign(keys[i].secret_key, msg));
-  }
-  std::size_t i = 0;
+  const Signature sig = suite->prepare_signing_key(kp.secret_key)->sign(msg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(suite->verify(keys[i].public_key, msg, sigs[i]));
-    i = (i + 1) % n;
+    benchmark::DoNotOptimize(suite->prepare_public_key(kp.public_key)->verify(msg, sig.view()));
   }
 }
 BENCHMARK(BM_SchnorrRsVerifyFreshKey);
@@ -181,8 +176,9 @@ void BM_FastSuiteSign(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(3);
   const KeyPair kp = suite->keygen(rng);
+  const SigningKeyPtr signer = suite->prepare_signing_key(kp.secret_key);
   const Bytes msg = to_bytes("proof of relay payload");
-  for (auto _ : state) benchmark::DoNotOptimize(suite->sign(kp.secret_key, msg));
+  for (auto _ : state) benchmark::DoNotOptimize(signer->sign(msg));
 }
 BENCHMARK(BM_FastSuiteSign);
 
@@ -190,9 +186,10 @@ void BM_FastSuiteVerify(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(4);
   const KeyPair kp = suite->keygen(rng);
+  const PublicKeyPtr key = suite->prepare_public_key(kp.public_key);
   const Bytes msg = to_bytes("proof of relay payload");
-  const Bytes sig = suite->sign(kp.secret_key, msg);
-  for (auto _ : state) benchmark::DoNotOptimize(suite->verify(kp.public_key, msg, sig));
+  const Signature sig = suite->prepare_signing_key(kp.secret_key)->sign(msg);
+  for (auto _ : state) benchmark::DoNotOptimize(key->verify(msg, sig.view()));
 }
 BENCHMARK(BM_FastSuiteVerify);
 
@@ -200,9 +197,10 @@ void BM_SealedBoxRoundTrip(benchmark::State& state) {
   const SuitePtr suite = make_fast_suite();
   Rng rng(5);
   const KeyPair recipient = suite->keygen(rng);
+  const PublicKeyPtr recipient_key = suite->prepare_public_key(recipient.public_key);
   const Bytes body(static_cast<std::size_t>(state.range(0)), 0x42);
   for (auto _ : state) {
-    const SealedBox box = seal(*suite, rng, recipient.public_key, body);
+    const SealedBox box = seal(*suite, rng, *recipient_key, body);
     benchmark::DoNotOptimize(seal_open(*suite, recipient.secret_key, box));
   }
 }

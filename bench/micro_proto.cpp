@@ -49,7 +49,7 @@ struct Fixture {
   Rng rng;
   crypto::Authority authority;
   std::vector<crypto::NodeIdentity> identities;
-  Roster roster;
+  Roster roster{suite};
 };
 
 Fixture& fast_fixture() {
@@ -67,7 +67,7 @@ void BM_MakeMessage(benchmark::State& state) {
   const Bytes body(64, 0x42);
   std::uint64_t id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(make_message(f.identities[0], f.roster.get(NodeId(1)),
+    benchmark::DoNotOptimize(make_message(f.identities[0], f.roster, NodeId(1),
                                           MessageId(++id), body, f.rng));
   }
 }
@@ -76,7 +76,7 @@ BENCHMARK(BM_MakeMessage);
 void BM_OpenMessage(benchmark::State& state) {
   Fixture& f = fast_fixture();
   const SealedMessage m =
-      make_message(f.identities[0], f.roster.get(NodeId(1)), MessageId(1), Bytes(64, 1), f.rng);
+      make_message(f.identities[0], f.roster, NodeId(1), MessageId(1), Bytes(64, 1), f.rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(open_message(f.identities[1], m, f.roster));
   }
@@ -130,7 +130,7 @@ void BM_PomVerifyChainCheat(benchmark::State& state) {
   pom.evidence_accepted = in;
   pom.evidence_forwarded = out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(verify_pom(*f.suite, f.roster, pom));
+    benchmark::DoNotOptimize(verify_pom(f.roster, pom));
   }
 }
 BENCHMARK(BM_PomVerifyChainCheat);
@@ -185,7 +185,7 @@ BENCHMARK(BM_FrameSmallRoundTrips);
 void BM_FrameRelayDataRoundTrip(benchmark::State& state) {
   Fixture& f = fast_fixture();
   relay::RelayDataFrame frame;
-  frame.msg = make_message(f.identities[0], f.roster.get(NodeId(1)), MessageId(77),
+  frame.msg = make_message(f.identities[0], f.roster, NodeId(1), MessageId(77),
                            Bytes(64, 0x42), f.rng);
   frame.h = frame.msg.hash();
   frame.attachments.push_back(make_declaration(f, 1, 2.5));
@@ -206,7 +206,7 @@ BENCHMARK(BM_FrameRelayDataRoundTrip);
 /// checked-in BENCH_micro_proto.json baseline).
 void BM_FrameCodecArenaPath(benchmark::State& state) {
   Fixture& f = fast_fixture();
-  const SealedMessage msg = make_message(f.identities[0], f.roster.get(NodeId(1)),
+  const SealedMessage msg = make_message(f.identities[0], f.roster, NodeId(1),
                                          MessageId(88), Bytes(64, 0x42), f.rng);
   const Bytes msg_wire = encode_exact(msg);
   const MessageHash h = msg.hash();
@@ -271,7 +271,7 @@ struct RelayWorld {
                                                      std::vector<BehaviorConfig>{}, collector);
     Rng rng(17);
     G2GEpidemicNode& src = net->node(NodeId(0));
-    const SealedMessage m = make_message(src.identity(), net->roster().get(NodeId(kTakers + 1)),
+    const SealedMessage m = make_message(src.identity(), net->roster(), NodeId(kTakers + 1),
                                          MessageId(1), Bytes(64, 0x42), rng);
     // Interned without an id: the collector never hears of this message.
     src.generate(net->messages().intern(m, MessageId::invalid()));

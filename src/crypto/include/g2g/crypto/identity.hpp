@@ -20,17 +20,20 @@ struct SealedBox;  // sealed_box.hpp
 struct Certificate {
   NodeId node;
   Bytes public_key;
-  Bytes authority_signature;
+  Signature authority_signature;
 
   /// Canonical bytes covered by the authority signature.
   [[nodiscard]] Bytes signed_payload() const;
   [[nodiscard]] Bytes encode() const;
+  /// Strict decode of exactly one certificate: rejects trailing bytes and a
+  /// signature blob longer than Signature::kCapacity (DecodeError).
   [[nodiscard]] static Certificate decode(BytesView b);
 };
 
 /// Offline certification authority. Only used at network setup.
 class Authority {
  public:
+  /// Draws the key pair and prepares its signing key.
   Authority(SuitePtr suite, Rng& rng);
 
   [[nodiscard]] Certificate issue(NodeId node, BytesView public_key) const;
@@ -39,13 +42,15 @@ class Authority {
  private:
   SuitePtr suite_;
   KeyPair keys_;
+  SigningKeyPtr signer_;
 };
 
 /// Verify a certificate against the authority public key.
 [[nodiscard]] bool check_certificate(const Suite& suite, BytesView authority_public_key,
                                      const Certificate& cert);
 
-/// A node's long-term cryptographic identity: key pair + certificate.
+/// A node's long-term cryptographic identity: key pair + certificate, and
+/// the signing key prepared once when the identity is made.
 class NodeIdentity {
  public:
   NodeIdentity(SuitePtr suite, NodeId node, const Authority& authority, Rng& rng);
@@ -55,9 +60,7 @@ class NodeIdentity {
   [[nodiscard]] const Bytes& public_key() const { return keys_.public_key; }
   [[nodiscard]] const Suite& suite() const { return *suite_; }
 
-  [[nodiscard]] Bytes sign(BytesView message) const;
-  [[nodiscard]] bool verify_from(const Certificate& peer, BytesView message,
-                                 BytesView signature) const;
+  [[nodiscard]] Signature sign(BytesView message) const { return signer_->sign(message); }
   [[nodiscard]] Bytes shared_secret_with(BytesView peer_public_key) const;
   /// Decrypt a sealed box addressed to this identity (see sealed_box.hpp).
   [[nodiscard]] Bytes open_box(const SealedBox& box) const;
@@ -66,6 +69,7 @@ class NodeIdentity {
   SuitePtr suite_;
   NodeId node_;
   KeyPair keys_;
+  SigningKeyPtr signer_;
   Certificate cert_;
 };
 

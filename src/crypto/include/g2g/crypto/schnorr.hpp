@@ -10,11 +10,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/montgomery.hpp"
 #include "g2g/crypto/sha256.hpp"
 #include "g2g/crypto/uint256.hpp"
@@ -56,6 +55,8 @@ struct SchnorrSignatureRS {
   U256 s;  ///< response   s = (k - x*e) mod q, with e = H(R || m) mod q
 
   [[nodiscard]] Bytes encode() const;
+  /// The 64-byte wire form, R then s, each big-endian, written in place.
+  void write(std::span<std::uint8_t, 64> out) const;
   [[nodiscard]] static SchnorrSignatureRS decode(BytesView b);
 };
 
@@ -99,20 +100,28 @@ class FixedBaseTable {
   std::vector<U256> entries_;  // window w's 2^window_bits entries, then w+1's
 };
 
+/// A public key y prepared for repeated use: y and its 4-bit Montgomery window
+/// table over q's bit length (~20 KB, ~640 mont_muls to build). Made by
+/// SchnorrEngine::prepare and valid with that engine's group only.
+struct SchnorrPreparedKey {
+  U256 y;
+  FixedBaseTable table;
+};
+
 /// The Schnorr scheme over one group, with per-group precomputation for the
 /// hot operations: an 8-bit fixed-base table for g sized to exponents mod q
-/// (keygen's g^x, sign's g^k, verify's g^s are all bounded by q),
-/// MontgomeryParams for p and q (products, DH, and the challenge reduction),
-/// and a memo of 4-bit per-public-key window tables for the variable-base
-/// y^e of verification. Every operation has one body, in the Montgomery
-/// domain; the differential tests pin its keys, signatures, verdicts and
-/// secrets to the schoolbook pow_mod/mul_mod/mod oracle (tests/oracle/). The
-/// group's p and q must be odd and > 1, as every SchnorrGroup::generate group
-/// is; the constructor throws std::invalid_argument otherwise.
+/// (keygen's g^x, sign's g^k, verify's g^s are all bounded by q) and
+/// MontgomeryParams for p and q (products, DH, and the challenge reduction).
+/// The variable-base y^e of verification runs over the signer's prepared
+/// key (SchnorrPreparedKey), which its holder builds once. Every operation
+/// has one body, in the Montgomery domain; the differential tests pin its
+/// keys, signatures, verdicts and secrets to the schoolbook
+/// pow_mod/mul_mod/mod oracle (tests/oracle/). The group's p and q must be
+/// odd and > 1, as every SchnorrGroup::generate group is; the constructor
+/// throws std::invalid_argument otherwise.
 ///
-/// Thread-safe: the g table is immutable after construction and the
-/// key-table memo is a KeyMemo (key_memo.hpp), so one engine can serve
-/// concurrent runs.
+/// Thread-safe: the engine is immutable after construction, so one engine
+/// can serve concurrent runs.
 class SchnorrEngine {
  public:
   explicit SchnorrEngine(const SchnorrGroup& group);
@@ -120,16 +129,18 @@ class SchnorrEngine {
   [[nodiscard]] const SchnorrGroup& group() const { return group_; }
   [[nodiscard]] SchnorrKeyPair keygen(Rng& rng) const;
   [[nodiscard]] SchnorrSignatureRS sign_rs(const U256& secret, BytesView message, Rng& rng) const;
-  [[nodiscard]] bool verify_rs(const U256& public_key, BytesView message,
+  /// y prepared for verification and DH. y is never range-checked: any U256
+  /// gives the residues of pow_mod(y, e, p).
+  [[nodiscard]] SchnorrPreparedKey prepare(const U256& public_key) const;
+  [[nodiscard]] bool verify_rs(const SchnorrPreparedKey& key, BytesView message,
                                const SchnorrSignatureRS& sig) const;
 
-  /// y^e mod p, the variable-base half of verification. With e inside q's
-  /// bit length, y's 4-bit Montgomery window table is built on first use and
-  /// memoised by y, so ~40 mont_muls replace the ~210 of mont_pow; a longer
-  /// e goes to pow_p. y is never range-checked, as in verify: any U256 gives
-  /// pow_mod(y, e, p).
-  [[nodiscard]] U256 pow_key(const U256& public_key, const U256& exponent) const;
-  /// Static DH secret peer_public^my_secret mod p.
+  /// Static DH secret y^my_secret mod p toward a prepared key: with the
+  /// secret inside q's bit length ~40 mont_muls over y's table replace the
+  /// ~210 of mont_pow; a longer secret goes to mont_pow.
+  [[nodiscard]] U256 shared_secret(const U256& my_secret, const SchnorrPreparedKey& peer) const;
+  /// Static DH secret peer_public^my_secret mod p through mont_pow: a key
+  /// used once (an ephemeral one) is cheaper without a table.
   [[nodiscard]] U256 shared_secret(const U256& my_secret, const U256& peer_public) const;
 
  private:
@@ -139,9 +150,8 @@ class SchnorrEngine {
   /// recomputes. One walk over g's table (digits of s) and y's table (digits
   /// of e) fills three independent Montgomery accumulators — g, y's even
   /// windows, y's odd windows — whose product leaves the domain once.
-  [[nodiscard]] U256 commitment(const U256& public_key, const U256& s, const U256& e) const;
-  /// y's memoised 4-bit window table.
-  [[nodiscard]] std::shared_ptr<const FixedBaseTable> key_table(const U256& public_key) const;
+  [[nodiscard]] U256 commitment(const FixedBaseTable& y_table, const U256& s,
+                                const U256& e) const;
   /// a*b mod q — one to_mont + one mont_mul.
   [[nodiscard]] U256 mul_q(const U256& a, const U256& b) const;
   /// e = H(r || m) mod q — one mont_reduce.
@@ -152,7 +162,6 @@ class SchnorrEngine {
   MontgomeryParams mont_p_;
   MontgomeryParams mont_q_;
   FixedBaseTable g_table_;  // g^x for the x and k drawn below q
-  mutable KeyMemo<FixedBaseTable> key_tables_;
 };
 
 }  // namespace g2g::crypto

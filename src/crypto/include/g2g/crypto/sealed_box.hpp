@@ -15,8 +15,9 @@ struct SealedBox {
 };
 
 /// Encrypt `plaintext` so only the holder of the secret key matching
-/// `recipient_public` can open it.
-[[nodiscard]] SealedBox seal(const Suite& suite, Rng& rng, BytesView recipient_public,
+/// `recipient` can open it: the ephemeral DH runs through the recipient's
+/// prepared key.
+[[nodiscard]] SealedBox seal(const Suite& suite, Rng& rng, const PublicKey& recipient,
                              BytesView plaintext);
 
 /// Decrypt; returns the plaintext. (ChaCha20 is unauthenticated here — the

@@ -10,19 +10,23 @@
 //    did not legitimately produce, which is exactly the property the paper's
 //    mechanisms rely on, at a tiny fraction of the CPU cost.
 //
-// Protocol code is written against this interface only.
+// Protocol code is written against this interface only, and signs and
+// verifies through prepared keys: a SigningKey or PublicKey does its
+// per-key precomputation (the HMAC pad states, the Schnorr window table)
+// once, when it is prepared, so each later call costs only its arithmetic.
+// The one-shot sign/verify/shared_secret prepare a key for the one call.
 //
 // Contract for every implementation:
 //  * pure: each result depends only on the suite (group or seed) and the
 //    call's arguments, so verdicts, signatures and secrets are the same on
-//    every call, run and thread;
-//  * thread-safe: one suite may be shared by concurrent runs;
-//  * bounded memo: per-signer precomputation (the Schnorr key tables, the
-//    FastSuite HMAC pad states) lives in a KeyMemo (key_memo.hpp), keyed by
-//    the exact key bytes and cleared past a fixed bound, so a long-lived
-//    suite's memory stays flat.
+//    every call, run and thread, prepared or one-shot;
+//  * thread-safe: one suite, and one prepared key, may be shared by
+//    concurrent runs; neither holds mutable state;
+//  * a prepared key may refer to the suite that made it, so it must not
+//    outlive that suite (the holders keep the SuitePtr beside the key).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -38,6 +42,58 @@ struct KeyPair {
   Bytes secret_key;
   Bytes public_key;
 };
+
+/// A signature held inline: up to kCapacity bytes (the (R,s) size) and its
+/// length, so a signed artefact carries its signature without a heap
+/// buffer. No built-in suite's signature_size() exceeds the capacity. On the
+/// wire a signature is a length-prefixed blob (read_signature).
+class Signature {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  Signature() = default;
+  /// A copy of `bytes`; throws std::length_error past kCapacity.
+  explicit Signature(BytesView bytes);
+
+  [[nodiscard]] BytesView view() const { return {bytes_.data(), size_}; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  friend bool operator==(const Signature& a, const Signature& b);
+
+ private:
+  std::array<std::uint8_t, kCapacity> bytes_{};
+  std::uint8_t size_ = 0;
+};
+
+/// One length-prefixed signature blob; throws DecodeError for a truncated
+/// one or one longer than Signature::kCapacity.
+[[nodiscard]] Signature read_signature(Reader& r);
+
+/// A secret key prepared for signing. Immutable.
+class SigningKey {
+ public:
+  SigningKey() = default;
+  SigningKey(const SigningKey&) = delete;
+  SigningKey& operator=(const SigningKey&) = delete;
+  virtual ~SigningKey() = default;
+  [[nodiscard]] virtual Signature sign(BytesView message) const = 0;
+};
+
+/// A public key prepared for verification and for key agreement toward it.
+/// Immutable.
+class PublicKey {
+ public:
+  PublicKey() = default;
+  PublicKey(const PublicKey&) = delete;
+  PublicKey& operator=(const PublicKey&) = delete;
+  virtual ~PublicKey() = default;
+  [[nodiscard]] virtual bool verify(BytesView message, BytesView signature) const = 0;
+  /// DH toward this key: the suite's shared_secret(my_secret_key, this key).
+  [[nodiscard]] virtual Bytes shared_secret(BytesView my_secret_key) const = 0;
+};
+
+using SigningKeyPtr = std::shared_ptr<const SigningKey>;
+using PublicKeyPtr = std::shared_ptr<const PublicKey>;
 
 /// One verification job for Suite::verify_batch. The views must stay valid for
 /// the duration of the call. No protocol code batches: this type and
@@ -79,6 +135,14 @@ class Suite {
                                             BytesView peer_public_key) const = 0;
   [[nodiscard]] virtual std::size_t signature_size() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// `secret_key` prepared for repeated signing. The default forwards each
+  /// sign to this suite's one-shot sign(), so a suite that overrides only
+  /// the one-shot calls (a decorator, a test oracle) still sees every call.
+  [[nodiscard]] virtual SigningKeyPtr prepare_signing_key(BytesView secret_key) const;
+  /// `public_key` prepared for repeated verification and DH. The default
+  /// forwards to this suite's one-shot verify() and shared_secret().
+  [[nodiscard]] virtual PublicKeyPtr prepare_public_key(BytesView public_key) const;
 };
 
 using SuitePtr = std::shared_ptr<const Suite>;

@@ -101,12 +101,14 @@ bool SchnorrGroup::valid(Rng& rng) const {
 }
 
 Bytes SchnorrSignatureRS::encode() const {
-  // The 64-byte wire form: R, then s, each big-endian.
   Bytes out(64);
-  const std::span<std::uint8_t> bytes(out);
-  r.write_be(bytes.first<32>());
-  s.write_be(bytes.subspan<32, 32>());
+  write(std::span<std::uint8_t, 64>(out.data(), 64));
   return out;
+}
+
+void SchnorrSignatureRS::write(std::span<std::uint8_t, 64> out) const {
+  r.write_be(out.first<32>());
+  s.write_be(out.subspan<32, 32>());
 }
 
 SchnorrSignatureRS SchnorrSignatureRS::decode(BytesView b) {
@@ -162,14 +164,11 @@ U256 SchnorrEngine::pow_p(const U256& base, const U256& exponent) const {
   return from_mont(mont_pow(to_mont(base, mont_p_), exponent, mont_p_), mont_p_);
 }
 
-std::shared_ptr<const FixedBaseTable> SchnorrEngine::key_table(const U256& public_key) const {
-  // Keyed by the value's own bytes: exactly what the table build reads.
-  const BytesView key(reinterpret_cast<const std::uint8_t*>(public_key.limb.data()),
-                      sizeof(public_key.limb));
-  return key_tables_.get(key, [&] { return FixedBaseTable(public_key, mont_p_, q_bits_, 4); });
+SchnorrPreparedKey SchnorrEngine::prepare(const U256& public_key) const {
+  return SchnorrPreparedKey{public_key, FixedBaseTable(public_key, mont_p_, q_bits_, 4)};
 }
 
-U256 SchnorrEngine::commitment(const U256& public_key, const U256& s, const U256& e) const {
+U256 SchnorrEngine::commitment(const FixedBaseTable& y_table, const U256& s, const U256& e) const {
   // One walk over both tables with three independent accumulators: g's
   // windows, y's even windows and y's odd windows. With an 8-bit g table and
   // a 4-bit y table each step multiplies into all three, so consecutive
@@ -177,16 +176,15 @@ U256 SchnorrEngine::commitment(const U256& public_key, const U256& s, const U256
   // the walk only has to visit every window of each once: when q's bit
   // length is not a multiple of 8, y has one window fewer than twice g's.
   const MontgomeryParams& params = mont_p_;
-  const std::shared_ptr<const FixedBaseTable> y_table = key_table(public_key);
   const std::size_t g_windows = g_table_.windows();
-  const std::size_t y_windows = y_table->windows();
+  const std::size_t y_windows = y_table.windows();
   std::optional<U256> acc;
   std::optional<U256> even;
   std::optional<U256> odd;
   for (std::size_t w = 0; w < g_windows || 2 * w < y_windows; ++w) {
     if (w < g_windows) accumulate(acc, g_table_.factor(w, s), params);
-    if (2 * w < y_windows) accumulate(even, y_table->factor(2 * w, e), params);
-    if (2 * w + 1 < y_windows) accumulate(odd, y_table->factor(2 * w + 1, e), params);
+    if (2 * w < y_windows) accumulate(even, y_table.factor(2 * w, e), params);
+    if (2 * w + 1 < y_windows) accumulate(odd, y_table.factor(2 * w + 1, e), params);
   }
   if (even) accumulate(acc, &*even, params);
   if (odd) accumulate(acc, &*odd, params);
@@ -201,9 +199,9 @@ U256 SchnorrEngine::challenge(const U256& r, BytesView message) const {
   return mont_reduce(challenge_hash(r, message), mont_q_);
 }
 
-U256 SchnorrEngine::pow_key(const U256& public_key, const U256& exponent) const {
-  if (exponent.bit_length() > q_bits_) return pow_p(public_key, exponent);
-  return key_table(public_key)->pow(exponent);
+U256 SchnorrEngine::shared_secret(const U256& my_secret, const SchnorrPreparedKey& peer) const {
+  if (my_secret.bit_length() > q_bits_) return pow_p(peer.y, my_secret);
+  return peer.table.pow(my_secret);
 }
 
 U256 SchnorrEngine::shared_secret(const U256& my_secret, const U256& peer_public) const {
@@ -225,10 +223,10 @@ SchnorrSignatureRS SchnorrEngine::sign_rs(const U256& secret, BytesView message,
   return SchnorrSignatureRS{r, s};
 }
 
-bool SchnorrEngine::verify_rs(const U256& public_key, BytesView message,
+bool SchnorrEngine::verify_rs(const SchnorrPreparedKey& key, BytesView message,
                               const SchnorrSignatureRS& sig) const {
   if (sig.s >= group_.q || sig.r >= group_.p || sig.r.is_zero()) return false;
-  return commitment(public_key, sig.s, challenge(sig.r, message)) == sig.r;
+  return commitment(key.table, sig.s, challenge(sig.r, message)) == sig.r;
 }
 
 }  // namespace g2g::crypto

@@ -4,9 +4,9 @@
 
 namespace g2g::crypto {
 
-SealedBox seal(const Suite& suite, Rng& rng, BytesView recipient_public, BytesView plaintext) {
+SealedBox seal(const Suite& suite, Rng& rng, const PublicKey& recipient, BytesView plaintext) {
   const KeyPair eph = suite.keygen(rng);
-  const Bytes shared = suite.shared_secret(eph.secret_key, recipient_public);
+  const Bytes shared = recipient.shared_secret(eph.secret_key);
   const ChaChaKey key = derive_chacha_key(shared);
   const ChaChaNonce nonce = derive_chacha_nonce(shared);
   return SealedBox{eph.public_key, chacha20_xor(key, nonce, plaintext)};

@@ -23,16 +23,36 @@ using MessageHash = crypto::Digest;
 /// Directory of authority-issued certificates, indexed by node id. In the
 /// paper every node can learn any other node's certified public key; the
 /// roster is distributed at network setup (the authority stays offline).
+///
+/// Every signature a node checks is checked here, against the signer's
+/// certified key prepared by the run's suite. A key is prepared on its
+/// first use and kept for the rest of the run, so a verification costs the
+/// suite's arithmetic only. A roster belongs to one run (one thread), and
+/// it keeps the suite its keys were prepared by.
 class Roster {
  public:
+  explicit Roster(crypto::SuitePtr suite);
+
   void add(crypto::Certificate cert);
   [[nodiscard]] const crypto::Certificate* find(NodeId n) const;
-  /// Like find() but throws on unknown node.
-  [[nodiscard]] const crypto::Certificate& get(NodeId n) const;
-  [[nodiscard]] std::size_t size() const { return certs_.size(); }
+  /// n's certified key, prepared on first use: what a message to n is
+  /// sealed to. Throws std::out_of_range for an unknown node.
+  [[nodiscard]] const crypto::PublicKey& key(NodeId n) const;
+  /// Whether `signature` over `message` verifies under n's certified key;
+  /// false for an unknown node.
+  [[nodiscard]] bool verify(NodeId n, BytesView message, BytesView signature) const;
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  std::vector<std::optional<crypto::Certificate>> certs_;  // indexed by id
+  struct Entry {
+    crypto::Certificate cert;
+    mutable crypto::PublicKeyPtr key;  ///< prepared on first use
+  };
+  /// n's prepared key, or nullptr for an unknown node.
+  [[nodiscard]] const crypto::PublicKey* prepared(NodeId n) const;
+
+  crypto::SuitePtr suite_;
+  std::vector<std::optional<Entry>> entries_;  // indexed by id
 };
 
 /// The relay-visible message: destination + sealed body.
@@ -78,13 +98,14 @@ struct OpenedMessage {
   bool authentic = false;
 };
 
-/// Seal a message from `sender` to the node of `recipient_cert`.
-[[nodiscard]] SealedMessage make_message(const crypto::NodeIdentity& sender,
-                                         const crypto::Certificate& recipient_cert,
-                                         MessageId id, BytesView body, Rng& rng);
+/// Seal a message from `sender` to `dst`, through dst's roster key. Throws
+/// std::out_of_range when dst is not in the roster.
+[[nodiscard]] SealedMessage make_message(const crypto::NodeIdentity& sender, const Roster& roster,
+                                         NodeId dst, MessageId id, BytesView body, Rng& rng);
 
 /// Attempt to open as `me`; nullopt if the inner plaintext does not decode
-/// (i.e. `me` is not the destination).
+/// (i.e. `me` is not the destination). The inner signature is checked
+/// against the claimed sender's roster key.
 [[nodiscard]] std::optional<OpenedMessage> open_message(const crypto::NodeIdentity& me,
                                                         const SealedMessage& m,
                                                         const Roster& roster);

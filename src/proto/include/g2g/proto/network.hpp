@@ -109,6 +109,7 @@ class NetworkBase : public Env {
   std::size_t node_count_;
   Rng rng_;
   sim::Simulator sim_;
+  /// The run's certificates and their keys, prepared by config_.suite.
   Roster roster_;
   /// Per-run wire-path scratch: one arena per network keeps parallel sweep
   /// runs isolated while every contact of a run reuses the same warm chunks.

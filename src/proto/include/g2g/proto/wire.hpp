@@ -47,7 +47,7 @@ struct QualityDeclaration {
   double value = 0.0;
   std::int64_t frame = -1;  ///< completed timeframe the value was computed in
   TimePoint at;             ///< when the declaration was made
-  Bytes signature;
+  crypto::Signature signature;
 
   [[nodiscard]] Bytes signed_payload() const;
   [[nodiscard]] std::size_t signed_payload_size() const;
@@ -74,7 +74,7 @@ struct ProofOfRelay {
   double taker_quality = 0.0;  ///< f_BD' the taker declared
   std::int64_t quality_frame = -1;
 
-  Bytes taker_signature;
+  crypto::Signature taker_signature;
 
   [[nodiscard]] Bytes signed_payload() const;
   [[nodiscard]] std::size_t signed_payload_size() const;
@@ -148,8 +148,7 @@ struct ProofOfMisbehavior {
 /// the ChainCheat arithmetic). QualityLie accusations additionally rely on
 /// the accuser's own records, which third parties accept (the destination has
 /// no interest in lying — Section VI-A).
-[[nodiscard]] bool verify_pom(const crypto::Suite& suite, const Roster& roster,
-                              const ProofOfMisbehavior& pom);
+[[nodiscard]] bool verify_pom(const Roster& roster, const ProofOfMisbehavior& pom);
 
 /// Wire size of the session-start certificate exchange, for cost accounting.
 /// `sig` is the suite's signature size.

@@ -91,16 +91,15 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
 
   // Verify the declaration signature (it may be stored as evidence).
   count_verification();
-  const auto* taker_cert = env_.roster().find(taker.id());
-  bool decl_ok = taker_cert != nullptr && decl->declarer == taker.id() && decl->dst == dprime;
+  const Roster& roster = env_.roster();
+  bool decl_ok = decl->declarer == taker.id() && decl->dst == dprime;
   if (decl_ok) {
     const std::span<std::uint8_t> decl_payload = s.arena().alloc(decl->signed_payload_size());
     SpanWriter dw(decl_payload);
     decl->signed_payload_into(dw);
     dw.expect_full();
-    decl_ok = identity().suite().verify(taker_cert->public_key,
-                                        BytesView(decl_payload.data(), decl_payload.size()),
-                                        decl->signature);
+    decl_ok = roster.verify(taker.id(), BytesView(decl_payload.data(), decl_payload.size()),
+                            decl->signature.view());
   }
   if (!decl_ok) {
     counters().handshakes_aborted->add();
@@ -162,9 +161,8 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   SpanWriter pw(payload);
   por.signed_payload_into(pw);
   pw.expect_full();
-  const bool por_ok = identity().suite().verify(taker_cert->public_key,
-                                                BytesView(payload.data(), payload.size()),
-                                                por.taker_signature);
+  const bool por_ok = roster.verify(taker.id(), BytesView(payload.data(), payload.size()),
+                                    por.taker_signature);
   trace_event(obs::EventKind::PorVerified, taker.id(), ref, por_ok ? 1 : 0);
   if (!por_ok) {
     counters().handshakes_aborted->add();
@@ -220,20 +218,14 @@ void G2GDelegationNode::check_attachments(Session& s,
   for (const auto& decl : attachments) {
     if (decl.dst != id()) continue;  // declarations are about quality toward me
     count_verification();
-    const auto* cert = env_.roster().find(decl.declarer);
-    bool sig_ok = cert != nullptr;
-    if (sig_ok) {
-      // Signed payload built in the session arena (still the current
-      // handshake attempt's generation — this runs from complete_relay).
-      const std::span<std::uint8_t> payload = s.arena().alloc(decl.signed_payload_size());
-      SpanWriter pw(payload);
-      decl.signed_payload_into(pw);
-      pw.expect_full();
-      sig_ok = identity().suite().verify(cert->public_key,
-                                         BytesView(payload.data(), payload.size()),
-                                         decl.signature);
-    }
-    if (!sig_ok) {
+    // Signed payload built in the session arena (still the current handshake
+    // attempt's generation — this runs from complete_relay).
+    const std::span<std::uint8_t> payload = s.arena().alloc(decl.signed_payload_size());
+    SpanWriter pw(payload);
+    decl.signed_payload_into(pw);
+    pw.expect_full();
+    if (!env_.roster().verify(decl.declarer, BytesView(payload.data(), payload.size()),
+                              decl.signature.view())) {
       trace_event(obs::EventKind::TestByDestination, decl.declarer, 0, 2);
       continue;
     }
@@ -279,10 +271,8 @@ bool G2GDelegationNode::chain_check(const relay::PendingTest& t,
 
   for (const auto& por : ordered) {
     count_verification();
-    const auto* cert = env_.roster().find(por.taker);
-    if (cert == nullptr || por.h != t.h || por.giver != t.relay ||
-        !identity().suite().verify(cert->public_key, por.signed_payload(),
-                                   por.taker_signature)) {
+    if (por.h != t.h || por.giver != t.relay ||
+        !env_.roster().verify(por.taker, por.signed_payload(), por.taker_signature.view())) {
       return true;  // malformed PoR: handled by the caller's validity pass
     }
 

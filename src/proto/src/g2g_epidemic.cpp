@@ -38,17 +38,14 @@ std::optional<relay::HandshakeOutcome> G2GEpidemicNode::relay_attempt(
   // Verify the PoR before revealing the key (signed payload built in the
   // arena; the signature is checked against the view in place).
   count_verification();
-  const auto* taker_cert = env_.roster().find(taker.id());
-  bool por_ok =
-      taker_cert != nullptr && por.h == h && por.giver == id() && por.taker == taker.id();
+  bool por_ok = por.h == h && por.giver == id() && por.taker == taker.id();
   if (por_ok) {
     const std::span<std::uint8_t> payload = s.arena().alloc(por.signed_payload_size());
     SpanWriter pw(payload);
     por.signed_payload_into(pw);
     pw.expect_full();
-    por_ok = identity().suite().verify(taker_cert->public_key,
-                                       BytesView(payload.data(), payload.size()),
-                                       por.taker_signature);
+    por_ok = env_.roster().verify(taker.id(), BytesView(payload.data(), payload.size()),
+                                  por.taker_signature);
   }
   trace_event(obs::EventKind::PorVerified, taker.id(), ref, por_ok ? 1 : 0);
   if (!por_ok) {

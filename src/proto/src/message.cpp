@@ -8,21 +8,35 @@ namespace {
 constexpr std::uint32_t kInnerMagic = 0x67326d31;  // "g2m1"
 }
 
+Roster::Roster(crypto::SuitePtr suite) : suite_(std::move(suite)) {}
+
 void Roster::add(crypto::Certificate cert) {
   const std::size_t idx = cert.node.value();
-  if (idx >= certs_.size()) certs_.resize(idx + 1);
-  certs_[idx] = std::move(cert);
+  if (idx >= entries_.size()) entries_.resize(idx + 1);
+  entries_[idx].emplace(Entry{std::move(cert), nullptr});
 }
 
 const crypto::Certificate* Roster::find(NodeId n) const {
-  if (n.value() >= certs_.size() || !certs_[n.value()].has_value()) return nullptr;
-  return &*certs_[n.value()];
+  if (n.value() >= entries_.size() || !entries_[n.value()].has_value()) return nullptr;
+  return &entries_[n.value()]->cert;
 }
 
-const crypto::Certificate& Roster::get(NodeId n) const {
-  const auto* cert = find(n);
-  if (cert == nullptr) throw std::out_of_range("unknown node in roster");
-  return *cert;
+const crypto::PublicKey* Roster::prepared(NodeId n) const {
+  if (n.value() >= entries_.size() || !entries_[n.value()].has_value()) return nullptr;
+  const Entry& e = *entries_[n.value()];
+  if (!e.key) e.key = suite_->prepare_public_key(e.cert.public_key);
+  return e.key.get();
+}
+
+const crypto::PublicKey& Roster::key(NodeId n) const {
+  const crypto::PublicKey* key = prepared(n);
+  if (key == nullptr) throw std::out_of_range("unknown node in roster");
+  return *key;
+}
+
+bool Roster::verify(NodeId n, BytesView message, BytesView signature) const {
+  const crypto::PublicKey* key = prepared(n);
+  return key != nullptr && key->verify(message, signature);
 }
 
 MessageHash SealedMessage::hash() const { return crypto::sha256(encode_exact(*this)); }
@@ -65,27 +79,27 @@ SealedMessageView SealedMessageView::decode(BytesView b) {
   return v;
 }
 
-SealedMessage make_message(const crypto::NodeIdentity& sender,
-                           const crypto::Certificate& recipient_cert, MessageId id,
-                           BytesView body, Rng& rng) {
+SealedMessage make_message(const crypto::NodeIdentity& sender, const Roster& roster,
+                           NodeId dst, MessageId id, BytesView body, Rng& rng) {
+  const crypto::PublicKey& recipient = roster.key(dst);
   // Inner plaintext: magic | src | id | body | sig_S(src | id | body | dst).
   Writer signed_part(32 + body.size());
   signed_part.u32(sender.node().value());
   signed_part.u64(id.value());
   signed_part.blob(body);
-  signed_part.u32(recipient_cert.node.value());
-  const Bytes sig = sender.sign(signed_part.bytes());
+  signed_part.u32(dst.value());
+  const crypto::Signature sig = sender.sign(signed_part.bytes());
 
   Writer inner(48 + body.size() + sig.size());
   inner.u32(kInnerMagic);
   inner.u32(sender.node().value());
   inner.u64(id.value());
   inner.blob(body);
-  inner.blob(sig);
+  inner.blob(sig.view());
 
   SealedMessage m;
-  m.dst = recipient_cert.node;
-  m.box = crypto::seal(sender.suite(), rng, recipient_cert.public_key, inner.bytes());
+  m.dst = dst;
+  m.box = crypto::seal(sender.suite(), rng, recipient, inner.bytes());
   return m;
 }
 
@@ -100,16 +114,14 @@ std::optional<OpenedMessage> open_message(const crypto::NodeIdentity& me,
     out.src = NodeId(r.u32());
     out.id = MessageId(r.u64());
     out.body = r.blob();
-    const Bytes sig = r.blob();
+    const BytesView sig = r.blob_view();
 
     Writer signed_part(32 + out.body.size());
     signed_part.u32(out.src.value());
     signed_part.u64(out.id.value());
     signed_part.blob(out.body);
     signed_part.u32(me.node().value());
-    const auto* sender_cert = roster.find(out.src);
-    out.authentic =
-        sender_cert != nullptr && me.verify_from(*sender_cert, signed_part.bytes(), sig);
+    out.authentic = roster.verify(out.src, signed_part.bytes(), sig);
     return out;
   } catch (const DecodeError&) {
     return std::nullopt;  // garbled plaintext: not for us

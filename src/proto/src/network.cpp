@@ -20,19 +20,24 @@ class SimLogClock final : public LogClock {
  private:
   const sim::Simulator& sim_;
 };
+
+NetworkConfig with_default_suite(NetworkConfig config) {
+  if (!config.suite) config.suite = crypto::make_fast_suite();
+  return config;
+}
 }  // namespace
 
 NetworkBase::NetworkBase(const trace::ContactTrace& trace, NetworkConfig config,
                          metrics::Collector& collector)
-    : config_(std::move(config)),
+    : config_(with_default_suite(std::move(config))),
       node_count_(trace.node_count()),
       rng_(config_.seed),
       sim_(config_.horizon == TimePoint::zero() ? trace.end_time() : config_.horizon),
+      roster_(config_.suite),
       collector_(&collector),
       trace_(&trace) {
   if (!trace.finalized()) throw std::invalid_argument("trace must be finalized");
   if (node_count_ < 2) throw std::invalid_argument("need at least 2 nodes");
-  if (!config_.suite) config_.suite = crypto::make_fast_suite();
   if (config_.obs != nullptr) {
     obs_ = config_.obs;
   } else {
@@ -141,8 +146,7 @@ void NetworkBase::schedule_traffic(const std::vector<sim::TrafficDemand>& demand
       Bytes body(d.body_size, 0);
       Rng body_rng = rng_.fork(d.id.value());
       for (auto& byte : body) byte = static_cast<std::uint8_t>(body_rng.next());
-      const SealedMessage m =
-          make_message(src.identity(), roster_.get(d.dst), d.id, body, rng_);
+      const SealedMessage m = make_message(src.identity(), roster_, d.dst, d.id, body, rng_);
       collector_->message_generated(d.id, d.src, d.dst, now());
       inject(d.src, messages_.intern(m, d.id));
     });

@@ -85,7 +85,7 @@ bool ProtocolNode::learn_pom(const ProofOfMisbehavior& pom) {
   if (pom.culprit == id()) return false;  // nodes do not blacklist themselves
   if (ledger_.blacklisted(pom.culprit)) return false;
   count_verification();
-  const bool ok = verify_pom(identity_.suite(), env_.roster(), pom);
+  const bool ok = verify_pom(env_.roster(), pom);
   trace_event(obs::EventKind::PomLearned, pom.culprit, 0, ok ? 1 : 0);
   if (!ok) return false;
   counters().poms_learned->add();

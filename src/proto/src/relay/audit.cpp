@@ -70,14 +70,13 @@ void AuditEngine::run(Session& s, RelayNode& peer) {
       bool all_ok = true;
       for (const auto& por : resp.pors) {
         host_.count_verification();
-        const auto* cert = host_.env_.roster().find(por.taker);
-        bool ok = por.h == t.h && por.giver == peer.id() && cert != nullptr;
+        bool ok = por.h == t.h && por.giver == peer.id();
         if (ok) {
           const std::span<std::uint8_t> payload = s.arena().alloc(por.signed_payload_size());
           SpanWriter pw(payload);
           por.signed_payload_into(pw);
           pw.expect_full();
-          ok = host_.identity().suite().verify(cert->public_key, payload, por.taker_signature);
+          ok = host_.env_.roster().verify(por.taker, payload, por.taker_signature.view());
         }
         host_.trace_event(obs::EventKind::PorVerified, por.taker, ref, ok ? 1 : 0);
         if (ok) host_.counters().pors_verified->add();

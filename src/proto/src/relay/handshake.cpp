@@ -218,7 +218,7 @@ std::optional<BytesView> HandshakeEngine::answer_relay_rqst(Session& s, RelayNod
 BytesView HandshakeEngine::countersign(Session& s, RelayNode& giver, ProofOfRelay por) {
   host_.count_signature();
   // The signed payload is built in the arena; the signature it produces is
-  // owned by the PoR (it outlives the attempt inside Holds and PoMs).
+  // held inline by the PoR (it outlives the attempt inside Holds and PoMs).
   Arena& arena = s.arena();
   const std::span<std::uint8_t> payload = arena.alloc(por.signed_payload_size());
   SpanWriter pw(payload);

@@ -55,7 +55,7 @@ void QualityDeclaration::encode_into(SpanWriter& w) const {
   w.f64(value);
   w.i64(frame);
   w.i64(at.micros());
-  w.blob(signature);
+  w.blob(signature.view());
 }
 
 QualityDeclaration QualityDeclaration::decode(BytesView b) {
@@ -72,7 +72,7 @@ QualityDeclaration QualityDeclaration::decode(Reader& r) {
   d.value = r.f64();
   d.frame = r.i64();
   d.at = TimePoint(r.i64());
-  d.signature = r.blob();
+  d.signature = crypto::read_signature(r);
   return d;
 }
 
@@ -152,7 +152,7 @@ void ProofOfRelay::encode_into(SpanWriter& w) const {
     w.f64(taker_quality);
     w.i64(quality_frame);
   }
-  w.blob(taker_signature);
+  w.blob(taker_signature.view());
 }
 
 ProofOfRelay ProofOfRelay::decode(BytesView b) {
@@ -165,7 +165,7 @@ ProofOfRelay ProofOfRelay::decode(BytesView b) {
 ProofOfRelay ProofOfRelay::decode(Reader& r) {
   ProofOfRelay p;
   por_fields_from(r, p);
-  p.taker_signature = r.blob();
+  p.taker_signature = crypto::read_signature(r);
   return p;
 }
 
@@ -184,7 +184,7 @@ ProofOfRelay ProofOfRelayView::to_owned() const {
   p.msg_quality = msg_quality;
   p.taker_quality = taker_quality;
   p.quality_frame = quality_frame;
-  p.taker_signature.assign(taker_signature.begin(), taker_signature.end());
+  p.taker_signature = crypto::Signature(taker_signature);
   return p;
 }
 
@@ -197,6 +197,9 @@ ProofOfRelayView ProofOfRelayView::decode(BytesView b) {
   ProofOfRelayView p;
   por_fields_from(r, p);
   p.taker_signature = r.blob_view();
+  if (p.taker_signature.size() > crypto::Signature::kCapacity) {
+    throw DecodeError("signature longer than 64 bytes");
+  }
   if (!r.done()) throw DecodeError("trailing bytes after PoR");
   return p;
 }
@@ -270,12 +273,9 @@ std::size_t ProofOfMisbehavior::wire_size() const {
   return size;
 }
 
-bool verify_pom(const crypto::Suite& suite, const Roster& roster,
-                const ProofOfMisbehavior& pom) {
+bool verify_pom(const Roster& roster, const ProofOfMisbehavior& pom) {
   const auto por_verifies = [&](const ProofOfRelay& por) {
-    const auto* cert = roster.find(por.taker);
-    return cert != nullptr &&
-           suite.verify(cert->public_key, por.signed_payload(), por.taker_signature);
+    return roster.verify(por.taker, por.signed_payload(), por.taker_signature.view());
   };
 
   switch (pom.kind) {
@@ -294,10 +294,8 @@ bool verify_pom(const crypto::Suite& suite, const Roster& roster,
           pom.evidence_declaration->declarer != pom.culprit) {
         return false;
       }
-      const auto* cert = roster.find(pom.culprit);
-      return cert != nullptr &&
-             suite.verify(cert->public_key, pom.evidence_declaration->signed_payload(),
-                          pom.evidence_declaration->signature);
+      return roster.verify(pom.culprit, pom.evidence_declaration->signed_payload(),
+                           pom.evidence_declaration->signature.view());
     }
 
     case ProofOfMisbehavior::Kind::ChainCheat: {

@@ -1,15 +1,18 @@
 // Arena + SpanWriter semantics, arena/owning encode equality, and the
-// allocation-count pins for the zero-copy wire path: with warm arena chunks,
-// the full 5-step handshake frame-codec sequence performs zero heap
-// allocations, and so do building and moving an empty relay Hold and every
-// HMAC under a prepared key (this binary links g2g_alloc_probe, which
-// replaces global operator new/delete with counting wrappers).
+// allocation-count pins for the zero-copy wire path: with warm arena chunks
+// and warm roster keys, the full 5-step handshake frame-codec sequence with
+// its PoR signature and check performs zero heap allocations, and so do
+// building and moving an empty relay Hold, every HMAC under a prepared key,
+// and every sign and verify through prepared keys on both suites (this
+// binary links g2g_alloc_probe, which replaces global operator new/delete
+// with counting wrappers).
 #include <gtest/gtest.h>
 
 #include <span>
 
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/identity.hpp"
+#include "g2g/crypto/schnorr.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/relay/frames.hpp"
 #include "g2g/proto/relay/state.hpp"
@@ -103,7 +106,7 @@ struct WireFixture {
       ids.emplace_back(suite, NodeId(i), authority, rng);
       roster.add(ids.back().certificate());
     }
-    msg = proto::make_message(ids[0], roster.get(NodeId(1)), MessageId(1), Bytes(64, 0x42),
+    msg = proto::make_message(ids[0], roster, NodeId(1), MessageId(1), Bytes(64, 0x42),
                               rng);
     msg_wire = encode_exact(msg);
     h = msg.hash();
@@ -124,7 +127,7 @@ struct WireFixture {
   crypto::SuitePtr suite;
   crypto::Authority authority;
   std::vector<crypto::NodeIdentity> ids;
-  proto::Roster roster;
+  proto::Roster roster{suite};
   proto::SealedMessage msg;
   Bytes msg_wire;
   proto::MessageHash h{};
@@ -165,8 +168,10 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
   Arena arena;
 
   // The exact frame-codec sequence of one 5-step relay handshake, encoded
-  // into the arena and decoded through non-owning views — what giver_pass
-  // runs per attempt, minus signatures and the Hold materialisation.
+  // into the arena and decoded through non-owning views, with the taker's
+  // PoR signature and the giver's check of it through the roster — what
+  // giver_pass runs per attempt, minus the Hold materialisation.
+  proto::ProofOfRelay por = f.por;
   const auto run_once = [&] {
     arena.reset();
     std::size_t sink = 0;
@@ -183,13 +188,17 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
         proto::relay::RelayDataFrameView::decode(data);
     sink += view.msg.hash()[0];
     sink += view.decode_attachments().size();
-    // Step 4: PoR — signed payload and wire encoding both in the arena.
-    const std::span<std::uint8_t> payload = arena.alloc(f.por.signed_payload_size());
+    // Step 4: PoR — signed payload and wire encoding both in the arena, the
+    // signature held inline, the check through the taker's roster key.
+    const std::span<std::uint8_t> payload = arena.alloc(por.signed_payload_size());
     SpanWriter pw(payload);
-    f.por.signed_payload_into(pw);
+    por.signed_payload_into(pw);
     pw.expect_full();
-    const BytesView por_wire = arena_encode(arena, f.por);
-    sink += proto::ProofOfRelayView::decode(por_wire).taker_signature.size();
+    por.taker_signature = f.ids[1].sign(payload);
+    const BytesView por_wire = arena_encode(arena, por);
+    const proto::ProofOfRelayView por_view = proto::ProofOfRelayView::decode(por_wire);
+    sink += por_view.taker_signature.size();
+    sink += f.roster.verify(por_view.taker, payload, por_view.taker_signature) ? 1u : 0u;
     // Step 5: KEY reveal.
     proto::relay::KeyRevealFrame key;
     key.h = f.h;
@@ -198,7 +207,7 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
     return sink;
   };
 
-  const std::size_t first = run_once();  // warms the arena chunks
+  const std::size_t first = run_once();  // warms the arena chunks and the roster key
   (void)run_once();
   const std::size_t chunks = arena.chunk_allocations();
   const std::size_t before = heap_alloc_count();
@@ -207,6 +216,29 @@ TEST(AllocPath, SteadyStateHandshakeCodecsAllocationFree) {
       << "steady-state handshake codec path hit the heap";
   EXPECT_EQ(arena.chunk_allocations(), chunks);
   EXPECT_EQ(again, first);
+  EXPECT_TRUE(f.roster.verify(NodeId(1), por.signed_payload(), por.taker_signature.view()));
+}
+
+TEST(AllocPath, PreparedSignAndVerifyAllocateNothing) {
+  // Every protocol signature is made through its signer's prepared key and
+  // checked through the roster's prepared key for the signer: once the keys
+  // exist, neither call touches the heap, on either suite.
+  const crypto::SuitePtr suites[] = {
+      crypto::make_fast_suite(0xA111),
+      crypto::make_schnorr_rs_suite(crypto::SchnorrGroup::small_group())};
+  const Bytes message(91, 0x5a);  // a delegation PoR's signed payload
+  for (const crypto::SuitePtr& suite : suites) {
+    Rng rng(3);
+    const crypto::KeyPair kp = suite->keygen(rng);
+    const crypto::SigningKeyPtr signer = suite->prepare_signing_key(kp.secret_key);
+    const crypto::PublicKeyPtr key = suite->prepare_public_key(kp.public_key);
+    const std::size_t before = heap_alloc_count();
+    const crypto::Signature sig = signer->sign(message);
+    const bool ok = key->verify(message, sig.view());
+    EXPECT_EQ(heap_alloc_count() - before, 0u) << suite->name();
+    EXPECT_TRUE(ok) << suite->name();
+    EXPECT_EQ(sig.size(), suite->signature_size()) << suite->name();
+  }
 }
 
 TEST(AllocPath, EmptyHoldConstructsAndMovesWithoutHeap) {

@@ -6,9 +6,11 @@
 // vectors anchor both sides to the standards, and randomized corpora compare
 // production against the oracle over thousands of inputs. The SHA-NI rounds
 // are also compared with the scalar rounds directly, on CPUs that have them.
-// The final tests close the loop end to end: a full (R,s) experiment
-// serializes to byte-identical JSON on the production suite and on the
-// oracle suite, and with the suites' per-signer memos cold or warm.
+// The final tests close the loop end to end: a full (R,s) experiment and a
+// full FastSuite experiment serialize to byte-identical JSON on the
+// production suite, which signs and verifies through its prepared keys, and
+// on the oracle suite, which reaches its one-shot calls through the
+// forwarding defaults.
 //
 // Names that say "on and off" or "both paths" compare production ("on")
 // with the oracle ("off"); they keep the names they had when a process-wide
@@ -28,7 +30,6 @@
 #include "g2g/core/json.hpp"
 #include "g2g/crypto/fastpath.hpp"
 #include "g2g/crypto/hmac.hpp"
-#include "g2g/crypto/key_memo.hpp"
 #include "g2g/crypto/montgomery.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sha256.hpp"
@@ -337,7 +338,7 @@ void expect_verdicts_match_oracle(const SchnorrEngine& engine, const SchnorrKeyP
       {"R = 1, s = 0", kp.public_key, msg, {one, U256{}}, false},
   };
   for (const auto& c : cases) {
-    const bool rs_verdict = engine.verify_rs(c.key, c.message, c.rs);
+    const bool rs_verdict = engine.verify_rs(engine.prepare(c.key), c.message, c.rs);
     EXPECT_EQ(rs_verdict, oracle::schnorr_rs_verify(group, c.key, c.message, c.rs))
         << c.name << ", " << where;
     EXPECT_EQ(rs_verdict, c.expect) << c.name << ", " << where;
@@ -370,33 +371,22 @@ TEST(FastPathDiff, SchnorrEngineMatchesFreeFunctions) {
               oracle::dh_shared_secret(*group, kp.secret, other.public_key))
         << where;
 
-    // y^e through the per-key tables, and past q's bit length through pow_p.
-    // verify never range-checks y, so keys at and past p must reduce like
-    // pow_mod does.
+    // y^e as DH toward a prepared public key: through y's table inside q's
+    // bit length, through mont_pow past it. Nothing range-checks y, so keys
+    // at and past p must reduce like pow_mod does.
+    const SuitePtr suite = make_schnorr_rs_suite(*group);
     const U256 one(1);
     bool borrow = false;
     const U256 q_minus_1 = sub(group->q, one, borrow);
     const U256 all_ones = U256::from_hex(
         "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
+    const U256 past_q = U256::from_hex("1" + std::string(group->q.bit_length() / 4, '0'));
     for (const U256& y : {U256(0), one, sub(group->p, one, borrow), group->p, all_ones}) {
-      for (const U256& e : {U256(0), one, q_minus_1, random_below(rng_a, group->q), all_ones}) {
-        EXPECT_EQ(engine.pow_key(y, e), pow_mod(y, e, group->p))
+      const PublicKeyPtr key = suite->prepare_public_key(y.to_bytes_be());
+      for (const U256& e :
+           {U256(0), one, q_minus_1, random_below(rng_a, group->q), past_q, all_ones}) {
+        EXPECT_EQ(key->shared_secret(e.to_bytes_be()), pow_mod(y, e, group->p).to_bytes_be())
             << y.to_hex() << "^" << e.to_hex() << ", " << where;
-      }
-    }
-    if (group != &SchnorrGroup::small_group()) continue;
-    // More distinct keys than the memo holds, visited twice, so every table
-    // is also rebuilt after the memo clears.
-    Rng key_rng(7);
-    std::vector<U256> keys;
-    for (std::size_t i = 0; i < KeyMemo<FixedBaseTable>::kMaxKeys + 9; ++i) {
-      keys.push_back(random_below(key_rng, group->p));
-    }
-    for (int round = 0; round < 2; ++round) {
-      for (const U256& y : keys) {
-        const U256 e = random_below(key_rng, group->q);
-        EXPECT_EQ(engine.pow_key(y, e), pow_mod(y, e, group->p))
-            << y.to_hex() << ", round " << round << ", " << where;
       }
     }
   }
@@ -781,8 +771,8 @@ TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
   // The tables ("on") must reach the schoolbook residues ("off": y^e as
   // pow_mod, a verification's g^s · y^e as mul_mod over two pow_mods),
   // through pow(), through one accumulator shared by an 8-bit and a 4-bit
-  // table (left empty when both exponents are zero), and through the
-  // engine's pow_key.
+  // table (left empty when both exponents are zero), and through DH toward
+  // the engine's prepared key.
   Rng rng(0x7AB1E2);
   for (const SchnorrGroup* group : {&SchnorrGroup::small_group(), &SchnorrGroup::default_group()}) {
     const MontgomeryParams params = MontgomeryParams::for_modulus(group->p);
@@ -791,6 +781,7 @@ TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
     const U256 y = random_below(rng, group->p);
     const FixedBaseTable g_table(group->g, params, q_bits, 8);
     const FixedBaseTable y_table(y, params, q_bits, 4);
+    const SchnorrPreparedKey y_key = engine.prepare(y);
     for (int i = 0; i < 10; ++i) {
       // s = e = 0, then s = 0 alone, then e = 0 alone, then both random.
       const U256 s = i <= 1 ? U256{} : random_below(rng, group->q);
@@ -800,7 +791,7 @@ TEST(MontgomeryDiff, FixedBaseTablePowIdenticalFastOnAndOff) {
       const U256 reference = mul_mod(g_s, y_e, group->p);
       EXPECT_EQ(g_table.pow(s), g_s) << s.to_hex();
       EXPECT_EQ(y_table.pow(e), y_e) << e.to_hex();
-      EXPECT_EQ(engine.pow_key(y, e), y_e) << e.to_hex();
+      EXPECT_EQ(engine.shared_secret(e, y_key), y_e) << e.to_hex();
       std::optional<U256> acc;
       g_table.mul_into(acc, s);
       y_table.mul_into(acc, e);
@@ -844,17 +835,30 @@ core::ExperimentConfig rs_config() {
   return cfg;
 }
 
-TEST(FastPathDiff, ExperimentJsonBitIdenticalWithWarmAndColdKeyMemo) {
-  // A suite's per-signer memo outlives a run: rerunning on the same suite
-  // starts with every key's table or pad state already built. Neither suite
-  // may let that show in the serialized experiment.
-  core::ExperimentConfig fast_cfg = diff_config();
-  fast_cfg.suite = make_fast_suite();
-  for (const core::ExperimentConfig& cfg : {fast_cfg, rs_config()}) {
-    const std::string cold = core::to_json(core::run_experiment(cfg));
-    const std::string warm = core::to_json(core::run_experiment(cfg));
-    EXPECT_EQ(cold, warm) << cfg.suite->name();
-  }
+TEST(FastPathDiff, ExperimentJsonBitIdenticalWithFastSuiteAndOracleSuite) {
+  // G2G Delegation with liars on a short Cambridge06 window: FQ_RESP
+  // declarations are signed and checked on every attempt, sources ship them
+  // as attachments, destinations check those and issue QualityLie PoMs,
+  // which other nodes verify, and every message is sealed to its
+  // destination's roster key. The production FastSuite does all of it
+  // through its prepared keys (each key's HMAC pad states, made once); the
+  // oracle suite overrides only the one-shot calls, so its keys are the
+  // forwarding defaults, on the scalar rounds and the RFC 2104 HMAC. The
+  // serialized experiment must not be able to tell.
+  constexpr std::uint64_t kSeed = 0x4732674d41435353ULL;
+  core::ExperimentConfig cfg = diff_config();
+  cfg.protocol = core::Protocol::G2GDelegationFrequency;
+  cfg.scenario = core::cambridge06_scenario();
+  cfg.scenario.trace_config.nodes = 16;
+  cfg.deviation = proto::Behavior::Liar;
+  cfg.suite = make_fast_suite(kSeed);
+  core::ExperimentConfig oracle_cfg = cfg;
+  oracle_cfg.suite = oracle::fast_suite(kSeed);
+  const core::ExperimentResult production = core::run_experiment(cfg);
+  EXPECT_EQ(core::to_json(production), core::to_json(core::run_experiment(oracle_cfg)));
+  EXPECT_GT(production.counters.value("wire.quality_decl.msgs"), 0u);
+  EXPECT_GT(production.counters.value("detect.quality_lies"), 0u);
+  EXPECT_GT(production.counters.value("pom.learned"), 0u);
 }
 
 TEST(FastPathDiff, ExperimentJsonBitIdenticalWithRsSuiteAndOracleSuite) {

@@ -49,7 +49,7 @@ TEST(FuzzDecode, VerifyPomOnRandomEvidenceNeverAccepts) {
   Rng rng(108);
   const crypto::SuitePtr suite = crypto::make_fast_suite(0xF077);
   crypto::Authority authority(suite, rng);
-  proto::Roster roster;
+  proto::Roster roster(suite);
   std::vector<crypto::NodeIdentity> ids;
   for (std::uint32_t i = 0; i < 3; ++i) {
     ids.emplace_back(suite, NodeId(i), authority, rng);
@@ -64,14 +64,14 @@ TEST(FuzzDecode, VerifyPomOnRandomEvidenceNeverAccepts) {
     por.giver = pom.accuser;
     por.taker = pom.culprit;
     por.delegation = true;
-    por.taker_signature = random_bytes(rng, 32);  // junk signature
+    por.taker_signature = crypto::Signature(random_bytes(rng, 32));  // junk signature
     pom.evidence_accepted = por;
     pom.evidence_forwarded = por;
     proto::QualityDeclaration decl;
     decl.declarer = pom.culprit;
-    decl.signature = random_bytes(rng, 32);
+    decl.signature = crypto::Signature(random_bytes(rng, 32));
     pom.evidence_declaration = decl;
-    EXPECT_FALSE(proto::verify_pom(*suite, roster, pom));
+    EXPECT_FALSE(proto::verify_pom(roster, pom));
   }
 }
 
@@ -84,17 +84,17 @@ TEST(FuzzDecode, StrictDecodersRejectTrailingBytes) {
   por.h.fill(0x5a);
   por.giver = NodeId(1);
   por.taker = NodeId(2);
-  por.taker_signature = random_bytes(rng, 48);
+  por.taker_signature = crypto::Signature(random_bytes(rng, 48));
   const crypto::SuitePtr suite = crypto::make_fast_suite(0xF118);
   crypto::Authority authority(suite, rng);
-  proto::Roster roster;
+  proto::Roster roster(suite);
   std::vector<crypto::NodeIdentity> ids;
   for (std::uint32_t i = 0; i < 2; ++i) {
     ids.emplace_back(suite, NodeId(i), authority, rng);
     roster.add(ids.back().certificate());
   }
   const proto::SealedMessage msg = proto::make_message(
-      ids[0], roster.get(NodeId(1)), MessageId(5), random_bytes(rng, 16), rng);
+      ids[0], roster, NodeId(1), MessageId(5), random_bytes(rng, 16), rng);
 
   const auto reject_padded = [](Bytes padded, auto&& decode) {
     padded.push_back(0x00);
@@ -123,7 +123,7 @@ TEST(FuzzDecode, PomRejectsTrailingJunkInsideEvidence) {
   por.giver = NodeId(1);
   por.taker = NodeId(2);
   por.delegation = false;
-  por.taker_signature = random_bytes(rng, 32);
+  por.taker_signature = crypto::Signature(random_bytes(rng, 32));
   pom.evidence_accepted = por;
   const Bytes valid = encode_exact(pom);
   ASSERT_NO_THROW((void)proto::ProofOfMisbehavior::decode(valid));
@@ -154,21 +154,21 @@ TEST(FuzzDecode, DecodeViewsMatchOwningDecoders) {
   Rng rng(121);
   const crypto::SuitePtr suite = crypto::make_fast_suite(0xF121);
   crypto::Authority authority(suite, rng);
-  proto::Roster roster;
+  proto::Roster roster(suite);
   std::vector<crypto::NodeIdentity> ids;
   for (std::uint32_t i = 0; i < 2; ++i) {
     ids.emplace_back(suite, NodeId(i), authority, rng);
     roster.add(ids.back().certificate());
   }
   proto::relay::RelayDataFrame frame;
-  frame.msg = proto::make_message(ids[0], roster.get(NodeId(1)), MessageId(7),
+  frame.msg = proto::make_message(ids[0], roster, NodeId(1), MessageId(7),
                                   random_bytes(rng, 24), rng);
   frame.h = frame.msg.hash();
   proto::QualityDeclaration decl;
   decl.declarer = NodeId(1);
   decl.dst = NodeId(0);
   decl.value = 2.5;
-  decl.signature = random_bytes(rng, 32);
+  decl.signature = crypto::Signature(random_bytes(rng, 32));
   frame.attachments.push_back(decl);
   const Bytes valid = encode_exact(frame);
 
@@ -192,7 +192,7 @@ TEST(FuzzDecode, DecodeViewsMatchOwningDecoders) {
   por.giver = NodeId(0);
   por.taker = NodeId(1);
   por.delegation = true;
-  por.taker_signature = random_bytes(rng, 40);
+  por.taker_signature = crypto::Signature(random_bytes(rng, 40));
   const Bytes por_wire = encode_exact(por);
   const proto::ProofOfRelayView por_view = proto::ProofOfRelayView::decode(por_wire);
   EXPECT_EQ(encode_exact(por_view.to_owned()), por_wire);

@@ -46,13 +46,39 @@ TEST_F(IdentityTest, CertificateEncodingRoundTrip) {
   EXPECT_EQ(decoded.authority_signature, id.certificate().authority_signature);
 }
 
+TEST_F(IdentityTest, CertificateDecodeRejectsTrailingBytes) {
+  // Like every wire decoder, Certificate::decode reads exactly one encoding.
+  const NodeIdentity id(suite_, NodeId(3), authority_, rng_);
+  for (const std::size_t extra : {1u, 2u}) {
+    Bytes b = id.certificate().encode();
+    b.insert(b.end(), extra, 0x00);
+    EXPECT_THROW((void)Certificate::decode(b), DecodeError) << extra << " trailing bytes";
+  }
+}
+
+TEST_F(IdentityTest, CertificateDecodeRejectsSignatureBlobPastSixtyFourBytes) {
+  // node | public-key blob | authority-signature blob: a 64-byte signature
+  // blob decodes, a 65-byte one does not fit a Signature.
+  for (const std::size_t n : {std::size_t{64}, std::size_t{65}}) {
+    Writer w;
+    w.u32(3);
+    w.blob(Bytes(32, 0x11));
+    w.blob(Bytes(n, 0x22));
+    if (n == 64) {
+      EXPECT_EQ(Certificate::decode(w.bytes()).authority_signature.size(), 64u);
+    } else {
+      EXPECT_THROW((void)Certificate::decode(w.bytes()), DecodeError);
+    }
+  }
+}
+
 TEST_F(IdentityTest, SignAndVerifyBetweenIdentities) {
   const NodeIdentity alice(suite_, NodeId(1), authority_, rng_);
   const NodeIdentity bob(suite_, NodeId(2), authority_, rng_);
   const Bytes msg = to_bytes("POR");
-  const Bytes sig = alice.sign(msg);
-  EXPECT_TRUE(bob.verify_from(alice.certificate(), msg, sig));
-  EXPECT_FALSE(bob.verify_from(bob.certificate(), msg, sig));
+  const Signature sig = alice.sign(msg);
+  EXPECT_TRUE(suite_->prepare_public_key(alice.certificate().public_key)->verify(msg, sig.view()));
+  EXPECT_FALSE(suite_->prepare_public_key(bob.certificate().public_key)->verify(msg, sig.view()));
 }
 
 TEST_F(IdentityTest, SharedSecretAgreesAcrossIdentities) {
@@ -65,7 +91,8 @@ TEST_F(IdentityTest, SharedSecretAgreesAcrossIdentities) {
 TEST_F(IdentityTest, OpenBoxDecryptsSealedContent) {
   const NodeIdentity alice(suite_, NodeId(1), authority_, rng_);
   const Bytes plain = to_bytes("inner message");
-  const SealedBox box = seal(*suite_, rng_, alice.certificate().public_key, plain);
+  const SealedBox box =
+      seal(*suite_, rng_, *suite_->prepare_public_key(alice.certificate().public_key), plain);
   EXPECT_EQ(alice.open_box(box), plain);
 }
 

@@ -22,7 +22,7 @@ class MessageTableTest : public ::testing::Test {
   }
 
   SealedMessage message(std::uint64_t id) {
-    return make_message(identities_[0], roster_.get(NodeId(1)), MessageId(id), Bytes(24, 0x5C),
+    return make_message(identities_[0], roster_, NodeId(1), MessageId(id), Bytes(24, 0x5C),
                         rng_);
   }
 
@@ -30,7 +30,7 @@ class MessageTableTest : public ::testing::Test {
   Rng rng_{19};
   crypto::Authority authority_;
   std::vector<crypto::NodeIdentity> identities_;
-  Roster roster_;
+  Roster roster_{suite_};
   MessageTable table_;
 };
 

@@ -18,21 +18,21 @@ class MessageTest : public ::testing::Test {
   Rng rng_{31};
   crypto::Authority authority_;
   std::vector<crypto::NodeIdentity> identities_;
-  Roster roster_;
+  Roster roster_{suite_};
 };
 
 TEST_F(MessageTest, RosterLookup) {
   EXPECT_NE(roster_.find(NodeId(0)), nullptr);
   EXPECT_EQ(roster_.find(NodeId(9)), nullptr);
-  EXPECT_EQ(roster_.get(NodeId(1)).node, NodeId(1));
-  EXPECT_THROW((void)roster_.get(NodeId(9)), std::out_of_range);
+  EXPECT_EQ(roster_.find(NodeId(1))->node, NodeId(1));
+  EXPECT_THROW((void)roster_.key(NodeId(9)), std::out_of_range);
   EXPECT_EQ(roster_.size(), 3u);
 }
 
 TEST_F(MessageTest, SealOpenRoundTrip) {
   const Bytes body = to_bytes("the payload");
   const SealedMessage m =
-      make_message(identities_[0], roster_.get(NodeId(1)), MessageId(42), body, rng_);
+      make_message(identities_[0], roster_, NodeId(1), MessageId(42), body, rng_);
   EXPECT_EQ(m.dst, NodeId(1));
 
   const auto opened = open_message(identities_[1], m, roster_);
@@ -44,7 +44,7 @@ TEST_F(MessageTest, SealOpenRoundTrip) {
 }
 
 TEST_F(MessageTest, NonDestinationCannotOpen) {
-  const SealedMessage m = make_message(identities_[0], roster_.get(NodeId(1)), MessageId(1),
+  const SealedMessage m = make_message(identities_[0], roster_, NodeId(1), MessageId(1),
                                        to_bytes("secret"), rng_);
   // A relay (node 2) sees only the destination; open must fail.
   EXPECT_FALSE(open_message(identities_[2], m, roster_).has_value());
@@ -56,7 +56,7 @@ TEST_F(MessageTest, SenderIsHiddenFromTheWire) {
   // The sealed encoding must not contain the sender id in any header field;
   // only dst is cleartext. (We can't prove ciphertext secrecy here, but we
   // can check the accessible struct fields.)
-  const SealedMessage m = make_message(identities_[0], roster_.get(NodeId(1)), MessageId(7),
+  const SealedMessage m = make_message(identities_[0], roster_, NodeId(1), MessageId(7),
                                        to_bytes("x"), rng_);
   const SealedMessage decoded = SealedMessage::decode(encode_exact(m));
   EXPECT_EQ(decoded.dst, NodeId(1));
@@ -64,17 +64,17 @@ TEST_F(MessageTest, SenderIsHiddenFromTheWire) {
 }
 
 TEST_F(MessageTest, HashIsStableAndContentSensitive) {
-  const SealedMessage m1 = make_message(identities_[0], roster_.get(NodeId(1)), MessageId(1),
+  const SealedMessage m1 = make_message(identities_[0], roster_, NodeId(1), MessageId(1),
                                         to_bytes("a"), rng_);
   EXPECT_EQ(m1.hash(), SealedMessage::decode(encode_exact(m1)).hash());
-  const SealedMessage m2 = make_message(identities_[0], roster_.get(NodeId(1)), MessageId(1),
+  const SealedMessage m2 = make_message(identities_[0], roster_, NodeId(1), MessageId(1),
                                         to_bytes("a"), rng_);
   // Fresh ephemeral key => different wire form => different hash.
   EXPECT_NE(m1.hash(), m2.hash());
 }
 
 TEST_F(MessageTest, TamperedBodyLosesAuthenticity) {
-  SealedMessage m = make_message(identities_[0], roster_.get(NodeId(1)), MessageId(3),
+  SealedMessage m = make_message(identities_[0], roster_, NodeId(1), MessageId(3),
                                  to_bytes("pay 5 euro"), rng_);
   // Flip a ciphertext byte: the inner decode either fails or flunks the
   // signature; it must never yield an authentic message.
@@ -93,7 +93,7 @@ TEST_F(MessageTest, UnknownSenderIsNotAuthentic) {
   Rng rng2(99);
   const crypto::NodeIdentity stranger(suite_, NodeId(7), authority_, rng2);
   const SealedMessage m =
-      make_message(stranger, roster_.get(NodeId(1)), MessageId(5), to_bytes("hi"), rng2);
+      make_message(stranger, roster_, NodeId(1), MessageId(5), to_bytes("hi"), rng2);
   const auto opened = open_message(identities_[1], m, roster_);
   ASSERT_TRUE(opened.has_value());
   EXPECT_FALSE(opened->authentic);

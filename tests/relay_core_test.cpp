@@ -33,7 +33,7 @@ ProofOfMisbehavior relay_failure_pom(std::uint32_t culprit, std::uint32_t accuse
   por.h.fill(0x5A);
   por.giver = NodeId(accuser);
   por.taker = NodeId(culprit);
-  por.taker_signature = Bytes(32, 0x42);  // junk: fails verification
+  por.taker_signature = crypto::Signature(Bytes(32, 0x42));  // junk: fails verification
   pom.evidence_accepted = por;
   return pom;
 }

@@ -31,7 +31,7 @@ class RelayFrames : public ::testing::Test {
   }
 
   [[nodiscard]] SealedMessage message() {
-    return make_message(ids_[0], roster_.get(NodeId(1)), MessageId(7), Bytes{1, 2, 3, 4},
+    return make_message(ids_[0], roster_, NodeId(1), MessageId(7), Bytes{1, 2, 3, 4},
                         rng_);
   }
 
@@ -50,7 +50,7 @@ class RelayFrames : public ::testing::Test {
   Rng rng_;
   crypto::Authority authority_;
   std::vector<crypto::NodeIdentity> ids_;
-  Roster roster_;
+  Roster roster_{suite_};
 };
 
 TEST_F(RelayFrames, RelayRqstRoundTripAndSizeIdentity) {

@@ -56,7 +56,7 @@ TEST_F(SchnorrSmall, WrongKeyRejected) {
   const SchnorrKeyPair kp2 = engine_.keygen(rng_);
   const Bytes msg = to_bytes("msg");
   const SchnorrSignatureRS sig = engine_.sign_rs(kp1.secret, msg, rng_);
-  EXPECT_FALSE(engine_.verify_rs(kp2.public_key, msg, sig));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp2.public_key), msg, sig));
 }
 
 TEST_F(SchnorrSmall, KeysLieInTheSubgroup) {
@@ -73,7 +73,7 @@ TEST_F(SchnorrSmall, ManyKeysManyMessages) {
     Writer w;
     w.u32(static_cast<std::uint32_t>(i));
     const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, w.bytes(), rng_);
-    EXPECT_TRUE(engine_.verify_rs(kp.public_key, w.bytes(), sig));
+    EXPECT_TRUE(engine_.verify_rs(engine_.prepare(kp.public_key), w.bytes(), sig));
   }
 }
 
@@ -100,10 +100,10 @@ TEST_F(SchnorrSmall, RsSignVerifyRoundTrip) {
   const SchnorrKeyPair kp = engine_.keygen(rng_);
   const Bytes msg = to_bytes("(R,s)-form proof of relay");
   const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
-  EXPECT_TRUE(engine_.verify_rs(kp.public_key, msg, sig));
+  EXPECT_TRUE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, sig));
   Bytes tampered = msg;
   tampered[0] ^= 1;
-  EXPECT_FALSE(engine_.verify_rs(kp.public_key, tampered, sig));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp.public_key), tampered, sig));
 }
 
 TEST_F(SchnorrSmall, RsTamperedAndOutOfRangeRejected) {
@@ -112,21 +112,21 @@ TEST_F(SchnorrSmall, RsTamperedAndOutOfRangeRejected) {
   const SchnorrSignatureRS sig = engine_.sign_rs(kp.secret, msg, rng_);
   SchnorrSignatureRS bad_r = sig;
   bad_r.r = mul_mod(bad_r.r, group_.g, group_.p);
-  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, bad_r));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, bad_r));
   SchnorrSignatureRS bad_s = sig;
   bad_s.s = add_mod(bad_s.s, U256(1), group_.q);
-  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, bad_s));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, bad_s));
   SchnorrSignatureRS oor = sig;
   oor.s = group_.q;
-  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, oor));
   oor = sig;
   oor.r = group_.p;
-  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, oor));
   oor = sig;
   oor.r = U256(0);
-  EXPECT_FALSE(engine_.verify_rs(kp.public_key, msg, oor));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, oor));
   // The zero public key: y^e is 0 for every e > 0, so no commitment matches.
-  EXPECT_FALSE(engine_.verify_rs(U256(0), msg, sig));
+  EXPECT_FALSE(engine_.verify_rs(engine_.prepare(U256(0)), msg, sig));
   EXPECT_FALSE(oracle::schnorr_rs_verify(group_, U256(0), msg, sig));
 }
 
@@ -151,7 +151,7 @@ TEST_F(SchnorrSmall, EngineRsMatchesFreeFunctions) {
   const SchnorrSignatureRS b = engine_.sign_rs(kp.secret, msg, nonce_b);
   EXPECT_EQ(a.r, b.r);
   EXPECT_EQ(a.s, b.s);
-  EXPECT_TRUE(engine_.verify_rs(kp.public_key, msg, a));
+  EXPECT_TRUE(engine_.verify_rs(engine_.prepare(kp.public_key), msg, a));
 }
 
 TEST(SchnorrDefaultGroup, SignVerifyOnDefaultGroup) {
@@ -160,10 +160,10 @@ TEST(SchnorrDefaultGroup, SignVerifyOnDefaultGroup) {
   const SchnorrKeyPair kp = engine.keygen(rng);
   const Bytes msg = to_bytes("full-size group check");
   const SchnorrSignatureRS sig = engine.sign_rs(kp.secret, msg, rng);
-  EXPECT_TRUE(engine.verify_rs(kp.public_key, msg, sig));
+  EXPECT_TRUE(engine.verify_rs(engine.prepare(kp.public_key), msg, sig));
   Bytes tampered = msg;
   tampered.back() ^= 0x80;
-  EXPECT_FALSE(engine.verify_rs(kp.public_key, tampered, sig));
+  EXPECT_FALSE(engine.verify_rs(engine.prepare(kp.public_key), tampered, sig));
 }
 
 }  // namespace

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "g2g/crypto/hmac.hpp"
-#include "g2g/crypto/key_memo.hpp"
+#include "g2g/crypto/identity.hpp"
 #include "g2g/crypto/schnorr.hpp"
 #include "g2g/crypto/sealed_box.hpp"
+#include "g2g/proto/message.hpp"
 #include "oracle/oracle.hpp"
 
 namespace g2g::crypto {
@@ -98,7 +101,7 @@ TEST_P(SuiteTest, SealedBoxRoundTrip) {
   Rng rng(7);
   const KeyPair recipient = suite->keygen(rng);
   const Bytes plain = to_bytes("S, msg_id, body — sealed to D");
-  const SealedBox box = seal(*suite, rng, recipient.public_key, plain);
+  const SealedBox box = seal(*suite, rng, *suite->prepare_public_key(recipient.public_key), plain);
   EXPECT_NE(box.ciphertext, plain);
   EXPECT_EQ(seal_open(*suite, recipient.secret_key, box), plain);
 }
@@ -109,7 +112,7 @@ TEST_P(SuiteTest, SealedBoxWrongRecipientGetsGarbage) {
   const KeyPair recipient = suite->keygen(rng);
   const KeyPair other = suite->keygen(rng);
   const Bytes plain = to_bytes("only for the destination");
-  const SealedBox box = seal(*suite, rng, recipient.public_key, plain);
+  const SealedBox box = seal(*suite, rng, *suite->prepare_public_key(recipient.public_key), plain);
   EXPECT_NE(seal_open(*suite, other.secret_key, box), plain);
 }
 
@@ -172,6 +175,95 @@ INSTANTIATE_TEST_SUITE_P(AllSuites, SuiteTest,
                            return name;
                          });
 
+// -- Prepared keys ----------------------------------------------------------------
+
+// The production suites prepare their own keys; the oracle suites override
+// only the one-shot calls, so theirs are Suite's forwarding defaults.
+struct SuiteMaker {
+  const char* name;
+  std::function<SuitePtr()> make;
+};
+
+class PreparedKeys : public ::testing::TestWithParam<SuiteMaker> {};
+
+TEST_P(PreparedKeys, VerdictsSignaturesAndSecretsMatchTheOneShotCalls) {
+  const SuitePtr suite = GetParam().make();
+  ASSERT_LE(suite->signature_size(), Signature::kCapacity);
+  Rng rng(21);
+  const KeyPair kp = suite->keygen(rng);
+  const KeyPair other = suite->keygen(rng);
+  const SigningKeyPtr signer = suite->prepare_signing_key(kp.secret_key);
+  const PublicKeyPtr key = suite->prepare_public_key(kp.public_key);
+  const PublicKeyPtr other_key = suite->prepare_public_key(other.public_key);
+
+  const Bytes msg = to_bytes("FQ_RESP, declarer 4, toward 9");
+  const Signature sig = signer->sign(msg);
+  const Bytes one_shot = suite->sign(kp.secret_key, msg);
+  EXPECT_EQ(Bytes(sig.view().begin(), sig.view().end()), one_shot);
+  EXPECT_EQ(sig.size(), suite->signature_size());
+
+  Bytes tampered = one_shot;
+  tampered[tampered.size() / 2] ^= 0x40;
+  Bytes short_key = kp.public_key;
+  short_key.pop_back();
+  Bytes long_key = kp.public_key;
+  long_key.push_back(0);
+  struct Case {
+    std::string name;
+    Bytes public_key;
+    Bytes signature;
+    bool expect;
+  };
+  std::vector<Case> cases = {
+      {"right key", kp.public_key, one_shot, true},
+      {"tampered signature", kp.public_key, tampered, false},
+      {"wrong key", other.public_key, one_shot, false},
+      {"public key one byte short", short_key, one_shot, false},
+      {"public key one byte long", long_key, one_shot, false},
+  };
+  for (const std::size_t n : {0u, 31u, 33u, 63u, 64u, 65u}) {
+    Bytes resized = one_shot;
+    resized.resize(n, 0x5a);
+    if (n == one_shot.size()) continue;  // the right signature, already a case
+    cases.push_back({"signature length " + std::to_string(n), kp.public_key, resized, false});
+  }
+  for (const Case& c : cases) {
+    const bool verdict = suite->verify(c.public_key, msg, c.signature);
+    EXPECT_EQ(suite->prepare_public_key(c.public_key)->verify(msg, c.signature), verdict)
+        << c.name;
+    EXPECT_EQ(verdict, c.expect) << c.name;
+  }
+  EXPECT_TRUE(key->verify(msg, sig.view()));
+  EXPECT_FALSE(other_key->verify(msg, sig.view()));
+
+  // DH toward a prepared key is the one-shot secret, from either side.
+  EXPECT_EQ(other_key->shared_secret(kp.secret_key),
+            suite->shared_secret(kp.secret_key, other.public_key));
+  EXPECT_EQ(key->shared_secret(other.secret_key),
+            suite->shared_secret(kp.secret_key, other.public_key));
+
+  // A roster verifies through keys it prepares; an unknown node verifies
+  // nothing.
+  const Authority authority(suite, rng);
+  const NodeIdentity node(suite, NodeId(2), authority, rng);
+  proto::Roster roster(suite);
+  roster.add(node.certificate());
+  const Signature node_sig = node.sign(msg);
+  EXPECT_TRUE(roster.verify(NodeId(2), msg, node_sig.view()));
+  EXPECT_FALSE(roster.verify(NodeId(3), msg, node_sig.view()));
+  EXPECT_FALSE(roster.verify(NodeId(7), msg, node_sig.view()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSuites, PreparedKeys,
+    ::testing::Values(
+        SuiteMaker{"fast", [] { return make_fast_suite(0x5eed); }},
+        SuiteMaker{"schnorr_rs", [] { return make_schnorr_rs_suite(SchnorrGroup::small_group()); }},
+        SuiteMaker{"oracle_fast", [] { return oracle::fast_suite(0x5eed); }},
+        SuiteMaker{"oracle_schnorr_rs",
+                   [] { return oracle::schnorr_rs_suite(SchnorrGroup::small_group()); }}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 TEST(FastSuite, DifferentSeedsCannotCrossVerify) {
   // A signature made under one suite seed must not verify under another:
   // the seed plays the role of the unforgeability assumption.
@@ -181,20 +273,22 @@ TEST(FastSuite, DifferentSeedsCannotCrossVerify) {
   const KeyPair kp = s1->keygen(rng);
   const Bytes sig = s1->sign(kp.secret_key, to_bytes("m"));
   EXPECT_FALSE(s2->verify(kp.public_key, to_bytes("m"), sig));
-  // Signing reads only the secret key's MAC half, whichever suite signs. s2
-  // has just memoised its own K_pub for this public key; a signing memo keyed
-  // by the public half would answer with that instead.
+  EXPECT_FALSE(s2->prepare_public_key(kp.public_key)->verify(to_bytes("m"), sig));
+  // Signing reads only the secret key's MAC half, whichever suite signs or
+  // prepares the key: the public half would give s2's K_pub instead.
   EXPECT_EQ(s2->sign(kp.secret_key, to_bytes("m")), sig);
+  EXPECT_EQ(s2->prepare_signing_key(kp.secret_key)->sign(to_bytes("m")), Signature(sig));
   EXPECT_EQ(sig, digest_bytes(hmac_sha256(BytesView(kp.secret_key).subspan(32), to_bytes("m"))));
 }
 
 TEST(SharedSuite, ConcurrentSignVerifyMatchesSingleThreadedRun) {
   // One (R,s) suite and one FastSuite, each shared by 4 threads whose key
-  // ranges overlap and together pass the memo bound, so lookups, table builds
-  // and clears interleave. Every signature and verdict must equal a
-  // single-threaded run on a fresh suite.
+  // ranges overlap. The threads share the public keys prepared once from the
+  // shared suite, prepare their signing keys from it, and mix prepared and
+  // one-shot calls. Every signature and verdict must equal a single-threaded
+  // run on a fresh suite.
   constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kKeys = KeyMemo<HmacKey>::kMaxKeys + 32;
+  constexpr std::size_t kKeys = 32;
   constexpr std::size_t kSpan = kKeys / 2;  // each key is visited by two threads
   const auto make = [](bool schnorr) {
     return schnorr ? make_schnorr_rs_suite(SchnorrGroup::small_group()) : make_fast_suite(0x5eed);
@@ -205,36 +299,59 @@ TEST(SharedSuite, ConcurrentSignVerifyMatchesSingleThreadedRun) {
     std::vector<KeyPair> keys;
     for (std::size_t i = 0; i < kKeys; ++i) keys.push_back(shared->keygen(rng));
     // Per thread: each signature, then its verdicts under the right key, a
-    // tampered copy, and the neighbouring key.
-    const auto work = [&](const Suite& suite, std::size_t t, std::vector<Bytes>& sigs,
-                          std::vector<char>& verdicts) {
+    // tampered copy, and the neighbouring key. Even steps sign and check the
+    // right key through prepared keys, odd steps one-shot; the neighbour is
+    // checked the other way round.
+    const auto prepare_all = [&](const Suite& suite) {
+      std::vector<PublicKeyPtr> prepared;
+      for (const KeyPair& kp : keys) prepared.push_back(suite.prepare_public_key(kp.public_key));
+      return prepared;
+    };
+    const auto work = [&](const Suite& suite, const std::vector<PublicKeyPtr>& public_keys,
+                          std::size_t t, std::vector<Bytes>& sigs, std::vector<char>& verdicts) {
       for (std::size_t j = 0; j < kSpan; ++j) {
         const std::size_t i = (t * kKeys / kThreads + j) % kKeys;
+        const KeyPair& next = keys[(i + 1) % kKeys];
         Writer w;
         w.u32(static_cast<std::uint32_t>(i));
         const Bytes msg = std::move(w).take();
-        Bytes sig = suite.sign(keys[i].secret_key, msg);
+        const bool prepared = j % 2 == 0;
+        Bytes sig;
+        if (prepared) {
+          const Signature s = suite.prepare_signing_key(keys[i].secret_key)->sign(msg);
+          sig.assign(s.view().begin(), s.view().end());
+        } else {
+          sig = suite.sign(keys[i].secret_key, msg);
+        }
         Bytes tampered = sig;
         tampered[3] ^= 0x10;
-        verdicts.push_back(suite.verify(keys[i].public_key, msg, sig));
-        verdicts.push_back(suite.verify(keys[i].public_key, msg, tampered));
-        verdicts.push_back(suite.verify(keys[(i + 1) % kKeys].public_key, msg, sig));
+        if (prepared) {
+          verdicts.push_back(public_keys[i]->verify(msg, sig));
+          verdicts.push_back(public_keys[i]->verify(msg, tampered));
+          verdicts.push_back(suite.verify(next.public_key, msg, sig));
+        } else {
+          verdicts.push_back(suite.verify(keys[i].public_key, msg, sig));
+          verdicts.push_back(suite.verify(keys[i].public_key, msg, tampered));
+          verdicts.push_back(public_keys[(i + 1) % kKeys]->verify(msg, sig));
+        }
         sigs.push_back(std::move(sig));
       }
     };
     std::vector<std::vector<Bytes>> sigs(kThreads);
     std::vector<std::vector<char>> verdicts(kThreads);
+    const std::vector<PublicKeyPtr> shared_keys = prepare_all(*shared);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] { work(*shared, t, sigs[t], verdicts[t]); });
+      threads.emplace_back([&, t] { work(*shared, shared_keys, t, sigs[t], verdicts[t]); });
     }
     for (auto& th : threads) th.join();
 
     const SuitePtr fresh = make(schnorr);
+    const std::vector<PublicKeyPtr> fresh_keys = prepare_all(*fresh);
     for (std::size_t t = 0; t < kThreads; ++t) {
       std::vector<Bytes> ref_sigs;
       std::vector<char> ref_verdicts;
-      work(*fresh, t, ref_sigs, ref_verdicts);
+      work(*fresh, fresh_keys, t, ref_sigs, ref_verdicts);
       EXPECT_EQ(sigs[t], ref_sigs) << "schnorr=" << schnorr << ", thread " << t;
       EXPECT_EQ(verdicts[t], ref_verdicts) << "schnorr=" << schnorr << ", thread " << t;
       for (std::size_t k = 0; k < ref_verdicts.size(); ++k) {

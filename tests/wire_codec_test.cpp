@@ -48,7 +48,7 @@ class Keys {
   }
 
   [[nodiscard]] SealedMessage message() {
-    return make_message(ids_[0], roster_.get(NodeId(1)), MessageId(9), Bytes(24, 0x5c), rng_);
+    return make_message(ids_[0], roster_, NodeId(1), MessageId(9), Bytes(24, 0x5c), rng_);
   }
 
   [[nodiscard]] QualityDeclaration declaration(std::uint32_t declarer, double value) {
@@ -84,7 +84,7 @@ class Keys {
   Rng rng_;
   crypto::Authority authority_;
   std::vector<crypto::NodeIdentity> ids_;
-  Roster roster_;
+  Roster roster_{suite_};
 };
 
 /// Per-type samples. The primary template is left undefined on purpose.

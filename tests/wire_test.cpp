@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "g2g/proto/relay/frames.hpp"
+
 namespace g2g::proto {
 namespace {
+
+/// `sig` with byte `i` flipped.
+crypto::Signature flipped(const crypto::Signature& sig, std::size_t i) {
+  Bytes b(sig.view().begin(), sig.view().end());
+  b[i] ^= 1;
+  return crypto::Signature(b);
+}
 
 class WireTest : public ::testing::Test {
  protected:
@@ -47,7 +56,7 @@ class WireTest : public ::testing::Test {
   Rng rng_{5};
   crypto::Authority authority_;
   std::vector<crypto::NodeIdentity> identities_;
-  Roster roster_;
+  Roster roster_{suite_};
 };
 
 TEST_F(WireTest, PorEncodingRoundTrip) {
@@ -79,7 +88,7 @@ TEST_F(WireTest, DeclarationEncodingRoundTrip) {
 TEST_F(WireTest, SignedPayloadExcludesSignature) {
   ProofOfRelay por = make_por(0, 1);
   const Bytes payload = por.signed_payload();
-  por.taker_signature[0] ^= 1;
+  por.taker_signature = flipped(por.taker_signature, 0);
   EXPECT_EQ(por.signed_payload(), payload);
 }
 
@@ -89,7 +98,7 @@ TEST_F(WireTest, RelayFailurePomVerifies) {
   pom.culprit = NodeId(1);
   pom.accuser = NodeId(0);
   pom.evidence_accepted = make_por(0, 1);
-  EXPECT_TRUE(verify_pom(*suite_, roster_, pom));
+  EXPECT_TRUE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, RelayFailurePomRejectsForgery) {
@@ -99,27 +108,27 @@ TEST_F(WireTest, RelayFailurePomRejectsForgery) {
   pom.accuser = NodeId(0);
 
   // No evidence at all.
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Evidence signed by someone else (culprit mismatch).
   pom.evidence_accepted = make_por(0, 2);
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Accuser was not the giver of the PoR.
   pom.evidence_accepted = make_por(3, 1);
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Tampered signature.
   auto por = make_por(0, 1);
-  por.taker_signature[3] ^= 1;
+  por.taker_signature = flipped(por.taker_signature, 3);
   pom.evidence_accepted = por;
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Tampered signed content (the timestamp is covered by the signature).
   por = make_por(0, 1);
   por.at = por.at + Duration::seconds(1.0);
   pom.evidence_accepted = por;
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, QualityLiePomVerifies) {
@@ -128,17 +137,17 @@ TEST_F(WireTest, QualityLiePomVerifies) {
   pom.culprit = NodeId(2);
   pom.accuser = NodeId(3);
   pom.evidence_declaration = make_decl(2, 3, 0.0);
-  EXPECT_TRUE(verify_pom(*suite_, roster_, pom));
+  EXPECT_TRUE(verify_pom(roster_, pom));
 
   // Declarer mismatch.
   pom.evidence_declaration = make_decl(1, 3, 0.0);
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Tampered value.
   auto decl = make_decl(2, 3, 0.0);
   decl.value = 9.0;
   pom.evidence_declaration = decl;
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, ChainCheatPomVerifies) {
@@ -151,7 +160,7 @@ TEST_F(WireTest, ChainCheatPomVerifies) {
   pom.accuser = NodeId(0);
   pom.evidence_accepted = make_por(0, 1, true, 2.0, 5.0);   // f_AD = 5
   pom.evidence_forwarded = make_por(1, 2, true, 0.0, 7.0);  // f1_m = 0 != 5
-  EXPECT_TRUE(verify_pom(*suite_, roster_, pom));
+  EXPECT_TRUE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, ChainCheatPomRejectsConsistentChain) {
@@ -161,7 +170,7 @@ TEST_F(WireTest, ChainCheatPomRejectsConsistentChain) {
   pom.accuser = NodeId(0);
   pom.evidence_accepted = make_por(0, 1, true, 2.0, 5.0);
   pom.evidence_forwarded = make_por(1, 2, true, 5.0, 7.0);  // f1_m == f_AD: honest
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, ChainCheatPomRejectsUnrelatedEvidence) {
@@ -173,7 +182,7 @@ TEST_F(WireTest, ChainCheatPomRejectsUnrelatedEvidence) {
   // Culprit not involved in the incoming PoR.
   pom.evidence_accepted = make_por(2, 3, true, 2.0, 5.0);
   pom.evidence_forwarded = make_por(1, 2, true, 0.0, 7.0);
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Different message hashes.
   auto in = make_por(0, 1, true, 2.0, 5.0);
@@ -182,12 +191,12 @@ TEST_F(WireTest, ChainCheatPomRejectsUnrelatedEvidence) {
   out.taker_signature = identities_[2].sign(out.signed_payload());
   pom.evidence_accepted = in;
   pom.evidence_forwarded = out;
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 
   // Epidemic (non-delegation) PoRs carry no chain.
   pom.evidence_accepted = make_por(0, 1, false);
   pom.evidence_forwarded = make_por(1, 2, false);
-  EXPECT_FALSE(verify_pom(*suite_, roster_, pom));
+  EXPECT_FALSE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, ChainCheatAcceptsCulpritOutgoingEstablisher) {
@@ -198,7 +207,7 @@ TEST_F(WireTest, ChainCheatAcceptsCulpritOutgoingEstablisher) {
   pom.accuser = NodeId(0);
   pom.evidence_accepted = make_por(1, 2, true, 5.0, 8.0);   // established f_m = 8
   pom.evidence_forwarded = make_por(1, 3, true, 2.0, 9.0);  // attached 2 != 8
-  EXPECT_TRUE(verify_pom(*suite_, roster_, pom));
+  EXPECT_TRUE(verify_pom(roster_, pom));
 }
 
 TEST_F(WireTest, PomEncodingProducesReasonableSizes) {
@@ -241,8 +250,49 @@ TEST_F(WireTest, EpidemicPorRoundTripDropsNoFields) {
   EXPECT_DOUBLE_EQ(decoded.taker_quality, 0.0);
   EXPECT_EQ(decoded.quality_frame, -1);
   // The signature still verifies after the round trip.
-  EXPECT_TRUE(suite_->verify(identities_[3].certificate().public_key,
-                             decoded.signed_payload(), decoded.taker_signature));
+  EXPECT_TRUE(roster_.verify(NodeId(3), decoded.signed_payload(), decoded.taker_signature.view()));
+}
+
+TEST_F(WireTest, SignatureBlobsPastSixtyFourBytesThrow) {
+  // A signature is a length-prefixed blob held inline in at most 64 bytes:
+  // a 64-byte blob decodes, a 65-byte one is rejected by every decoder that
+  // reads one, wherever it sits.
+  const auto with_blob = [](std::size_t n) { return crypto::Signature(Bytes(n, 0x5c)); };
+  for (const std::size_t n : {std::size_t{64}, std::size_t{65}}) {
+    // No Signature holds 65 bytes, so the 65-byte blob is spliced into the
+    // encoding of a 64-byte one: its length prefix, one more byte, and the
+    // length of an enclosing RELAY_DATA payload.
+    const auto grow = [n](Bytes wire, std::size_t blob_at, std::size_t payload_len_at = 0) {
+      if (n == 64) return wire;
+      wire[blob_at] = 65;
+      wire.insert(wire.begin() + static_cast<std::ptrdiff_t>(blob_at + 4 + 64), 0x5c);
+      if (payload_len_at != 0) ++wire[payload_len_at];
+      return wire;
+    };
+    ProofOfRelay por = make_por(0, 1, true, 2.0, 5.0);
+    por.taker_signature = with_blob(64);
+    const Bytes por_wire = grow(encode_exact(por), por.wire_size() - 4 - 64);
+    QualityDeclaration decl = make_decl(2, 3, 7.5);
+    decl.signature = with_blob(64);
+    const Bytes decl_wire = grow(encode_exact(decl), decl.wire_size() - 4 - 64);
+    relay::RelayDataFrame frame;
+    frame.h.fill(0x11);
+    frame.attachments.push_back(decl);
+    const std::size_t frame_size = frame.wire_size();
+    // tag, H(m), then the u64 payload length.
+    const Bytes frame_wire = grow(encode_exact(frame), frame_size - 4 - 64, 1 + 32);
+    if (n == 64) {
+      EXPECT_EQ(ProofOfRelay::decode(por_wire).taker_signature.size(), 64u);
+      EXPECT_EQ(ProofOfRelayView::decode(por_wire).taker_signature.size(), 64u);
+      EXPECT_EQ(QualityDeclaration::decode(decl_wire).signature.size(), 64u);
+      EXPECT_EQ(relay::RelayDataFrame::decode(frame_wire).attachments.at(0).signature.size(), 64u);
+    } else {
+      EXPECT_THROW((void)ProofOfRelay::decode(por_wire), DecodeError);
+      EXPECT_THROW((void)ProofOfRelayView::decode(por_wire), DecodeError);
+      EXPECT_THROW((void)QualityDeclaration::decode(decl_wire), DecodeError);
+      EXPECT_THROW((void)relay::RelayDataFrame::decode(frame_wire), DecodeError);
+    }
+  }
 }
 
 TEST_F(WireTest, PomDecodeRoundTripsAllKinds) {
@@ -274,7 +324,7 @@ TEST_F(WireTest, PomDecodeRoundTripsAllKinds) {
     EXPECT_EQ(decoded.at, pom->at);
     EXPECT_EQ(encode_exact(decoded), encode_exact(*pom));
     // Decoded accusations still verify: decode loses no signed material.
-    EXPECT_EQ(verify_pom(*suite_, roster_, decoded), verify_pom(*suite_, roster_, *pom));
+    EXPECT_EQ(verify_pom(roster_, decoded), verify_pom(roster_, *pom));
   }
 }
 

@@ -75,7 +75,19 @@ TEST_F(BadFixture, OwningBufferHotPathFires) {
                   "src/proto/src/relay/owning_hot_path.cpp"));
   // Declaration, copy+temporary line, raw byte vector, Writer; the justified
   // construction stays clean.
-  EXPECT_EQ(count_rule(findings(), "no-owning-buffer-hot-path"), 4u);
+  EXPECT_EQ(count_rule_in(findings(), "no-owning-buffer-hot-path",
+                          "src/proto/src/relay/owning_hot_path.cpp"),
+            4u);
+}
+
+TEST_F(BadFixture, OwningBufferPolicyHandshakeFires) {
+  // The policy half of a handshake (relay_attempt) runs once per attempt
+  // too: a temporary and an owning writer fire, the justified declaration
+  // does not, and no other file outside relay/ is scanned.
+  EXPECT_EQ(count_rule_in(findings(), "no-owning-buffer-hot-path",
+                          "src/proto/src/g2g_delegation.cpp"),
+            2u);
+  EXPECT_EQ(count_rule(findings(), "no-owning-buffer-hot-path"), 6u);
 }
 
 TEST_F(BadFixture, ViewEscapeFires) {

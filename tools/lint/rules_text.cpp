@@ -129,11 +129,17 @@ void scan_adhoc_atomics(const FileContext& ctx, Sink& sink) {
 // Owning buffers on the relay hot path: the zero-copy message path encodes
 // into the session arena (g2g/util/arena.hpp) and decodes through non-owning
 // views, so constructing Bytes / std::vector<uint8_t> / Writer inside
-// src/proto/src/relay/ reintroduces per-hop heap traffic. Genuinely cold
-// paths (PoM gossip dedup, whose inputs must outlive the arena generation)
-// justify themselves with an allow pragma.
+// src/proto/src/relay/, or in the two G2G policy files whose relay_attempt
+// runs once per handshake attempt, reintroduces per-hop heap traffic.
+// Genuinely cold paths (PoM gossip dedup, whose inputs must outlive the
+// arena generation) justify themselves with an allow pragma.
+bool on_relay_hot_path(const std::string& rel) {
+  if (rel.rfind("src/proto/src/relay/", 0) == 0) return !is_header(rel);
+  return rel == "src/proto/src/g2g_delegation.cpp" || rel == "src/proto/src/g2g_epidemic.cpp";
+}
+
 void scan_owning_buffer_hot_path(const FileContext& ctx, Sink& sink) {
-  if (ctx.rel.rfind("src/proto/src/relay/", 0) != 0 || is_header(ctx.rel)) return;
+  if (!on_relay_hot_path(ctx.rel)) return;
   const auto& lines = ctx.lexed.lines;
   // Owning-buffer constructions only: `Bytes name …`, a `Bytes(...)`
   // temporary, a raw byte vector, or an owning Writer. Return types
