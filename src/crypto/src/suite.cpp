@@ -259,7 +259,7 @@ class FastSuite final : public Suite {
 Signature::Signature(BytesView bytes) {
   if (bytes.size() > kCapacity) throw std::length_error("signature longer than 64 bytes");
   std::copy(bytes.begin(), bytes.end(), bytes_.begin());
-  size_ = static_cast<std::uint8_t>(bytes.size());
+  size_ = bytes.size();
 }
 
 bool operator==(const Signature& a, const Signature& b) {
