@@ -34,7 +34,6 @@ class Roster {
   explicit Roster(crypto::SuitePtr suite);
 
   void add(crypto::Certificate cert);
-  [[nodiscard]] const crypto::Certificate* find(NodeId n) const;
   /// n's certified key, prepared on first use: what a message to n is
   /// sealed to. Throws std::out_of_range for an unknown node.
   [[nodiscard]] const crypto::PublicKey& key(NodeId n) const;

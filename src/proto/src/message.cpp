@@ -16,11 +16,6 @@ void Roster::add(crypto::Certificate cert) {
   entries_[idx].emplace(Entry{std::move(cert), nullptr});
 }
 
-const crypto::Certificate* Roster::find(NodeId n) const {
-  if (n.value() >= entries_.size() || !entries_[n.value()].has_value()) return nullptr;
-  return &entries_[n.value()]->cert;
-}
-
 const crypto::PublicKey* Roster::prepared(NodeId n) const {
   if (n.value() >= entries_.size() || !entries_[n.value()].has_value()) return nullptr;
   const Entry& e = *entries_[n.value()];

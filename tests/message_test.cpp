@@ -22,9 +22,12 @@ class MessageTest : public ::testing::Test {
 };
 
 TEST_F(MessageTest, RosterLookup) {
-  EXPECT_NE(roster_.find(NodeId(0)), nullptr);
-  EXPECT_EQ(roster_.find(NodeId(9)), nullptr);
-  EXPECT_EQ(roster_.find(NodeId(1))->node, NodeId(1));
+  // Each node's key is its certified one: it verifies that node's
+  // signatures and no other node's.
+  const Bytes msg = to_bytes("roster");
+  const crypto::Signature sig = identities_[1].sign(msg);
+  EXPECT_TRUE(roster_.key(NodeId(1)).verify(msg, sig.view()));
+  EXPECT_FALSE(roster_.key(NodeId(0)).verify(msg, sig.view()));
   EXPECT_THROW((void)roster_.key(NodeId(9)), std::out_of_range);
   EXPECT_EQ(roster_.size(), 3u);
 }

@@ -38,10 +38,15 @@ TEST(Network, EncountersRecordedSymmetrically) {
 }
 
 TEST(Network, CertificatesDistributedToAllNodes) {
+  // Every node's certified key is in the roster: it verifies the node's own
+  // signature.
   World<EpidemicNode> w(make_trace(5, {{0, 1, 10, 20}}));
+  const Bytes msg = to_bytes("certified");
   for (std::uint32_t i = 0; i < 5; ++i) {
-    EXPECT_NE(w.network().roster().find(NodeId(i)), nullptr);
+    const crypto::Signature sig = w.network().base_node(NodeId(i)).identity().sign(msg);
+    EXPECT_TRUE(w.network().roster().verify(NodeId(i), msg, sig.view())) << i;
   }
+  EXPECT_EQ(w.network().roster().size(), 5u);
 }
 
 TEST(Network, WarmUpFeedsNegativeHistory) {
