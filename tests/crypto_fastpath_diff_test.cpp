@@ -380,7 +380,8 @@ TEST(FastPathDiff, SchnorrEngineMatchesFreeFunctions) {
     const U256 q_minus_1 = sub(group->q, one, borrow);
     const U256 all_ones = U256::from_hex(
         "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff");
-    const U256 past_q = U256::from_hex("1" + std::string(group->q.bit_length() / 4, '0'));
+    U256 past_q;  // 2^bits(q), the shortest exponent longer than q
+    past_q.limb[group->q.bit_length() / 64] = 1ULL << (group->q.bit_length() % 64);
     for (const U256& y : {U256(0), one, sub(group->p, one, borrow), group->p, all_ones}) {
       const PublicKeyPtr key = suite->prepare_public_key(y.to_bytes_be());
       for (const U256& e :

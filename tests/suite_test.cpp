@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +184,9 @@ struct SuiteMaker {
   const char* name;
   std::function<SuitePtr()> make;
 };
+
+// Listed test names carry the parameter: print its name, not its bytes.
+void PrintTo(const SuiteMaker& maker, std::ostream* os) { *os << maker.name; }
 
 class PreparedKeys : public ::testing::TestWithParam<SuiteMaker> {};
 
