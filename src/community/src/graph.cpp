@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
-
-#include "g2g/trace/stats.hpp"
 
 namespace g2g::community {
 
@@ -27,15 +24,22 @@ ContactGraph::ContactGraph(const trace::ContactTrace& trace, const ContactGraphC
     std::size_t contacts = 0;
     Duration total = Duration::zero();
   };
-  std::map<trace::PairKey, PairAccum> accum;
+  // Node ids are dense and every event has a < b < n, so each pair's history
+  // accumulates in its slot of the n x n table's upper triangle.
+  std::vector<PairAccum> accum(n_ * n_);
   for (const auto& e : trace.events()) {
-    auto& pa = accum[trace::make_pair_key(e.a, e.b)];
+    auto& pa = accum[index(e.a, e.b)];
     ++pa.contacts;
     pa.total = pa.total + e.duration();
   }
-  for (const auto& [key, pa] : accum) {
-    if (pa.contacts >= config.min_contacts || pa.total >= config.min_total_duration) {
-      add_edge(key.a, key.b);
+  // Edges are added in ascending (a, b) order; only pairs that met count.
+  for (std::uint32_t a = 0; a < n_; ++a) {
+    for (std::uint32_t b = a + 1; b < n_; ++b) {
+      const PairAccum& pa = accum[index(NodeId(a), NodeId(b))];
+      if (pa.contacts > 0 &&
+          (pa.contacts >= config.min_contacts || pa.total >= config.min_total_duration)) {
+        add_edge(NodeId(a), NodeId(b));
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "g2g/crypto/sha256.hpp"
 
@@ -57,6 +58,14 @@ void chacha_block(const ChaChaKey& key, const ChaChaNonce& nonce, std::uint32_t 
   }
 }
 
+// Domain labels of the key and nonce derivations, hashed in place.
+constexpr std::string_view kKeyLabel = "g2g-chacha-key";
+constexpr std::string_view kNonceLabel = "g2g-chacha-nonce";
+
+BytesView label_bytes(std::string_view label) {
+  return {reinterpret_cast<const std::uint8_t*>(label.data()), label.size()};
+}
+
 }  // namespace
 
 Bytes chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce, BytesView data,
@@ -73,14 +82,14 @@ Bytes chacha20_xor(const ChaChaKey& key, const ChaChaNonce& nonce, BytesView dat
 }
 
 ChaChaKey derive_chacha_key(BytesView material) {
-  const Digest d = sha256(to_bytes("g2g-chacha-key"), material);
+  const Digest d = sha256(label_bytes(kKeyLabel), material);
   ChaChaKey key{};
   std::copy(d.begin(), d.end(), key.begin());
   return key;
 }
 
 ChaChaNonce derive_chacha_nonce(BytesView material) {
-  const Digest d = sha256(to_bytes("g2g-chacha-nonce"), material);
+  const Digest d = sha256(label_bytes(kNonceLabel), material);
   ChaChaNonce nonce{};
   std::copy_n(d.begin(), nonce.size(), nonce.begin());
   return nonce;

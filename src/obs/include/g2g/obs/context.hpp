@@ -76,6 +76,8 @@ struct ProtocolCounters {
   Counter* frames_decoded;      ///< handshake/audit frames decoded
   Counter* relay_replays;       ///< RELAY_DATA for an H(m) already handled, dropped
   Counter* relay_misclaims;     ///< RELAY_DATA whose claimed H(m) is not its bytes' hash
+  Counter* fq_sign_reused;      ///< FQ_RESP signatures reused from an identical declaration
+  Counter* fq_verify_reused;    ///< FQ_RESP checks answered by an identical verified one
 
   // Message lifecycle.
   Counter* generated;

@@ -56,6 +56,8 @@ ProtocolCounters::ProtocolCounters(Registry& r)
       frames_decoded(&r.counter("g2g.frame.decoded")),
       relay_replays(&r.counter("g2g.relay.replay_dropped")),
       relay_misclaims(&r.counter("g2g.relay.misclaimed")),
+      fq_sign_reused(&r.counter("g2g.fq.sign_reused")),
+      fq_verify_reused(&r.counter("g2g.fq.verify_reused")),
       generated(&r.counter("msg.generated")),
       relays(&r.counter("msg.relayed")),
       deliveries(&r.counter("msg.delivered")),

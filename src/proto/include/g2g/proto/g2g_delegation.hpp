@@ -23,6 +23,7 @@
 #include <optional>
 #include <vector>
 
+#include "g2g/proto/declaration_memo.hpp"
 #include "g2g/proto/quality.hpp"
 #include "g2g/proto/relay/relay_node.hpp"
 
@@ -43,6 +44,8 @@ class G2GDelegationNode final : public relay::RelayNode {
 
   /// Step 9: answer an FQ_RQST about destination `dst` for message `h`;
   /// nullopt declines (message already handled). Liars declare value 0.
+  /// A declaration identical to one signed at this instant reuses its
+  /// signature (DeclarationMemo).
   [[nodiscard]] std::optional<QualityDeclaration> respond_fq(Session& s,
                                                              G2GDelegationNode& giver,
                                                              const MessageHash& h, NodeId dst);
@@ -69,6 +72,8 @@ class G2GDelegationNode final : public relay::RelayNode {
                    NodeId real_dst, TimePoint now);
   [[nodiscard]] NodeId random_decoy(NodeId not_this) const;
   EncounterTable table_;
+  /// Declarations signed as a candidate and verified as a giver, per D′.
+  DeclarationMemo fq_memo_;
 };
 
 }  // namespace g2g::proto

@@ -22,7 +22,8 @@ G2GDelegationNode::G2GDelegationNode(Env& env, crypto::NodeIdentity identity,
                                      NodeConfig config, BehaviorConfig behavior)
     : relay::RelayNode(env, std::move(identity), config, behavior,
                        relay::AuditEngine::PresentMode::PorsThenStorage),
-      table_(config.quality_frame) {}
+      table_(config.quality_frame),
+      fq_memo_(env.node_count()) {}
 
 void G2GDelegationNode::note_encounter(NodeId peer, TimePoint t) { table_.record(peer, t); }
 
@@ -94,12 +95,9 @@ std::optional<relay::HandshakeOutcome> G2GDelegationNode::relay_attempt(
   const Roster& roster = env_.roster();
   bool decl_ok = decl->declarer == taker.id() && decl->dst == dprime;
   if (decl_ok) {
-    const std::span<std::uint8_t> decl_payload = s.arena().alloc(decl->signed_payload_size());
-    SpanWriter dw(decl_payload);
-    decl->signed_payload_into(dw);
-    dw.expect_full();
-    decl_ok = roster.verify(taker.id(), BytesView(decl_payload.data(), decl_payload.size()),
-                            decl->signature.view());
+    const DeclarationMemo::Verdict verdict = fq_memo_.verify(roster, *decl, s.arena());
+    if (verdict == DeclarationMemo::Verdict::Recalled) counters().fq_verify_reused->add();
+    decl_ok = verdict != DeclarationMemo::Verdict::Invalid;
   }
   if (!decl_ok) {
     counters().handshakes_aborted->add();
@@ -199,13 +197,7 @@ std::optional<QualityDeclaration> G2GDelegationNode::respond_fq(Session& s,
     decl.value = min_quality(config().quality_kind);
   }
   count_signature();
-  {
-    const std::span<std::uint8_t> payload = s.arena().alloc(decl.signed_payload_size());
-    SpanWriter pw(payload);
-    decl.signed_payload_into(pw);
-    pw.expect_full();
-    decl.signature = identity().sign(BytesView(payload.data(), payload.size()));
-  }
+  if (fq_memo_.sign(identity(), decl, s.arena())) counters().fq_sign_reused->add();
   trace_event(obs::EventKind::FqResp, giver.id(), trace_ref(h),
               static_cast<std::int64_t>(decl.value * 1e6));
   s.transfer(*this, decl.wire_size(), obs::WireKind::QualityDecl);

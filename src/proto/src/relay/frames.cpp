@@ -127,7 +127,15 @@ BytesView arena_relay_data(Arena& arena, const MessageHash& h, BytesView msg_wir
 }
 
 std::vector<QualityDeclaration> RelayDataFrameView::decode_attachments() const {
+  // Walk the declarations' fields once to count them, so the vector is
+  // allocated once.
+  std::size_t count = 0;
+  for (Reader probe(attachments_wire); !probe.done(); ++count) {
+    (void)probe.raw(4 + 4 + 8 + 8 + 8);  // declarer, dst, value, frame, at
+    (void)probe.blob_view();             // signature
+  }
   std::vector<QualityDeclaration> out;
+  out.reserve(count);
   Reader r(attachments_wire);
   while (!r.done()) out.push_back(QualityDeclaration::decode(r));
   return out;

@@ -3,16 +3,23 @@
 // and warm roster keys, the full 5-step handshake frame-codec sequence with
 // its PoR signature and check performs zero heap allocations, and so do
 // building and moving an empty relay Hold, every HMAC under a prepared key,
-// and every sign and verify through prepared keys on both suites (this
-// binary links g2g_alloc_probe, which replaces global operator new/delete
-// with counting wrappers).
+// every sign and verify through prepared keys on both suites, a repeated
+// FQ_RESP declaration signed or verified through the DeclarationMemo, and
+// deriving a ChaCha key or nonce; a RELAY_DATA frame's two declarations
+// decode with one allocation (this binary links g2g_alloc_probe, which
+// replaces global operator new/delete with counting wrappers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <vector>
 
+#include "g2g/crypto/chacha20.hpp"
 #include "g2g/crypto/hmac.hpp"
 #include "g2g/crypto/identity.hpp"
 #include "g2g/crypto/schnorr.hpp"
+#include "g2g/crypto/sha256.hpp"
+#include "g2g/proto/declaration_memo.hpp"
 #include "g2g/proto/message.hpp"
 #include "g2g/proto/relay/frames.hpp"
 #include "g2g/proto/relay/state.hpp"
@@ -239,6 +246,77 @@ TEST(AllocPath, PreparedSignAndVerifyAllocateNothing) {
     EXPECT_TRUE(ok) << suite->name();
     EXPECT_EQ(sig.size(), suite->signature_size()) << suite->name();
   }
+}
+
+TEST(AllocPath, RelayDataWithTwoDeclarationsDecodesInOneAllocation) {
+  // A source ships its two archived failed-candidate declarations; the
+  // taker's decode counts them before it allocates their vector.
+  WireFixture f;
+  Arena arena;
+  proto::QualityDeclaration second = f.decl;
+  second.declarer = NodeId(0);
+  second.value = 1.5;
+  second.signature = f.ids[0].sign(second.signed_payload());
+  const proto::QualityDeclaration decls[] = {f.decl, second};
+  const BytesView data = proto::relay::arena_relay_data(arena, f.h, f.msg_wire, decls);
+  const proto::relay::RelayDataFrameView view = proto::relay::RelayDataFrameView::decode(data);
+  const std::size_t before = heap_alloc_count();
+  const std::vector<proto::QualityDeclaration> out = view.decode_attachments();
+  EXPECT_EQ(heap_alloc_count() - before, 1u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(encode_exact(out[0]), encode_exact(f.decl));
+  EXPECT_EQ(encode_exact(out[1]), encode_exact(second));
+}
+
+TEST(AllocPath, DeclarationMemoHitsAllocateNothing) {
+  // A candidate answering one giver's FQ_RQSTs about one D' reuses its
+  // signature, and the giver recalls the verified declaration: neither the
+  // reused sign nor the recalled verify touches the heap, on either suite.
+  const crypto::SuitePtr suites[] = {
+      crypto::make_fast_suite(0xA112),
+      crypto::make_schnorr_rs_suite(crypto::SchnorrGroup::small_group())};
+  for (const crypto::SuitePtr& suite : suites) {
+    Rng rng(4);
+    const crypto::Authority authority(suite, rng);
+    const crypto::NodeIdentity taker(suite, NodeId(1), authority, rng);
+    proto::Roster roster(suite);
+    roster.add(taker.certificate());
+    Arena arena;
+    proto::DeclarationMemo signer(3);
+    proto::DeclarationMemo giver(3);
+    proto::QualityDeclaration decl;
+    decl.declarer = NodeId(1);
+    decl.dst = NodeId(2);
+    decl.value = 4.0;
+    decl.frame = 7;
+    decl.at = TimePoint::from_seconds(60.0);
+    ASSERT_FALSE(signer.sign(taker, decl, arena));
+    ASSERT_EQ(giver.verify(roster, decl, arena), proto::DeclarationMemo::Verdict::Verified);
+
+    proto::QualityDeclaration again = decl;
+    again.signature = crypto::Signature();
+    const std::size_t before = heap_alloc_count();
+    const bool reused = signer.sign(taker, again, arena);
+    const proto::DeclarationMemo::Verdict verdict = giver.verify(roster, again, arena);
+    EXPECT_EQ(heap_alloc_count() - before, 0u) << suite->name();
+    EXPECT_TRUE(reused) << suite->name();
+    EXPECT_EQ(verdict, proto::DeclarationMemo::Verdict::Recalled) << suite->name();
+    EXPECT_EQ(again.signature, decl.signature) << suite->name();
+  }
+}
+
+TEST(AllocPath, ChaChaKeyAndNonceDerivationAllocateNothing) {
+  // Every sealed box derives its ChaCha key and nonce from the DH secret;
+  // the domain labels are hashed in place, not copied to the heap.
+  const Bytes material(32, 0x6d);
+  const crypto::Digest key_digest = crypto::sha256(to_bytes("g2g-chacha-key"), material);
+  const crypto::Digest nonce_digest = crypto::sha256(to_bytes("g2g-chacha-nonce"), material);
+  const std::size_t before = heap_alloc_count();
+  const crypto::ChaChaKey key = crypto::derive_chacha_key(material);
+  const crypto::ChaChaNonce nonce = crypto::derive_chacha_nonce(material);
+  EXPECT_EQ(heap_alloc_count() - before, 0u);
+  EXPECT_TRUE(std::equal(key.begin(), key.end(), key_digest.begin()));
+  EXPECT_TRUE(std::equal(nonce.begin(), nonce.end(), nonce_digest.begin()));
 }
 
 TEST(AllocPath, EmptyHoldConstructsAndMovesWithoutHeap) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "g2g/crypto/schnorr.hpp"
 #include "proto_test_util.hpp"
 
 namespace g2g::proto {
@@ -248,6 +251,39 @@ TEST(G2GDelegation, LiarWithOutsidersLiesOnlyToOutsiders) {
   const MessageId id = w.send(0, 4, 1900);
   w.run();
   EXPECT_EQ(w.replicas(id), 1u);
+}
+
+TEST(G2GDelegation, RepeatedDeclarationsReachTheSuiteOnceAndAreChargedEachTime) {
+  // Source 0 holds k messages to D' = 2 and meets candidate 1 once; neither
+  // has met 2, so every candidate's declaration (0) fails the quality gate.
+  // All k FQ_RESPs are the same signed statement: the candidate signs it
+  // once and the source verifies it once, while the cost model charges all k.
+  constexpr std::size_t k = 5;
+  const crypto::SuitePtr inners[] = {
+      crypto::make_fast_suite(),
+      crypto::make_schnorr_rs_suite(crypto::SchnorrGroup::small_group())};
+  for (const crypto::SuitePtr& inner : inners) {
+    SCOPED_TRACE(inner->name());
+    auto counting = std::make_shared<testutil::FqRespCountingSuite>(inner);
+    auto cfg = fast_frames();
+    cfg.suite = counting;
+    G2GDWorld w(build(4, {{{0, 1, 2000, 2010}}}), cfg);
+    for (std::size_t i = 0; i < k; ++i) w.send(0, 2, 1900);
+    w.run();
+
+    const obs::Registry& counters = w.network().obs().registry;
+    EXPECT_EQ(counters.value("hs.started"), k);
+    EXPECT_EQ(counters.value("hs.declined"), k);
+    EXPECT_EQ(counters.value("wire.quality_decl.msgs"), k);
+    EXPECT_EQ(counting->signs(), 1u);
+    EXPECT_EQ(counting->verifies(), 1u);
+    EXPECT_EQ(counters.value("g2g.fq.sign_reused"), k - 1);
+    EXPECT_EQ(counters.value("g2g.fq.verify_reused"), k - 1);
+    // Candidate: k FQ_RESP signatures. Source: k FQ_RESP checks plus the
+    // session's certificate check.
+    EXPECT_EQ(w.collector().costs(NodeId(1)).signatures, k);
+    EXPECT_EQ(w.collector().costs(NodeId(0)).verifications, k + 1);
+  }
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 // interrogating nodes afterwards.
 #pragma once
 
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "g2g/metrics/collector.hpp"
@@ -37,6 +39,47 @@ inline trace::ContactTrace make_trace(std::size_t node_count,
   t.finalize();
   return t;
 }
+
+/// A suite decorator that forwards every call to `inner` and counts the
+/// one-shot sign and verify calls over FQ_RESP signed payloads. It overrides
+/// neither prepare_* virtual, so the forwarding keys they return route every
+/// prepared sign and verify through the counted calls. Single-threaded use.
+class FqRespCountingSuite final : public crypto::Suite {
+ public:
+  explicit FqRespCountingSuite(crypto::SuitePtr inner) : inner_(std::move(inner)) {}
+
+  [[nodiscard]] crypto::KeyPair keygen(Rng& rng) const override { return inner_->keygen(rng); }
+  [[nodiscard]] Bytes sign(BytesView secret_key, BytesView message) const override {
+    if (is_fq_resp(message)) ++signs_;
+    return inner_->sign(secret_key, message);
+  }
+  [[nodiscard]] bool verify(BytesView public_key, BytesView message,
+                            BytesView signature) const override {
+    if (is_fq_resp(message)) ++verifies_;
+    return inner_->verify(public_key, message, signature);
+  }
+  [[nodiscard]] Bytes shared_secret(BytesView my_secret_key,
+                                    BytesView peer_public_key) const override {
+    return inner_->shared_secret(my_secret_key, peer_public_key);
+  }
+  [[nodiscard]] std::size_t signature_size() const override { return inner_->signature_size(); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  [[nodiscard]] std::size_t signs() const { return signs_; }
+  [[nodiscard]] std::size_t verifies() const { return verifies_; }
+
+ private:
+  /// A declaration's signed payload opens with its length-prefixed domain.
+  static bool is_fq_resp(BytesView message) {
+    const Bytes domain = to_bytes("g2g-fqresp-v1");
+    return message.size() > 4 + domain.size() &&
+           std::equal(domain.begin(), domain.end(), message.begin() + 4);
+  }
+
+  crypto::SuitePtr inner_;
+  mutable std::size_t signs_ = 0;
+  mutable std::size_t verifies_ = 0;
+};
 
 /// A small typed world: trace + network + collector, with message injection.
 template <typename NodeT>

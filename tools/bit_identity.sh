@@ -2,9 +2,11 @@
 # Bit-identity gate for protocol refactors. The relay-core contract is that
 # restructuring never changes protocol behaviour: every paper bench's --quick
 # output (fig3, fig4, fig5, fig7, fig8, Table I) must be byte-identical before
-# and after. The paper benches all run the symmetric suite, so one g2gsim run
-# on the real Schnorr suite pins the public-key path's protocol output too
-# (~0.1 s in a Release build on a 4-core x86-64 VM).
+# and after. The paper benches all run the symmetric suite, so two g2gsim runs
+# on the real Schnorr suite pin the public-key path's protocol output too: G2G
+# Epidemic with droppers, and G2G Delegation with liars selfish toward
+# outsiders, whose FQ_RESP declarations are signed and verified on that suite
+# (~0.1 s each in a Release build on a 4-core x86-64 VM).
 #
 #   tools/bit_identity.sh [base-ref]   # default: merge-base with origin/main
 #
@@ -18,6 +20,8 @@ benches=(fig3_droppers_epidemic fig4_detection_g2g_epidemic fig5_deviations_dele
          fig7_detection_g2g_delegation fig8_cost_tradeoff table1_delegation_detection)
 schnorr_run=(--protocol g2g-epidemic --schnorr --deviation dropper --deviants 10
              --interarrival 40 --seed 1)
+delegation_schnorr_run=(--scenario cambridge06 --protocol g2g-delegation-freq --schnorr
+                        --deviation liar --outsiders --deviants 10 --interarrival 40 --seed 1)
 
 base="${1:-}"
 if [[ -z "$base" ]]; then
@@ -57,6 +61,7 @@ build_and_run() {
     "$build/bench/$b" --quick >"$out/$b.txt"
   done
   "$build/examples/g2gsim" "${schnorr_run[@]}" >"$out/g2gsim-schnorr.txt"
+  "$build/examples/g2gsim" "${delegation_schnorr_run[@]}" >"$out/g2gsim-delegation-schnorr.txt"
 }
 
 echo "== HEAD build + runs =="
@@ -81,4 +86,4 @@ if [[ $fail -ne 0 ]]; then
   echo "bit-identity: FAILED — protocol output changed relative to $base"
   exit 1
 fi
-echo "bit-identity: ok — ${#benches[@]} benches + g2gsim --schnorr identical"
+echo "bit-identity: ok — ${#benches[@]} benches + 2 g2gsim --schnorr runs identical"
