@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "g2g/metrics/collector.hpp"
@@ -71,9 +72,9 @@ class FqRespCountingSuite final : public crypto::Suite {
  private:
   /// A declaration's signed payload opens with its length-prefixed domain.
   static bool is_fq_resp(BytesView message) {
-    const Bytes domain = to_bytes("g2g-fqresp-v1");
-    return message.size() > 4 + domain.size() &&
-           std::equal(domain.begin(), domain.end(), message.begin() + 4);
+    constexpr std::string_view kDomain = "g2g-fqresp-v1";
+    return message.size() > 4 + kDomain.size() &&
+           std::equal(kDomain.begin(), kDomain.end(), message.begin() + 4);
   }
 
   crypto::SuitePtr inner_;
